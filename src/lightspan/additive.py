@@ -156,16 +156,10 @@ class _Instrumentor:
         self.split = split
         self.table = table
         self.gps = inst.g_prime_s
-        self._gps_sssp: dict[int, object] = {}
         self.setoffs: dict[tuple[int, int], int] = {}
         self.improvements: dict[tuple[int, int], int] = {}
         self.failures: list = []
         self._ctx = None
-
-    def _full(self, x: int):
-        if x not in self._gps_sssp:
-            self._gps_sssp[x] = shortest_paths(self.gps, x)
-        return self._gps_sssp[x]
 
     def before(self, pair: Pair, path, d_cur: Weight,
                current: SubgraphAdjacency) -> None:
@@ -196,7 +190,8 @@ class _Instrumentor:
                 d_b = ctx["before"][x].distance(q)
                 d_a = after[x].distance(q)
                 drops[x] = d_b - d_a if d_a != math.inf else 0
-                cond1 = d_a <= self._full(x).distance(q) + 2 * self.split.eps1 * w
+                d_full = shortest_paths(self.gps, x).distance(q)
+                cond1 = d_a <= d_full + 2 * self.split.eps1 * w
                 if ctx["premise"] and not cond1:
                     self.failures.append(((u, v), q, x, "set-off bound"))
                 key = (x, q)

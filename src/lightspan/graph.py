@@ -45,6 +45,10 @@ class NonpositiveWeightError(GraphError):
     """An edge weight is zero or negative."""
 
 
+class InvalidWeightError(GraphError):
+    """An edge weight is not a finite number (bool, infinity, non-numeric)."""
+
+
 class DisconnectedError(GraphError):
     """The graph is not connected."""
 
@@ -119,6 +123,12 @@ class Graph:
             key = canonical(u, v)
             if key in seen:
                 raise DuplicateEdgeError(f"duplicate edge {key}")
+            t = type(w)  # exact types: bool is an int subclass
+            if t is float:
+                if w == INF:
+                    raise InvalidWeightError(f"edge {key} has infinite weight")
+            elif t is not int and t is not Fraction:
+                raise InvalidWeightError(f"edge {key} has weight {w!r}, not a number")
             if not w > 0:
                 raise NonpositiveWeightError(f"edge {key} has weight {w}")
             seen.add(key)
@@ -151,6 +161,14 @@ class Graph:
     @cached_property
     def is_exact(self) -> bool:
         return all(is_exact_weight(w) for _, _, w in self.edges)
+
+    @cached_property
+    def _sssp_memo(self) -> dict[int, "ShortestPaths"]:
+        """Source -> ShortestPaths, filled by :func:`shortest_paths`.
+
+        Held on this object only: equal graphs never share results.
+        """
+        return {}
 
     @cached_property
     def _packed(self) -> tuple[int | None, tuple[tuple[tuple[int, Weight], ...], ...]]:
@@ -208,39 +226,39 @@ class ShortestPaths:
     smallest predecessor id at every step (equivalently, the reversed
     vertex sequence is lexicographically minimal).  This makes every
     fixed path, and everything built from fixed paths, reproducible.
+
+    Distances and parents are per-vertex lists over 0..n-1 (None for
+    unreached vertices).  Host-graph results are memoised and shared, so
+    treat them as read-only.
     """
 
-    __slots__ = ("source", "_dist", "_hops", "_parent", "_denom")
+    __slots__ = ("source", "_dist", "_parent", "_denom")
 
-    def __init__(self, source: int, dist: dict[int, Weight],
-                 hops: dict[int, int], parent: dict[int, int],
-                 denom: int | None) -> None:
+    def __init__(self, source: int, dist: list[Weight | None],
+                 parent: list[int | None], denom: int | None) -> None:
         self.source = source
         self._dist = dist
-        self._hops = hops
         self._parent = parent
         self._denom = denom
 
     def reachable(self, v: int) -> bool:
-        return v in self._dist
+        return self._dist[v] is not None
 
     def distance(self, v: int) -> Weight:
-        if v not in self._dist:
-            return INF
         d = self._dist[v]
+        if d is None:
+            return INF
         if self._denom is None or self._denom == 1:
             return d
         return Fraction(d, self._denom)
 
     def distance_raw(self, v: int) -> Weight:
         """Packed-integer distance (same denominator as the host graph)."""
-        return self._dist.get(v, INF)
-
-    def hops(self, v: int) -> int:
-        return self._hops[v]
+        d = self._dist[v]
+        return INF if d is None else d
 
     def path_to(self, v: int) -> list[int]:
-        if v not in self._dist:
+        if self._dist[v] is None:
             raise UnknownEdgeError(f"vertex {v} not reachable from {self.source}")
         out = [v]
         while out[-1] != self.source:
@@ -249,46 +267,55 @@ class ShortestPaths:
         return out
 
     def reached(self) -> Iterator[int]:
-        return iter(self._dist)
+        return (v for v, d in enumerate(self._dist) if d is not None)
 
 
 def shortest_paths_adj(adj, source: int, denom: int | None = None) -> ShortestPaths:
     """Deterministic Dijkstra over an adjacency structure.
 
-    `adj` maps or indexes each vertex to (neighbor, weight) pairs; with
-    strictly positive weights the (distance, hops, parent) label of a
-    vertex is final when it is popped, so parent pointers need no
-    post-settlement fixups.
+    `adj` indexes each vertex 0..len(adj)-1 to its (neighbor, weight)
+    pairs; with strictly positive weights the (distance, hops, parent)
+    label of a vertex is final when it is popped, so parent pointers need
+    no post-settlement fixups.
     """
-    dist: dict[int, Weight] = {source: 0}
-    hops: dict[int, int] = {source: 0}
-    parent: dict[int, int] = {source: -1}
+    n = len(adj)
+    dist: list[Weight | None] = [None] * n
+    hops = [0] * n
+    parent: list[int | None] = [None] * n
+    settled = bytearray(n)
+    dist[source] = 0
+    parent[source] = -1
     heap: list[tuple[Weight, int, int]] = [(0, 0, source)]
-    settled: set[int] = set()
     while heap:
         d, h, u = heapq.heappop(heap)
-        if u in settled:
+        if settled[u]:
             continue
-        settled.add(u)
+        settled[u] = 1
+        nh = h + 1
         for v, w in adj[u]:
-            if v in settled:
+            if settled[v]:
                 continue
             nd = d + w
-            nh = h + 1
-            if v not in dist or (nd, nh, u) < (dist[v], hops[v], parent[v]):
-                push = v not in dist or (nd, nh) < (dist[v], hops[v])
+            dv = dist[v]
+            if dv is None or (nd, nh, u) < (dv, hops[v], parent[v]):
+                push = dv is None or (nd, nh) < (dv, hops[v])
                 dist[v] = nd
                 hops[v] = nh
                 parent[v] = u
                 if push:
                     heapq.heappush(heap, (nd, nh, v))
-    return ShortestPaths(source, dist, hops, parent, denom)
+    return ShortestPaths(source, dist, parent, denom)
 
 
 def shortest_paths(g: Graph, source: int) -> ShortestPaths:
-    g.check_vertex(source)
-    denom, adj = g._packed
-    return shortest_paths_adj(adj, source, denom)
+    """Shortest paths from source, memoised on the graph object."""
+    memo = g._sssp_memo
+    sp = memo.get(source)
+    if sp is None:
+        g.check_vertex(source)
+        denom, adj = g._packed
+        sp = memo[source] = shortest_paths_adj(adj, source, denom)
+    return sp
 
 
 class SubgraphAdjacency:
@@ -302,7 +329,8 @@ class SubgraphAdjacency:
         self.host = host
         denom, _ = host._packed
         self.denom = denom
-        self._adj: dict[int, list[tuple[int, Weight]]] = {}
+        # Indexed by host vertex, so it serves as a Dijkstra adjacency.
+        self._adj: list[list[tuple[int, Weight]]] = [[] for _ in range(host.n)]
         self._edges: set[Pair] = set()
         for e in edges:
             self.add_edge(*e)
@@ -315,8 +343,8 @@ class SubgraphAdjacency:
         if self.denom is not None:
             w = int(w * self.denom)
         self._edges.add(key)
-        self._adj.setdefault(u, []).append((v, w))
-        self._adj.setdefault(v, []).append((u, w))
+        self._adj[u].append((v, w))
+        self._adj[v].append((u, w))
 
     def __contains__(self, pair: Pair) -> bool:
         return canonical(*pair) in self._edges
@@ -326,26 +354,14 @@ class SubgraphAdjacency:
         return frozenset(self._edges)
 
     def sssp(self, source: int) -> ShortestPaths:
-        class _View:
-            __slots__ = ("adj",)
-
-            def __init__(self, adj):
-                self.adj = adj
-
-            def __getitem__(self, u):
-                return self.adj.get(u, ())
-
-        return shortest_paths_adj(_View(self._adj), source, self.denom)
+        return shortest_paths_adj(self._adj, source, self.denom)
 
     def distance(self, u: int, v: int) -> Weight:
         return self.sssp(u).distance(v)
 
-    def vertices(self) -> frozenset[int]:
-        return frozenset(self._adj)
-
     def multi_source_distances(self, sources: Iterable[int]) -> dict[int, Weight]:
         """Distance from the nearest source, for every reachable vertex."""
-        srcs = [s for s in sources if s in self._adj]
+        srcs = [s for s in sources if self._adj[s]]
         dist: dict[int, Weight] = {s: 0 for s in srcs}
         heap = [(0, s) for s in sorted(srcs)]
         heapq.heapify(heap)
@@ -355,7 +371,7 @@ class SubgraphAdjacency:
             if u in settled:
                 continue
             settled.add(u)
-            for v, w in self._adj.get(u, ()):
+            for v, w in self._adj[u]:
                 nd = d + w
                 if v not in dist or nd < dist[v]:
                     dist[v] = nd
@@ -459,12 +475,13 @@ def build_path_table(g: Graph, terminals: Iterable[int]) -> PathTable:
 
 
 def _parse_weight(token: str, exact: bool) -> Weight:
+    """A decimal or p/q weight: a rational when exact, else the nearest float."""
     try:
+        w = Fraction(token)
         if exact:
-            w = Fraction(token)
             return int(w) if w.denominator == 1 else w
-        return float(token)
-    except (ValueError, ZeroDivisionError) as exc:
+        return float(w)
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
         raise ParseError(f"bad weight {token!r}") from exc
 
 
@@ -501,7 +518,8 @@ def load_instance(text: str, exact: bool = False):
     """Parse the JSON instance format.
 
     Returns (graph, terminals, levels) where levels is None when the
-    document has no "levels" field.
+    document has no "levels" field.  A weight may be a JSON number or a
+    decimal or "p/q" string; with exact=True both become rationals.
     """
     try:
         doc = json.loads(text, parse_float=(Fraction if exact else float))
@@ -511,7 +529,8 @@ def load_instance(text: str, exact: bool = False):
         raise ParseError("instance must be an object with 'n' and 'edges'")
     try:
         n = int(doc["n"])
-        edges = [(int(u), int(v), w) for u, v, w in doc["edges"]]
+        edges = [(int(u), int(v), _parse_weight(w, exact) if isinstance(w, str) else w)
+                 for u, v, w in doc["edges"]]
     except (TypeError, ValueError) as exc:
         raise ParseError(f"bad edge entry: {exc}") from exc
     g = Graph.from_edges(n, edges)
@@ -527,11 +546,20 @@ def load_instance(text: str, exact: bool = False):
     return g, terminals, levels
 
 
+def _weight_json(w: Weight, exact: bool) -> Weight | str:
+    if not exact:
+        return float(w)
+    return int(w) if w.denominator == 1 else str(w)
+
+
 def dump_instance(g: Graph, terminals: Iterable[int],
                   levels: dict[int, int] | None = None) -> str:
+    """The JSON instance document; exact weights are written as int or "p/q"
+    strings, so load_instance(..., exact=True) restores them exactly."""
+    exact = g.is_exact
     doc = {
         "n": g.n,
-        "edges": [[u, v, float(w)] for u, v, w in g.edges],
+        "edges": [[u, v, _weight_json(w, exact)] for u, v, w in g.edges],
         "terminals": sorted(set(terminals)),
     }
     if levels is not None:

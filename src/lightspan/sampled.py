@@ -39,6 +39,10 @@ from .steiner import Backbone, build_backbone
 from .transform import map_back, scaled_universe
 
 
+class DistanceChainError(RuntimeError):
+    """An exact instrumented run broke the prefix/suffix distance chain."""
+
+
 @dataclass(frozen=True)
 class SampleConfig:
     """Knobs of the sampled construction.
@@ -323,7 +327,8 @@ def _distance_chains(g: Graph, bb: Backbone, edges_g: set[Pair],
             entry["chain"] = chain
             entry["allowed"] = allowed
             entry["ok"] = chain <= allowed
-            if g.is_exact:
-                assert entry["ok"], f"distance chain violated for {pair}"
+            if g.is_exact and not entry["ok"]:
+                raise DistanceChainError(
+                    f"pair {pair}: chain {chain} exceeds {allowed}")
         out.append(entry)
     return out

@@ -40,6 +40,10 @@ class TooManyTerminalsError(GraphError):
     """The exact solver is limited to 12 terminals."""
 
 
+class SteinerReconstructionError(RuntimeError):
+    """The exact solver's tree does not weigh its optimum; internal bug."""
+
+
 EXACT_STEINER_MAX_TERMINALS = 12
 
 
@@ -282,7 +286,9 @@ def exact_steiner(g: Graph, terminals: Iterable[int]) -> SteinerTree:
     best = cost[full][root]
     if denom is not None:
         best = Fraction(best, denom)
-        assert tree.weight == best, "exact Steiner reconstruction mismatch"
+        if tree.weight != best:
+            raise SteinerReconstructionError(
+                f"reconstructed tree weighs {tree.weight}, optimum is {best}")
     return tree
 
 

@@ -211,6 +211,19 @@ class TestCli:
         out = capsys.readouterr().out
         assert out.startswith("instance,algo,seed")
 
+    @pytest.mark.parametrize("w", ["Infinity", "true"])
+    def test_verify_rejects_infinite_or_bool_weight(self, tmp_path, capsys, w):
+        inst_file = tmp_path / "inst.json"
+        inst_file.write_text(
+            f'{{"n": 3, "edges": [[0, 1, 1], [1, 2, {w}]], "terminals": [0, 2]}}')
+        edges_file = tmp_path / "edges.txt"
+        edges_file.write_text("0 1\n1 2\n")
+        for flags in ([], ["--exact-arithmetic"]):
+            rc = main(["verify", "--input", str(inst_file), "--edges",
+                       str(edges_file), "--epsilon", "0.5", *flags])
+            assert rc == 2
+        assert "weight" in capsys.readouterr().err
+
     def test_bad_input_exit_code_two(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")

@@ -9,16 +9,23 @@ from lightspan.graph import (
     Beta,
     DisconnectedError,
     DuplicateEdgeError,
+    INF,
     Graph,
+    GraphError,
     InvalidVertexError,
+    InvalidWeightError,
     NonpositiveWeightError,
     ParseError,
     SelfLoopError,
+    SubgraphAdjacency,
+    UnknownEdgeError,
     build_path_table,
     fixed_shortest_path,
     load_graph,
     load_instance,
     dump_instance,
+    shortest_paths,
+    shortest_paths_adj,
 )
 
 
@@ -55,6 +62,17 @@ class TestLoadGraph:
     def test_disconnected(self):
         with pytest.raises(DisconnectedError):
             load_graph("0 1 2\n2 3 2")
+
+    @pytest.mark.parametrize("w", [math.inf, True, False, "3"])
+    def test_non_finite_or_non_numeric_weight(self, w):
+        with pytest.raises(InvalidWeightError):
+            Graph.from_edges(2, [(0, 1, w)])
+
+    def test_infinite_weight_in_edge_list(self):
+        with pytest.raises(GraphError):
+            load_graph("0 1 inf")
+        with pytest.raises(GraphError):
+            load_graph("0 1 inf", exact=True)
 
     def test_parse_garbage(self):
         with pytest.raises(ParseError):
@@ -211,6 +229,25 @@ class TestInstanceJson:
         assert terminals == frozenset({0, 2})
         assert levels == {0: 1, 2: 2}
 
+    def test_exact_round_trip(self):
+        graphs = [rand_connected_graph(seed, 9, 8) for seed in range(3)]
+        graphs.append(Graph.from_edges(
+            3, [(0, 1, Fraction(1, 3)), (1, 2, 2), (0, 2, Fraction(7, 5))]))
+        for g in graphs:
+            g2, terminals, _ = load_instance(dump_instance(g, [0, 2]), exact=True)
+            assert g2 == g and g2.is_exact
+            assert terminals == frozenset({0, 2})
+        # Without exact mode the same document reads as the nearest floats.
+        g3, _, _ = load_instance(dump_instance(graphs[-1], [0]))
+        assert g3.weight_of(0, 1) == 1 / 3
+
+    def test_infinite_or_bool_instance_weights(self):
+        for w in ("Infinity", "true"):
+            doc = f'{{"n": 2, "edges": [[0, 1, {w}]], "terminals": [0, 1]}}'
+            for exact in (False, True):
+                with pytest.raises(InvalidWeightError):
+                    load_instance(doc, exact=exact)
+
     def test_exact_instance_weights(self):
         doc = '{"n": 2, "edges": [[0, 1, 2.5]], "terminals": [0, 1]}'
         g, _, _ = load_instance(doc, exact=True)
@@ -227,3 +264,41 @@ class TestInstanceJson:
     def test_infinity_comparisons_with_fractions(self):
         assert math.inf > Fraction(10**9)
         assert math.inf - Fraction(3, 2) == math.inf
+
+
+class TestShortestPathsMemo:
+    def test_repeat_returns_same_object(self):
+        g = rand_connected_graph(5, 12, 10)
+        assert shortest_paths(g, 3) is shortest_paths(g, 3)
+
+    def test_equal_graphs_never_share_results(self):
+        g1 = rand_connected_graph(5, 12, 10)
+        g2 = Graph(g1.n, tuple(g1.edges))
+        assert g1 == g2 and g1 is not g2
+        for s in range(g1.n):
+            assert shortest_paths(g1, s) is not shortest_paths(g2, s)
+
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_memo_matches_fresh_search(self, exact):
+        for seed in range(4):
+            g = rand_connected_graph(seed + 60, 14, 16, exact=exact)
+            denom, adj = g._packed
+            for s in reversed(range(g.n)):
+                shortest_paths(g, s)
+            for s in range(g.n):
+                memo = shortest_paths(g, s)
+                fresh = shortest_paths_adj(adj, s, denom)
+                assert sorted(memo.reached()) == list(range(g.n))
+                for v in range(g.n):
+                    assert memo.distance(v) == fresh.distance(v)
+                    assert memo.distance_raw(v) == fresh.distance_raw(v)
+                    assert memo.path_to(v) == fresh.path_to(v)
+
+    def test_subgraph_vertex_without_edges(self):
+        g = Graph.from_edges(4, [(0, 1, 2), (1, 2, 3), (2, 3, 1)])
+        sp = SubgraphAdjacency(g, [(0, 1)]).sssp(0)
+        assert list(sp.reached()) == [0, 1]
+        assert sp.distance(1) == 2
+        assert sp.distance(3) == INF and sp.reachable(3) is False
+        with pytest.raises(UnknownEdgeError):
+            sp.path_to(3)

@@ -5,10 +5,12 @@ import pytest
 
 from helpers import rand_connected_graph, rand_tree
 from lightspan.additive import EpsilonSplit, build_h0_eps, greedy_complete
-from lightspan.graph import Beta, Graph, FixedPath, canonical
+from lightspan.graph import Beta, Graph, FixedPath, SubgraphAdjacency, canonical
 from lightspan.oracle import verify_spanner
 from lightspan.sampled import (
+    DistanceChainError,
     SampleConfig,
+    _distance_chains,
     choose_ell,
     prefix_suffix,
     threshold_search,
@@ -172,6 +174,20 @@ class TestWmaxSpanner:
                     hits += 1
                     assert entry["ok"]
         print(f"distance-chain hits checked: {hits}")
+
+    def test_violated_distance_chain_raises(self, monkeypatch):
+        g = Graph.from_edges(5, [(i, i + 1, 1) for i in range(4)])
+        bb = build_backbone(g, [0, 4], WMAX_BETA)
+        edges = {(i, i + 1) for i in range(4)}
+        route = {(0, 4): (bb.path_table.path(0, 4), [(0, 1)], [(3, 4)])}
+        cfg = SampleConfig(SPLIT)
+        [entry] = _distance_chains(g, bb, edges, route, [1, 3], cfg)
+        assert entry["hit"] and entry["ok"]
+        real = SubgraphAdjacency.distance
+        monkeypatch.setattr(SubgraphAdjacency, "distance",
+                            lambda self, u, v: real(self, u, v) + 10)
+        with pytest.raises(DistanceChainError):
+            _distance_chains(g, bb, edges, route, [1, 3], cfg)
 
     def test_needs_two_terminals(self):
         g = rand_connected_graph(2, 8, 10)

@@ -6,8 +6,11 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import enumerate_steiner_optimum, rand_connected_graph, rand_tree, subgraph_dist
 from lightspan.graph import Beta, Graph, canonical
+from lightspan import steiner
 from lightspan.steiner import (
     EmptyTerminalSetError,
+    SteinerReconstructionError,
+    SteinerTree,
     TooManyTerminalsError,
     approx_steiner,
     build_backbone,
@@ -115,6 +118,17 @@ class TestExactSteiner:
     def test_single_terminal(self):
         g = rand_connected_graph(1, 8, 6)
         assert exact_steiner(g, [2]).weight == 0
+
+    def test_reconstruction_mismatch_raises(self, monkeypatch):
+        g = rand_connected_graph(3, 9, 8)
+        real = steiner._tree_of
+
+        def heavier(g, terminals, edges):
+            t = real(g, terminals, edges)
+            return SteinerTree(t.terminals, t.edges, t.weight + 1)
+        monkeypatch.setattr(steiner, "_tree_of", heavier)
+        with pytest.raises(SteinerReconstructionError):
+            exact_steiner(g, [0, 4, 8])
 
     def test_two_terminals_is_shortest_path(self):
         from lightspan.graph import fixed_shortest_path
