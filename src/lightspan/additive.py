@@ -6,8 +6,10 @@ edge per S' vertex, the +(4+eps)*W(.,.) spanner seeds it with a weight
 budget of cheap edges around every terminal.  Pairs are processed in
 nondecreasing order of the maximum edge weight on their fixed path, ties
 by shorter distance; a pair whose current detour exceeds its allowance
-gets all missing fixed-path edges inserted.  The result is mapped back
-to the input graph, joined with the backbone tree, and certified.
+gets all missing fixed-path edges inserted (the sampled W_max spanner
+reuses the loop with a prefix/suffix insertion policy).  The result is
+mapped back to the input graph, joined with the backbone tree, and
+certified.
 """
 
 from __future__ import annotations
@@ -19,8 +21,10 @@ from typing import Callable, Iterable
 
 from .graph import (
     Beta,
+    FixedPath,
     Graph,
     Pair,
+    PairBounds,
     SubgraphAdjacency,
     UnknownEdgeError,
     Weight,
@@ -208,13 +212,22 @@ class _Instrumentor:
                                      tuple(self.failures))
 
 
+def _insert_path(pair: Pair, path: FixedPath,
+                 current: SubgraphAdjacency) -> list[Pair]:
+    return [e for e in path.edge_pairs() if e not in current]
+
+
 def greedy_complete(inst: ScaledInstance, initial: Iterable[Pair],
                     terminals: Iterable[int],
                     slack: Callable[[Pair], Weight],
-                    instrument: EpsilonSplit | None = None) -> GreedyState:
+                    instrument: EpsilonSplit | None = None,
+                    policy: Callable[[Pair, FixedPath, SubgraphAdjacency],
+                                     Iterable[Pair]] = _insert_path) -> GreedyState:
     """Process terminal pairs of the spliced graph in nondecreasing order
     of fixed-path max edge weight (ties: shorter distance, then pair id),
-    inserting all missing fixed-path edges of every violating pair.
+    inserting the edges that the insertion policy(pair, fixed path,
+    current subgraph) returns for every violating pair: by default all
+    missing fixed-path edges, for wmax_spanner a prefix and suffix.
 
     Distances are recomputed from scratch for each examined pair; edge
     insertions only shrink later distances, so pairs stay satisfied.
@@ -238,12 +251,12 @@ def greedy_complete(inst: ScaledInstance, initial: Iterable[Pair],
         if d_cur <= table.dist(u, v) + slack(pair):
             continue
         path = table.path(u, v)
-        missing = [e for e in path.edge_pairs() if e not in current]
         if instr:
             instr.before(pair, path, d_cur, current)
-        for e in missing:
-            current.add_edge(*e)
-            added.add(e)
+        for e in policy(pair, path, current):
+            if e not in current:
+                current.add_edge(*e)
+                added.add(e)
         insertions += 1
         if instr:
             instr.after(current)
@@ -296,25 +309,16 @@ def neighborhood_budget(inst: ScaledInstance, terminal_count: int) -> Weight:
 
 def _certify(g: Graph, terminals: frozenset[int], beta: Beta, bb: Backbone,
              edges_g: frozenset[Pair], meta: dict) -> Spanner:
-    rel_tol = 0.0 if g.is_exact else 1e-9
     table = bb.path_table
-    sub = SubgraphAdjacency(g, edges_g)
     w_max = g.w_max
-    ts = sorted(terminals)
+    bounds = PairBounds(table, beta, w_max, 0.0 if g.is_exact else 1e-9)
     report: dict[Pair, PairCheck] = {}
-    for i, u in enumerate(ts[:-1]):
-        sp = sub.sssp(u)
-        for v in ts[i + 1:]:
-            w = table.w(u, v)
-            slack = beta.slack(w, w_max)
-            d_g = table.dist(u, v)
-            d_h = sp.distance(v)
-            report[(u, v)] = PairCheck(d_g, d_h, w, slack)
-            allowed = d_g + slack
-            margin = rel_tol * max(1.0, abs(float(allowed))) if rel_tol else 0
-            if d_h == math.inf or d_h - allowed > margin:
-                raise SpannerConstructionError(
-                    f"pair ({u},{v}): d_H={d_h} exceeds {allowed}")
+    for (u, v), d_h, ok in bounds.check(SubgraphAdjacency(g, edges_g)):
+        w = table.w(u, v)
+        report[(u, v)] = PairCheck(table.dist(u, v), d_h, w, beta.slack(w, w_max))
+        if not ok:
+            raise SpannerConstructionError(
+                f"pair ({u},{v}): d_H={d_h} exceeds {bounds.allowed[(u, v)]}")
     weight = sum((g.weight_of(u, v) for u, v in edges_g), 0)
     light: LightnessResult = subset_lightness(g, bb, weight)
     meta = dict(meta)

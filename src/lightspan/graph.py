@@ -474,6 +474,43 @@ def build_path_table(g: Graph, terminals: Iterable[int]) -> PathTable:
     return PathTable(frozenset(ts), pairs)
 
 
+class PairBounds:
+    """The spanner condition d_H(u, v) <= d_G(u, v) + slack on every pair
+    of a fixed-path table: the one check behind the backbone's pair scan,
+    the builders' certification and repair, and the oracles.
+
+    rel_tol = 0 is the exact check (mandatory in rational mode); binary64
+    callers pass a small relative tolerance such as 1e-9.
+    """
+
+    def __init__(self, table: PathTable, beta: Beta, w_max: Weight,
+                 rel_tol: float = 0.0) -> None:
+        self.rel_tol = rel_tol
+        self.allowed: dict[Pair, Weight] = {
+            p: fp.dist + beta.slack(fp.max_edge, w_max)
+            for p, fp in sorted(table.pairs.items())}
+
+    def check(self, sub: SubgraphAdjacency) -> Iterator[tuple[Pair, Weight, bool]]:
+        """Yield (pair, d_H, ok) for every pair in sorted order.
+
+        One search per source; it is rerun only when `sub` gained an edge
+        since, so a consumer may insert edges between pairs.
+        """
+        rel_tol = self.rel_tol
+        edges = sub._edges
+        src = size = sp = None
+        for pair, allowed in self.allowed.items():
+            u, v = pair
+            if u != src or len(edges) != size:
+                src, size, sp = u, len(edges), sub.sssp(u)
+            d_h = sp.distance(v)
+            if rel_tol:
+                ok = d_h - allowed <= rel_tol * max(1.0, abs(float(allowed)))
+            else:
+                ok = d_h <= allowed
+            yield pair, d_h, ok
+
+
 def _parse_weight(token: str, exact: bool) -> Weight:
     """A decimal or p/q weight: a rational when exact, else the nearest float."""
     try:

@@ -19,7 +19,7 @@ from .graph import (
     GraphError,
     NonExactArithmeticError,
     Pair,
-    PathTable,
+    PairBounds,
     SubgraphAdjacency,
     Weight,
     build_path_table,
@@ -27,6 +27,7 @@ from .graph import (
 )
 from .steiner import (
     Backbone,
+    _UnionFind,
     exact_steiner,
     _is_tree_graph,
     _steiner_subtree_of_tree,
@@ -76,12 +77,6 @@ class VerificationReport:
         }
 
 
-def _excess(d_h: Weight, allowed: Weight) -> Weight:
-    if d_h == math.inf:
-        return math.inf
-    return d_h - allowed
-
-
 def verify_spanner(g: Graph, terminals: Iterable[int], edges: Iterable[Pair],
                    beta: Beta, rel_tol: float = 0.0) -> VerificationReport:
     """Check d_H(u,v) <= d_G(u,v) + slack for every terminal pair.
@@ -96,21 +91,12 @@ def verify_spanner(g: Graph, terminals: Iterable[int], edges: Iterable[Pair],
     if len(ts) < 2:
         return VerificationReport(True, (), 0)
     table = build_path_table(g, ts)
-    w_max = g.w_max
-    violations: list[Violation] = []
-    for i, u in enumerate(ts[:-1]):
-        sp = sub.sssp(u)
-        for v in ts[i + 1:]:
-            d_g = table.dist(u, v)
-            allowed = d_g + beta.slack(table.w(u, v), w_max)
-            d_h = sp.distance(v)
-            excess = _excess(d_h, allowed)
-            margin = rel_tol * max(1.0, abs(float(allowed))) if rel_tol else 0
-            if excess > margin:
-                violations.append(Violation((u, v), d_g, d_h, allowed, excess))
-    violations.sort(key=lambda x: x.pair)
+    bounds = PairBounds(table, beta, g.w_max, rel_tol)
+    violations = tuple(
+        Violation(p, table.dist(*p), d_h, bounds.allowed[p], d_h - bounds.allowed[p])
+        for p, d_h, ok in bounds.check(sub) if not ok)
     max_excess = max((v.excess for v in violations), default=0)
-    return VerificationReport(not violations, tuple(violations), max_excess)
+    return VerificationReport(not violations, violations, max_excess)
 
 
 @dataclass(frozen=True)
@@ -151,54 +137,26 @@ def subset_lightness(g: Graph, backbone: Backbone,
     return LightnessResult(ratio, mode, denom)
 
 
-class _PairChecker:
-    """Reusable exact condition checks against one (graph, terminals, beta)."""
-
-    def __init__(self, g: Graph, terminals: Iterable[int], beta: Beta) -> None:
-        self.g = g
-        self.ts = sorted(set(terminals))
-        self.beta = beta
-        self.table: PathTable = build_path_table(g, self.ts)
-        w_max = g.w_max
-        self.allowed = {
-            (u, v): self.table.dist(u, v) + beta.slack(self.table.w(u, v), w_max)
-            for i, u in enumerate(self.ts[:-1]) for v in self.ts[i + 1:]
-        }
-
-    def feasible(self, edges: Iterable[Pair]) -> bool:
-        sub = SubgraphAdjacency(self.g, edges)
-        for i, u in enumerate(self.ts[:-1]):
-            sp = sub.sssp(u)
-            for v in self.ts[i + 1:]:
-                if sp.distance(v) > self.allowed[(u, v)]:
-                    return False
-        return True
-
-
 def _require_exact(g: Graph) -> None:
     if not g.is_exact:
         raise NonExactArithmeticError(
             "exact oracles require rational edge weights")
 
 
-def _connects(edge_list: list[Pair], active: int, terminals: list[int]) -> bool:
+def _connects(n: int, edge_list: list[Pair], active: int,
+              terminals: list[int]) -> bool:
     """Union-find check that the selected+undecided edges can join terminals."""
-    parent: dict[int, int] = {}
-
-    def find(x: int) -> int:
-        parent.setdefault(x, x)
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    uf = _UnionFind(range(n))
     for idx, (u, v) in enumerate(edge_list):
         if active & (1 << idx):
-            ru, rv = find(u), find(v)
-            if ru != rv:
-                parent[rv] = ru
-    root = find(terminals[0])
-    return all(find(t) == root for t in terminals[1:])
+            uf.union(u, v)
+    root = uf.find(terminals[0])
+    return all(uf.find(t) == root for t in terminals[1:])
+
+
+def _feasible(bounds: PairBounds, g: Graph, edges: Iterable[Pair]) -> bool:
+    """The exact spanner condition, stopping at the first failing pair."""
+    return all(ok for _, _, ok in bounds.check(SubgraphAdjacency(g, edges)))
 
 
 def exact_one_level(g: Graph, terminals: Iterable[int],
@@ -218,7 +176,7 @@ def exact_one_level(g: Graph, terminals: Iterable[int],
         g.check_vertex(t)
     if len(ts) < 2:
         return frozenset()
-    checker = _PairChecker(g, ts, beta)
+    bounds = PairBounds(build_path_table(g, ts), beta, g.w_max)
     ordered = sorted(g.edges, key=lambda e: (e[2], e[0], e[1]), reverse=True)
     pairs = [canonical(u, v) for u, v, _ in ordered]
     weights = [w for _, _, w in ordered]
@@ -234,14 +192,14 @@ def exact_one_level(g: Graph, terminals: Iterable[int],
             return
         if idx == m:
             edges = [pairs[i] for i in range(m) if chosen_mask >> i & 1]
-            if checker.feasible(edges):
+            if _feasible(bounds, g, edges):
                 best_weight = cur_weight
                 best_set = frozenset(edges)
             return
         # Exclude this edge first so light subsets are explored early,
         # but only if the terminals can still be connected without it.
         undecided_after = full & ~((1 << (idx + 1)) - 1)
-        if _connects(pairs, chosen_mask | undecided_after, ts):
+        if _connects(g.n, pairs, chosen_mask | undecided_after, ts):
             dfs(idx + 1, cur_weight, chosen_mask)
         dfs(idx + 1, cur_weight + weights[idx], chosen_mask | (1 << idx))
 
@@ -279,7 +237,9 @@ def exact_multilevel(inst) -> ExactMultiLevel:
         low = mask & -mask
         mask_weight[mask] = mask_weight[mask ^ low] + weights[low.bit_length() - 1]
 
-    checkers: dict[frozenset[int], _PairChecker] = {}
+    level_terms = [inst.terminal_set(i) for i in range(1, k + 1)]
+    bounds = {terms: PairBounds(build_path_table(g, terms), inst.condition, g.w_max)
+              for terms in level_terms if len(terms) >= 2}
     feas_cache: dict[tuple[int, frozenset[int]], bool] = {}
 
     def feasible(mask: int, terms: frozenset[int]) -> bool:
@@ -288,18 +248,12 @@ def exact_multilevel(inst) -> ExactMultiLevel:
             return feas_cache[key]
         edge_list = [pairs[i] for i in range(m) if mask & (1 << i)]
         ts = sorted(terms)
-        ok = len(ts) < 2 or (_connects(edge_list, (1 << len(edge_list)) - 1, ts)
-                             and _checker(terms).feasible(edge_list))
+        ok = len(ts) < 2 or (_connects(g.n, edge_list, (1 << len(edge_list)) - 1, ts)
+                             and _feasible(bounds[terms], g, edge_list))
         feas_cache[key] = ok
         return ok
 
-    def _checker(terms: frozenset[int]) -> _PairChecker:
-        if terms not in checkers:
-            checkers[terms] = _PairChecker(g, terms, inst.condition)
-        return checkers[terms]
-
     INFW = math.inf
-    level_terms = [inst.terminal_set(i) for i in range(1, k + 1)]
 
     # cost_up[A] = cheapest cost of levels i..k when E_i = A, computed
     # top-down; the subset-minimum transform propagates the best nested

@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable
 
 from .additive import (
@@ -24,19 +23,19 @@ from .additive import (
     _certify,
     build_h0_eps,
     eps_spanner,
+    greedy_complete,
 )
 from .graph import (
     Beta,
     FixedPath,
     Graph,
     Pair,
+    PairBounds,
     SubgraphAdjacency,
     Weight,
-    build_path_table,
-    canonical,
 )
 from .steiner import Backbone, build_backbone
-from .transform import map_back, scaled_universe
+from .transform import ScaledInstance, map_back, scaled_universe
 
 
 class DistanceChainError(RuntimeError):
@@ -97,21 +96,6 @@ def prefix_suffix(gps: Graph, path: FixedPath, current, ell: Weight
     return tuple(edges[:i + 1]), tuple(edges[j:]), j <= i
 
 
-def _scaled_min_edge(g: Graph, backbone: Backbone) -> Weight:
-    """Smallest edge weight of the spliced graph, without building it."""
-    sigma = (Fraction(len(backbone.h.vertices)) / Fraction(backbone.h.weight)
-             if g.is_exact else len(backbone.h.vertices) / backbone.h.weight)
-    tree = backbone.h.edges
-    best = None
-    for u, v, w in g.edges:
-        ws = w * sigma
-        if canonical(u, v) in tree:
-            ws = ws / math.ceil(ws)
-        if best is None or ws < best:
-            best = ws
-    return best
-
-
 def _sample_vertices(backbone: Backbone, size: int, seed: int) -> list[int]:
     pool = sorted(backbone.h.vertices)
     rng = random.Random(seed)
@@ -155,15 +139,16 @@ def threshold_search(factor: float, s_count: int, hi: float,
 
 
 def choose_ell(g: Graph, terminals: Iterable[int], cfg: SampleConfig,
-               backbone: Backbone | None = None) -> float | None:
+               inst: ScaledInstance | None = None) -> float | None:
     """Approximate the fixed point ell = sqrt(c ln n |V_H| |V'_H|(ell)) / |S|.
 
-    |V'_H|(ell) is the backbone vertex count of the sample drawn at ell.
+    |V'_H|(ell) is the backbone vertex count of the sample drawn at ell;
+    inst is the scaled wmax universe of (g, terminals), built if omitted.
     Returns None (fallback to the +eps*W spanner) when the fixed point
-    cannot be bracketed or lands below every edge weight.
+    cannot be bracketed or lands below every edge weight of inst.
     """
     ts = frozenset(terminals)
-    bb = backbone or build_backbone(
+    bb = inst.backbone if inst else build_backbone(
         g, ts, Beta("wmax", 4 + cfg.split.eps))
     vh = len(bb.h.vertices)
     if vh < 2 or len(ts) < 2:
@@ -184,7 +169,10 @@ def choose_ell(g: Graph, terminals: Iterable[int], cfg: SampleConfig,
         return cache[size]
 
     ell = threshold_search(factor, len(ts), float(vh), v_prime)
-    if ell is None or not ell > 0 or ell < _scaled_min_edge(g, bb):
+    if ell is None or not ell > 0:
+        return None
+    inst = inst or scaled_universe(g, bb)
+    if ell < min(w for *_, w in inst.g_prime_s.edges):
         return None
     return ell
 
@@ -206,7 +194,7 @@ def wmax_spanner(g: Graph, terminals: Iterable[int], cfg: SampleConfig,
     gps = inst.g_prime_s
     initial = build_h0_eps(inst, bb.s_prime) | inst.h_prime_pairs()
 
-    ell = cfg.ell if cfg.ell is not None else choose_ell(g, ts, cfg, bb)
+    ell = cfg.ell if cfg.ell is not None else choose_ell(g, ts, cfg, inst)
     meta: dict = {
         "algo": "wmax",
         "c": cfg.c,
@@ -224,34 +212,23 @@ def wmax_spanner(g: Graph, terminals: Iterable[int], cfg: SampleConfig,
     meta["fallback"] = False
     meta["ell"] = float(ell)
 
-    sigma = inst.sigma
-    table = build_path_table(gps, sorted(ts))
-    order = sorted(table.pair_keys(),
-                   key=lambda p: (table.w(*p), table.dist(*p), p))
     w_max = g.w_max
-    slack_scaled = sigma * beta.slack(0, w_max)
-    current = SubgraphAdjacency(gps, initial)
+    slack_scaled = inst.sigma * beta.slack(0, w_max)
     route: dict[Pair, tuple] = {}
-    for pair in order:
-        u, v = pair
-        if current.sssp(u).distance(v) <= table.dist(u, v) + slack_scaled:
-            continue
-        path = table.path(u, v)
+
+    def prefix_suffix_policy(pair: Pair, path: FixedPath,
+                             current: SubgraphAdjacency) -> Iterable[Pair]:
         missing = [e for e in path.edge_pairs() if e not in current]
-        x = sum((gps.weight_of(*e) for e in missing), 0)
-        if x < ell:
-            for e in missing:
-                current.add_edge(*e)
-        else:
-            pre, suf, overlapped = prefix_suffix(gps, path, current, ell)
-            if overlapped:
-                for e in missing:
-                    current.add_edge(*e)
-            else:
-                route[pair] = (path, pre, suf)
-                for e in pre + suf:
-                    if e not in current:
-                        current.add_edge(*e)
+        if sum((gps.weight_of(*e) for e in missing), 0) < ell:
+            return missing
+        pre, suf, overlapped = prefix_suffix(gps, path, current, ell)
+        if overlapped:
+            return missing
+        route[pair] = (path, pre, suf)
+        return pre + suf
+
+    state = greedy_complete(inst, initial, ts, lambda pair: slack_scaled,
+                            policy=prefix_suffix_policy)
 
     sample_size = math.ceil(cfg.c * math.log(max(g.n, 2)) * inst.v_h / ell)
     sample = _sample_vertices(bb, sample_size, cfg.seed)
@@ -260,7 +237,7 @@ def wmax_spanner(g: Graph, terminals: Iterable[int], cfg: SampleConfig,
     if len(sample) >= 2:
         sub_edges = eps_spanner(g, frozenset(sample), cfg.split).edges
 
-    edges_g = set(map_back(inst, current.edges)) | set(bb.h.edges) | set(sub_edges)
+    edges_g = map_back(inst, state.edges) | bb.h.edges | sub_edges
 
     if instrument and route:
         meta["distance_chain"] = _distance_chains(
@@ -268,26 +245,19 @@ def wmax_spanner(g: Graph, terminals: Iterable[int], cfg: SampleConfig,
 
     # Repair pass: certify every pair, inserting the fixed path of any
     # violator (sorted order, deterministic).
-    rel_tol = 0.0 if g.is_exact else 1e-9
     sub = SubgraphAdjacency(g, edges_g)
-    gtable = bb.path_table
+    bounds = PairBounds(bb.path_table, beta, w_max, 0.0 if g.is_exact else 1e-9)
     repaired: list[Pair] = []
-    for pair in sorted(gtable.pair_keys()):
-        u, v = pair
-        allowed = gtable.dist(u, v) + beta.slack(gtable.w(u, v), w_max)
-        margin = rel_tol * max(1.0, abs(float(allowed))) if rel_tol else 0
-        d_h = sub.sssp(u).distance(v)
-        if d_h == math.inf or d_h - allowed > margin:
+    for pair, _, ok in bounds.check(sub):
+        if not ok:
             repaired.append(pair)
-            for e in gtable.path(u, v).edge_pairs():
-                if e not in sub:
-                    sub.add_edge(*e)
-                    edges_g.add(e)
+            for e in bb.path_table.path(*pair).edge_pairs():
+                sub.add_edge(*e)
     meta["repaired"] = repaired
-    return _certify(g, ts, beta, bb, frozenset(edges_g), meta)
+    return _certify(g, ts, beta, bb, sub.edges, meta)
 
 
-def _distance_chains(g: Graph, bb: Backbone, edges_g: set[Pair],
+def _distance_chains(g: Graph, bb: Backbone, edges_g: Iterable[Pair],
                      route: dict[Pair, tuple], sample: list[int],
                      cfg: SampleConfig) -> list[dict]:
     """Reconstruct the prefix/suffix distance chain for instrumented runs.

@@ -23,6 +23,7 @@ from .graph import (
     GraphError,
     NonExactArithmeticError,
     Pair,
+    PairBounds,
     PathTable,
     SubgraphAdjacency,
     Weight,
@@ -299,15 +300,8 @@ def build_backbone(g: Graph, terminals: Iterable[int], beta: Beta) -> Backbone:
     table = build_path_table(g, ts)
     r = approx_steiner(g, ts)
 
-    unsat: list[Pair] = []
-    radj = SubgraphAdjacency(g, r.edges)
-    w_max = g.w_max
-    for i, u in enumerate(ts[:-1]):
-        sp = radj.sssp(u)
-        for v in ts[i + 1:]:
-            allowed = table.dist(u, v) + beta.slack(table.w(u, v), w_max)
-            if sp.distance(v) > allowed:
-                unsat.append((u, v))
+    bounds = PairBounds(table, beta, g.w_max)
+    unsat = [p for p, _, ok in bounds.check(SubgraphAdjacency(g, r.edges)) if not ok]
 
     s_prime = set(ts)
     for u, v in unsat:

@@ -142,6 +142,30 @@ class TestGreedyComplete:
         mapped = map_back(inst, state.edges) | bb.h.edges
         assert len(mapped) == 6  # all of K4
 
+    def test_policy_decides_what_is_inserted(self):
+        # A policy that inserts nothing is asked once about every pair
+        # the initial subgraph violates, and the subgraph never grows.
+        from lightspan.graph import build_path_table
+        g = rand_connected_graph(17, 16, 22)
+        terms = [0, 5, 10, 15]
+        bb = build_backbone(g, terms, Beta("relative", HALF.eps))
+        inst = scaled_universe(g, bb)
+        initial = build_h0_eps(inst, bb.s_prime) | inst.h_prime_pairs()
+        asked = []
+
+        def nothing(pair, path, current):
+            asked.append(pair)
+            return []
+
+        state = greedy_complete(inst, initial, terms, lambda p: 0, policy=nothing)
+        assert state.edges == initial and state.added == frozenset()
+        gps_table = build_path_table(inst.g_prime_s, terms)
+        violated = {(u, v) for u, v in gps_table.pair_keys()
+                    if subgraph_dist(inst.g_prime_s, initial, u, v)
+                    > gps_table.dist(u, v)}
+        assert violated and sorted(asked) == sorted(violated)
+        assert state.insertions == len(asked)
+
     def test_final_state_satisfies_all_pairs_independent_check(self):
         for seed in range(8):
             g = rand_connected_graph(seed + 60, 20, 30)
