@@ -186,7 +186,7 @@ class Graph:
                 denom = math.lcm(denom, w.denominator)
         adj: list[list[tuple[int, int]]] = [[] for _ in range(self.n)]
         for u, v, w in self.edges:
-            wi = int(w * denom)
+            wi = _pack(w, denom)
             adj[u].append((v, wi))
             adj[v].append((u, wi))
         return denom, tuple(tuple(a) for a in adj)
@@ -219,6 +219,20 @@ class Graph:
         return len(seen) == self.n
 
 
+def _pack(w: Weight, denom: int) -> int:
+    """An exact weight as an integer over the common denominator."""
+    return w.numerator * (denom // w.denominator)
+
+
+def _unpack(d: Weight | None, denom: int | None) -> Weight:
+    """A packed distance (None = unreached) in the host graph's units."""
+    if d is None:
+        return INF
+    if denom is None or denom == 1:
+        return d
+    return Fraction(d, denom)
+
+
 class ShortestPaths:
     """Single-source result of the deterministic label-setting search.
 
@@ -245,12 +259,7 @@ class ShortestPaths:
         return self._dist[v] is not None
 
     def distance(self, v: int) -> Weight:
-        d = self._dist[v]
-        if d is None:
-            return INF
-        if self._denom is None or self._denom == 1:
-            return d
-        return Fraction(d, self._denom)
+        return _unpack(self._dist[v], self._denom)
 
     def distance_raw(self, v: int) -> Weight:
         """Packed-integer distance (same denominator as the host graph)."""
@@ -323,6 +332,22 @@ class SubgraphAdjacency:
 
     Used by greedy loops that repeatedly query distances on a growing
     edge set; weights are taken packed from the host graph.
+
+    `distances(s)` is seeded by one search and then kept exact under
+    `add_edge`: when the new edge (a, b, w) shortens d(s, b) through a
+    (or d(s, a) through b), a decrease-only Dijkstra from that endpoint
+    lowers exactly the vertices whose distance drops (Ramalingam & Reps,
+    J. Algorithms 21, 1996).  Edges are never removed, so no distance
+    ever rises.
+
+    The repaired lists equal a fresh search bit for bit, in binary64
+    too.  Both compute, for every vertex, the minimum over paths from s
+    of the path length summed in order from s.  Rounded addition is
+    monotone and fl(d + w) >= d for w > 0, so that minimum is the only
+    labelling with d(s) = 0 that gives each vertex the summed length of
+    some walk from s and that no edge can lower.  Each repaired value is
+    the length of a walk (an old path, or a repaired one extended by an
+    edge), and the repair stops only when no edge lowers any label.
     """
 
     def __init__(self, host: Graph, edges: Iterable[Pair] = ()) -> None:
@@ -332,6 +357,8 @@ class SubgraphAdjacency:
         # Indexed by host vertex, so it serves as a Dijkstra adjacency.
         self._adj: list[list[tuple[int, Weight]]] = [[] for _ in range(host.n)]
         self._edges: set[Pair] = set()
+        # Source -> packed distances, kept exact by add_edge.
+        self._live: dict[int, list[Weight | None]] = {}
         for e in edges:
             self.add_edge(*e)
 
@@ -341,10 +368,35 @@ class SubgraphAdjacency:
             return
         w = self.host.weight_of(u, v)
         if self.denom is not None:
-            w = int(w * self.denom)
+            w = _pack(w, self.denom)
         self._edges.add(key)
         self._adj[u].append((v, w))
         self._adj[v].append((u, w))
+        for dist in self._live.values():
+            du, dv = dist[u], dist[v]
+            if du is not None and (dv is None or du + w < dv):
+                self._decrease(dist, [(du + w, v)])
+            elif dv is not None and (du is None or dv + w < du):
+                self._decrease(dist, [(dv + w, u)])
+
+    def _decrease(self, dist: list[Weight | None],
+                  heap: list[tuple[Weight, int]]) -> None:
+        """Lower dist[x] to d for each heap entry (d, x), then relax
+        outward for as long as distances drop."""
+        adj = self._adj
+        for d, x in heap:
+            dist[x] = d
+        heapq.heapify(heap)
+        while heap:
+            d, x = heapq.heappop(heap)
+            if d > dist[x]:
+                continue  # superseded by a later decrease
+            for y, w in adj[x]:
+                nd = d + w
+                dy = dist[y]
+                if dy is None or nd < dy:
+                    dist[y] = nd
+                    heapq.heappush(heap, (nd, y))
 
     def __contains__(self, pair: Pair) -> bool:
         return canonical(*pair) in self._edges
@@ -354,31 +406,25 @@ class SubgraphAdjacency:
         return frozenset(self._edges)
 
     def sssp(self, source: int) -> ShortestPaths:
+        """A fresh search with paths, not kept up to date."""
         return shortest_paths_adj(self._adj, source, self.denom)
 
+    def distances(self, source: int) -> list[Weight | None]:
+        """Live packed distances from source (None = unreached), read-only."""
+        dist = self._live.get(source)
+        if dist is None:
+            dist = self._live[source] = self.sssp(source)._dist
+        return dist
+
     def distance(self, u: int, v: int) -> Weight:
-        return self.sssp(u).distance(v)
+        return _unpack(self.distances(u)[v], self.denom)
 
     def multi_source_distances(self, sources: Iterable[int]) -> dict[int, Weight]:
         """Distance from the nearest source, for every reachable vertex."""
-        srcs = [s for s in sources if self._adj[s]]
-        dist: dict[int, Weight] = {s: 0 for s in srcs}
-        heap = [(0, s) for s in sorted(srcs)]
-        heapq.heapify(heap)
-        settled: set[int] = set()
-        while heap:
-            d, u = heapq.heappop(heap)
-            if u in settled:
-                continue
-            settled.add(u)
-            for v, w in self._adj[u]:
-                nd = d + w
-                if v not in dist or nd < dist[v]:
-                    dist[v] = nd
-                    heapq.heappush(heap, (nd, v))
-        if self.denom is None or self.denom == 1:
-            return dist
-        return {v: Fraction(d, self.denom) for v, d in dist.items()}
+        dist: list[Weight | None] = [None] * len(self._adj)
+        self._decrease(dist, [(0, s) for s in sources if self._adj[s]])
+        return {v: _unpack(d, self.denom) for v, d in enumerate(dist)
+                if d is not None}
 
 
 @dataclass(frozen=True)
@@ -493,17 +539,12 @@ class PairBounds:
     def check(self, sub: SubgraphAdjacency) -> Iterator[tuple[Pair, Weight, bool]]:
         """Yield (pair, d_H, ok) for every pair in sorted order.
 
-        One search per source; it is rerun only when `sub` gained an edge
-        since, so a consumer may insert edges between pairs.
+        Reads the live distances of `sub`: one search per source, kept
+        exact when a consumer inserts edges between pairs.
         """
         rel_tol = self.rel_tol
-        edges = sub._edges
-        src = size = sp = None
         for pair, allowed in self.allowed.items():
-            u, v = pair
-            if u != src or len(edges) != size:
-                src, size, sp = u, len(edges), sub.sssp(u)
-            d_h = sp.distance(v)
+            d_h = sub.distance(*pair)
             if rel_tol:
                 ok = d_h - allowed <= rel_tol * max(1.0, abs(float(allowed)))
             else:

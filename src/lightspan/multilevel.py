@@ -15,12 +15,18 @@ import random
 import statistics
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Iterable
+from typing import TYPE_CHECKING, Iterable
 
 from .additive import one_level_oracle
 from .graph import Beta, Graph, Pair, Weight
 
-Oracle = Callable[[Graph, frozenset[int]], frozenset[Pair]]
+if TYPE_CHECKING:
+    from typing import Callable
+
+    # Type checkers only: typing caches subscripted generics, and at run
+    # time that cache would keep this import's Graph class (and all of
+    # graph.py) alive after lightspan is imported afresh.
+    Oracle = Callable[[Graph, frozenset[int]], frozenset[Pair]]
 
 
 @dataclass(frozen=True)

@@ -206,7 +206,8 @@ def wmax_spanner(g: Graph, terminals: Iterable[int], cfg: SampleConfig,
         # valid +(4+eps)*W_max spanner since W(u,v) <= W_max.
         fallback = eps_spanner(g, ts, cfg.split)
         meta.update({"fallback": True, "ell": None, "repaired": []})
-        return _certify(g, ts, beta, bb, fallback.edges, meta)
+        return _certify(g, beta, bb, fallback.edges,
+                        SubgraphAdjacency(g, fallback.edges), meta)
     if not 0 < ell <= inst.v_h:
         raise ValueError(f"ell={ell} outside (0, |V_H|={inst.v_h}]")
     meta["fallback"] = False
@@ -243,8 +244,9 @@ def wmax_spanner(g: Graph, terminals: Iterable[int], cfg: SampleConfig,
         meta["distance_chain"] = _distance_chains(
             g, bb, edges_g, route, sample, cfg)
 
-    # Repair pass: certify every pair, inserting the fixed path of any
-    # violator (sorted order, deterministic).
+    # Repair pass: check every pair, inserting the fixed path of any
+    # violator (sorted order, deterministic).  The live distances of sub
+    # absorb each insertion, and certification reads them afterwards.
     sub = SubgraphAdjacency(g, edges_g)
     bounds = PairBounds(bb.path_table, beta, w_max, 0.0 if g.is_exact else 1e-9)
     repaired: list[Pair] = []
@@ -254,7 +256,7 @@ def wmax_spanner(g: Graph, terminals: Iterable[int], cfg: SampleConfig,
             for e in bb.path_table.path(*pair).edge_pairs():
                 sub.add_edge(*e)
     meta["repaired"] = repaired
-    return _certify(g, ts, beta, bb, sub.edges, meta)
+    return _certify(g, beta, bb, sub.edges, sub, meta)
 
 
 def _distance_chains(g: Graph, bb: Backbone, edges_g: Iterable[Pair],

@@ -11,7 +11,7 @@ import itertools
 import random
 from fractions import Fraction
 
-from lightspan.graph import Graph, canonical
+from lightspan.graph import Graph, build_path_table, canonical
 
 
 def rand_connected_graph(seed: int, n: int, extra_edges: int,
@@ -33,6 +33,13 @@ def rand_connected_graph(seed: int, n: int, extra_edges: int,
         w = Fraction(rng.randint(8, 80), 8)
         out.append((u, v, w if exact else float(w)))
     return Graph.from_edges(n, out)
+
+
+def tenths_graph(seed: int, n: int, extra_edges: int) -> Graph:
+    """rand_connected_graph with binary64 weights k/10, k in 8..80: most
+    are not dyadic, so sums of the same terms can round differently."""
+    g = rand_connected_graph(seed, n, extra_edges)
+    return Graph.from_edges(n, [(u, v, int(w * 8) / 10) for u, v, w in g.edges])
 
 
 def rand_tree(seed: int, n: int, exact: bool = True,
@@ -146,3 +153,28 @@ def subgraph_dist(g: Graph, edges, u: int, v: int):
         if not changed:
             break
     return dist.get(v, inf)
+
+
+def greedy_reference(inst, initial, terminals, slack, policy):
+    """greedy_complete's loop with a from-scratch Bellman-Ford distance for
+    every examined pair: (edges, added, insertions).
+
+    The policy sees the current edge set as a plain set of canonical pairs.
+    """
+    gps = inst.g_prime_s
+    table = build_path_table(gps, sorted(set(terminals)))
+    order = sorted(table.pair_keys(),
+                   key=lambda p: (table.w(*p), table.dist(*p), p))
+    current = {canonical(*e) for e in initial}
+    added = set()
+    insertions = 0
+    for pair in order:
+        u, v = pair
+        if subgraph_dist(gps, current, u, v) <= table.dist(u, v) + slack(pair):
+            continue
+        for e in policy(pair, table.path(u, v), current):
+            if e not in current:
+                current.add(e)
+                added.add(e)
+        insertions += 1
+    return frozenset(current), frozenset(added), insertions

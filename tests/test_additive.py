@@ -4,9 +4,17 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import rand_connected_graph, rand_tree, subgraph_dist
+from helpers import (
+    greedy_reference,
+    rand_connected_graph,
+    rand_tree,
+    subgraph_dist,
+    tenths_graph,
+)
+from lightspan import additive, sampled
 from lightspan.additive import (
     EpsilonSplit,
+    GreedyState,
     build_h0_budget,
     build_h0_eps,
     eps_spanner,
@@ -14,7 +22,9 @@ from lightspan.additive import (
     greedy_complete,
     neighborhood_budget,
 )
-from lightspan.graph import Beta, Graph, canonical
+from lightspan.generators import GeneratorSpec, generate
+from lightspan.graph import Beta, Graph, SubgraphAdjacency, canonical
+from lightspan.sampled import SampleConfig, wmax_spanner
 from lightspan.steiner import build_backbone
 from lightspan.transform import ScaledInstance, scaled_universe
 
@@ -188,6 +198,75 @@ class TestGreedyComplete:
                 for v in terms[i + 1:]:
                     d = subgraph_dist(inst.g_prime_s, state.edges, u, v)
                     assert d <= gps_table.dist(u, v) + slack(canonical(u, v))
+
+
+def greedy_instances(kind):
+    """(graph, terminals, split) triples of one kind: exact, binary64 with
+    weights k/10, and unit-weight grids (many ties)."""
+    out = []
+    for seed in range(3):
+        if kind == "exact":
+            g = rand_connected_graph(seed + 700, 18, 26)
+            out.append((g, [0, 3, 7, 11, 14, 17], HALF))
+        elif kind == "tenths":
+            g = tenths_graph(seed + 700, 18, 26)
+            out.append((g, [0, 3, 7, 11, 14, 17], EpsilonSplit.of(0.5)))
+        else:
+            g, terms, _ = generate(GeneratorSpec(
+                "grid", n=36, seed=seed, weight_range=(1, 1),
+                terminal_fraction=0.2, exact=True))
+            out.append((g, sorted(terms), HALF))
+    return out
+
+
+class TestGreedyAgainstReference:
+    @pytest.mark.parametrize("kind", ["exact", "tenths", "unit-grid"])
+    def test_builders_match_from_scratch_loop(self, kind, monkeypatch):
+        # Every greedy_complete call of the one-level builders (default
+        # policy) and of wmax_spanner (prefix/suffix policy, plus the
+        # sample's eps spanner) returns what a loop that searches from
+        # scratch for every pair returns, given the same arguments.
+        calls = []
+        real = additive.greedy_complete
+
+        def spy(*args, **kwargs):
+            state = real(*args, **kwargs)
+            calls.append((args, kwargs, state))
+            return state
+
+        monkeypatch.setattr(additive, "greedy_complete", spy)
+        monkeypatch.setattr(sampled, "greedy_complete", spy)
+        for g, terms, split in greedy_instances(kind):
+            eps_spanner(g, terms, split)
+            four_eps_spanner(g, terms, split)
+            wmax_spanner(g, terms, SampleConfig(split, seed=1, ell=0.5))
+        policies = set()
+        for args, kwargs, state in calls:
+            inst, initial, terminals, slack = args
+            policy = kwargs.get("policy", additive._insert_path)
+            policies.add(policy.__name__)
+            edges, added, insertions = greedy_reference(
+                inst, initial, terminals, slack, policy)
+            assert state == GreedyState(edges, added, insertions)
+        assert policies == {"_insert_path", "prefix_suffix_policy"}
+        assert sum(state.insertions for *_, state in calls) > 0
+
+    def test_at_most_one_search_per_source(self, monkeypatch):
+        searched = []
+        real = SubgraphAdjacency.sssp
+        monkeypatch.setattr(SubgraphAdjacency, "sssp",
+                            lambda self, s: searched.append(s) or real(self, s))
+        total = 0
+        for g, terms, _ in greedy_instances("unit-grid"):
+            bb = build_backbone(g, terms, Beta("relative", HALF.eps))
+            inst = scaled_universe(g, bb)
+            initial = build_h0_eps(inst, bb.s_prime) | inst.h_prime_pairs()
+            searched.clear()
+            state = greedy_complete(inst, initial, terms, lambda p: 0)
+            total += state.insertions
+            assert len(searched) <= len(terms) - 1
+            assert len(searched) == len(set(searched))
+        assert total > 0
 
 
 class TestEpsSpanner:

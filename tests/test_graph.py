@@ -1,10 +1,18 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import all_shortest_paths, floyd_warshall, rand_connected_graph, tie_break_choice
+from helpers import (
+    all_shortest_paths,
+    floyd_warshall,
+    rand_connected_graph,
+    tenths_graph,
+    tie_break_choice,
+)
+from lightspan.generators import GeneratorSpec, generate
 from lightspan.graph import (
     Beta,
     DisconnectedError,
@@ -20,6 +28,7 @@ from lightspan.graph import (
     SubgraphAdjacency,
     UnknownEdgeError,
     build_path_table,
+    canonical,
     fixed_shortest_path,
     load_graph,
     load_instance,
@@ -302,3 +311,50 @@ class TestShortestPathsMemo:
         assert sp.distance(3) == INF and sp.reachable(3) is False
         with pytest.raises(UnknownEdgeError):
             sp.path_to(3)
+
+
+def live_graph(kind, seed):
+    if kind == "exact":
+        return rand_connected_graph(seed + 70, 16, 24)
+    if kind == "tenths":
+        return tenths_graph(seed + 70, 16, 24)
+    g, _, _ = generate(GeneratorSpec("grid", n=36, seed=seed,
+                                     weight_range=(1, 1), exact=True))
+    return g
+
+
+class TestLiveDistances:
+    @pytest.mark.parametrize("kind", ["exact", "tenths", "unit-grid"])
+    def test_equal_fresh_search_after_every_insertion(self, kind):
+        for seed in range(3):
+            g = live_graph(kind, seed)
+            rng = random.Random(seed)
+            order = [canonical(u, v) for u, v, _ in g.edges]
+            rng.shuffle(order)
+            sub = SubgraphAdjacency(g, order[:3])
+            sources = rng.sample(range(g.n), 4)
+            live = {s: sub.distances(s) for s in sources}
+            for k, e in enumerate(order[3:], 4):
+                sub.add_edge(*e)
+                fresh = SubgraphAdjacency(g, order[:k])
+                for s in sources:
+                    assert sub.distances(s) is live[s]
+                    assert live[s] == fresh.sssp(s)._dist
+            # With every edge in, the lists are the host's own distances,
+            # over the host's packed weights.
+            for s in sources:
+                assert live[s] == shortest_paths(g, s)._dist
+
+    def test_seeded_by_one_search_per_source(self, monkeypatch):
+        g = rand_connected_graph(3, 10, 12)
+        sub = SubgraphAdjacency(g)
+        searched = []
+        real = SubgraphAdjacency.sssp
+        monkeypatch.setattr(SubgraphAdjacency, "sssp",
+                            lambda self, s: searched.append(s) or real(self, s))
+        assert sub.distance(0, 5) == INF
+        for u, v, _ in g.edges:
+            sub.add_edge(u, v)
+        assert sub.distance(0, 5) == shortest_paths(g, 0).distance(5)
+        assert sub.distance(5, 0) == sub.distance(0, 5)
+        assert searched == [0, 5]

@@ -1,5 +1,10 @@
 import math
+import os
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -181,3 +186,26 @@ class TestMergeBound:
             diag = merge_bound_diagnostic(inst, p, 1, oracle)
             assert diag.ok
             assert diag.merged_rounded_cost <= diag.bound_factor * diag.opt_level_sum
+
+
+def test_fresh_imports_leave_one_graph_class_alive():
+    # A module-level typing alias over Graph would sit in typing's cache
+    # and keep every earlier import's Graph class (and graph.py) alive.
+    # A subprocess, so the other tests keep their module objects.
+    script = textwrap.dedent("""
+        import gc, importlib, sys, weakref
+        refs = []
+        for _ in range(5):
+            for name in [n for n in sys.modules
+                         if n == "lightspan" or n.startswith("lightspan.")]:
+                del sys.modules[name]
+            importlib.import_module("lightspan")
+            refs.append(weakref.ref(sys.modules["lightspan.graph"].Graph))
+        gc.collect()
+        print(sum(r() is not None for r in refs))
+    """)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, timeout=60, check=True)
+    assert out.stdout.split() == ["1"]
