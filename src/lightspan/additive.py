@@ -241,8 +241,7 @@ def greedy_complete(inst: ScaledInstance, initial: Iterable[Pair],
             raise UnknownEdgeError(f"initial edge {e} not in spliced graph")
     ts = sorted(set(terminals))
     table = build_path_table(gps, ts)
-    order = sorted(table.pair_keys(),
-                   key=lambda p: (table.w(*p), table.dist(*p), p))
+    order = sorted(table.pair_keys(), key=table.order_key)
     current = SubgraphAdjacency(gps, init)
     instr = _Instrumentor(inst, instrument, table) if instrument else None
     added: set[Pair] = set()

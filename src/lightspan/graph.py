@@ -115,6 +115,7 @@ class Graph:
         """Validated constructor enforcing all graph invariants."""
         seen: set[Pair] = set()
         canon: list[EdgeTuple] = []
+        floats = 0
         for u, v, w in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise InvalidVertexError(f"edge ({u},{v}) outside 0..{n - 1}")
@@ -125,6 +126,7 @@ class Graph:
                 raise DuplicateEdgeError(f"duplicate edge {key}")
             t = type(w)  # exact types: bool is an int subclass
             if t is float:
+                floats += 1
                 if w == INF:
                     raise InvalidWeightError(f"edge {key} has infinite weight")
             elif t is not int and t is not Fraction:
@@ -133,6 +135,8 @@ class Graph:
                 raise NonpositiveWeightError(f"edge {key} has weight {w}")
             seen.add(key)
             canon.append((key[0], key[1], w))
+        if 0 < floats < len(canon):
+            raise InvalidWeightError("the graph mixes binary64 and exact weights")
         g = cls(n, tuple(sorted(canon, key=lambda e: (e[0], e[1]))))
         if not g.is_connected():
             raise DisconnectedError("graph is not connected")
@@ -241,18 +245,24 @@ class ShortestPaths:
     vertex sequence is lexicographically minimal).  This makes every
     fixed path, and everything built from fixed paths, reproducible.
 
-    Distances and parents are per-vertex lists over 0..n-1 (None for
-    unreached vertices).  Host-graph results are memoised and shared, so
-    treat them as read-only.
+    Distances, parents and max-edge labels are per-vertex lists over
+    0..n-1 (distance None for unreached vertices).  The max-edge label
+    of v is the heaviest edge on the tree path from the source to v: the
+    W(source, v) of the fixed path, so no caller walks a path to find
+    it.  Distances and max edges are packed (integers over the host
+    graph's common denominator on exact graphs).  Host-graph results are
+    memoised and shared, so treat them as read-only.
     """
 
-    __slots__ = ("source", "_dist", "_parent", "_denom")
+    __slots__ = ("source", "_dist", "_parent", "_maxw", "_denom")
 
     def __init__(self, source: int, dist: list[Weight | None],
-                 parent: list[int | None], denom: int | None) -> None:
+                 parent: list[int | None], maxw: list[Weight],
+                 denom: int | None) -> None:
         self.source = source
         self._dist = dist
         self._parent = parent
+        self._maxw = maxw
         self._denom = denom
 
     def reachable(self, v: int) -> bool:
@@ -265,6 +275,10 @@ class ShortestPaths:
         """Packed-integer distance (same denominator as the host graph)."""
         d = self._dist[v]
         return INF if d is None else d
+
+    def max_edge(self, v: int) -> Weight:
+        """Heaviest edge weight on the tree path to v (0 at the source)."""
+        return _unpack(self._maxw[v], self._denom)
 
     def path_to(self, v: int) -> list[int]:
         if self._dist[v] is None:
@@ -285,12 +299,14 @@ def shortest_paths_adj(adj, source: int, denom: int | None = None) -> ShortestPa
     `adj` indexes each vertex 0..len(adj)-1 to its (neighbor, weight)
     pairs; with strictly positive weights the (distance, hops, parent)
     label of a vertex is final when it is popped, so parent pointers need
-    no post-settlement fixups.
+    no post-settlement fixups.  maxw[v] is set with every parent[v] from
+    the settled parent's own label, so it follows the final pointer.
     """
     n = len(adj)
     dist: list[Weight | None] = [None] * n
     hops = [0] * n
     parent: list[int | None] = [None] * n
+    maxw: list[Weight] = [0] * n
     settled = bytearray(n)
     dist[source] = 0
     parent[source] = -1
@@ -301,6 +317,7 @@ def shortest_paths_adj(adj, source: int, denom: int | None = None) -> ShortestPa
             continue
         settled[u] = 1
         nh = h + 1
+        mu = maxw[u]
         for v, w in adj[u]:
             if settled[v]:
                 continue
@@ -311,9 +328,10 @@ def shortest_paths_adj(adj, source: int, denom: int | None = None) -> ShortestPa
                 dist[v] = nd
                 hops[v] = nh
                 parent[v] = u
+                maxw[v] = w if w > mu else mu
                 if push:
                     heapq.heappush(heap, (nd, nh, v))
-    return ShortestPaths(source, dist, parent, denom)
+    return ShortestPaths(source, dist, parent, maxw, denom)
 
 
 def shortest_paths(g: Graph, source: int) -> ShortestPaths:
@@ -445,14 +463,9 @@ class FixedPath:
         return [canonical(vs[i], vs[i + 1]) for i in range(len(vs) - 1)]
 
 
-def _path_from_tree(g: Graph, sp: ShortestPaths, u: int, v: int) -> FixedPath:
-    if u == v:
-        return FixedPath((u, v), 0, (u,), 0)
-    verts = sp.path_to(v)
-    if verts[0] != u:
-        verts = list(reversed(verts))
-    max_edge = max(g.weight_of(a, b) for a, b in zip(verts, verts[1:]))
-    return FixedPath((u, v), sp.distance(v), tuple(verts), max_edge)
+def _path_from_tree(sp: ShortestPaths, v: int) -> FixedPath:
+    return FixedPath((sp.source, v), sp.distance(v), tuple(sp.path_to(v)),
+                     sp.max_edge(v))
 
 
 def fixed_shortest_path(g: Graph, u: int, v: int) -> FixedPath:
@@ -464,8 +477,7 @@ def fixed_shortest_path(g: Graph, u: int, v: int) -> FixedPath:
     # Canonical source is the smaller endpoint so both orientations of a
     # pair agree on the same undirected path.
     src, dst = canonical(u, v)
-    sp = shortest_paths(g, src)
-    path = _path_from_tree(g, sp, src, dst)
+    path = _path_from_tree(shortest_paths(g, src), dst)
     if (u, v) != (src, dst):
         path = FixedPath((u, v), path.dist, tuple(reversed(path.vertices)),
                          path.max_edge)
@@ -474,50 +486,81 @@ def fixed_shortest_path(g: Graph, u: int, v: int) -> FixedPath:
 
 @dataclass(frozen=True)
 class PathTable:
-    """Fixed paths for every unordered pair of a terminal set."""
+    """Fixed paths for every unordered pair of a terminal set.
+
+    The pair (u, v), u < v, is served by the memoised search from u:
+    dist and w are lookups into its distance and max-edge labels.  A
+    FixedPath is built only when a caller asks for one (greedy
+    insertions, repairs, wmax routes) and is then kept.
+    """
 
     terminals: frozenset[int]
-    pairs: dict[Pair, FixedPath] = field(compare=False)
+    _sources: dict[int, ShortestPaths] = field(compare=False, repr=False)
+    _paths: dict[Pair, FixedPath] = field(default_factory=dict,
+                                          compare=False, repr=False)
 
-    def _key(self, u: int, v: int) -> Pair:
-        key = canonical(u, v)
-        if key not in self.pairs:
+    def _label(self, u: int, v: int) -> tuple[ShortestPaths, int]:
+        """The search serving the pair, and its far endpoint."""
+        if u > v:
+            u, v = v, u
+        sp = self._sources.get(u)
+        if sp is None or u == v or v not in self.terminals:
             raise InvalidVertexError(f"pair ({u},{v}) not in table")
-        return key
+        return sp, v
 
     def dist(self, u: int, v: int) -> Weight:
         if u == v:
             return 0
-        return self.pairs[self._key(u, v)].dist
+        sp, v = self._label(u, v)
+        return sp.distance(v)
 
     def w(self, u: int, v: int) -> Weight:
         """Max edge weight on the fixed path of the pair: W(u, v)."""
         if u == v:
             return 0
-        return self.pairs[self._key(u, v)].max_edge
+        sp, v = self._label(u, v)
+        return sp.max_edge(v)
+
+    def order_key(self, pair: Pair) -> tuple[Weight, Weight, Pair]:
+        """(W, dist, pair) in packed units, which order like the unpacked
+        values: packing multiplies by one positive denominator."""
+        sp, v = self._label(*pair)
+        return sp._maxw[v], sp._dist[v], pair
 
     def path(self, u: int, v: int) -> FixedPath:
-        return self.pairs[self._key(u, v)]
+        key = canonical(u, v)
+        fp = self._paths.get(key)
+        if fp is None:
+            sp, v = self._label(*key)
+            fp = self._paths[key] = _path_from_tree(sp, v)
+        return fp
+
+    def vertices_on(self, pairs: Iterable[Pair]) -> set[int]:
+        """The union of the fixed paths' vertex sets, one tree walk per
+        source; a walk stops at the first vertex its source has marked."""
+        marked: dict[int, set[int]] = {}
+        for u, v in pairs:
+            sp, x = self._label(u, v)
+            seen = marked.setdefault(sp.source, {sp.source})
+            while x not in seen:
+                seen.add(x)
+                x = sp._parent[x]
+        return set().union(*marked.values())
 
     def pair_keys(self) -> list[Pair]:
-        return sorted(self.pairs)
+        ts = sorted(self.terminals)
+        return [(u, v) for i, u in enumerate(ts) for v in ts[i + 1:]]
 
 
 def build_path_table(g: Graph, terminals: Iterable[int]) -> PathTable:
-    """One fixed path per unordered terminal pair, bit-identical across runs."""
+    """Fixed-path labels of every unordered terminal pair: one memoised
+    search per terminal but the largest, bit-identical across runs."""
     ts = sorted(set(terminals))
     if not ts:
         raise InvalidVertexError("terminal set must be nonempty")
     for t in ts:
         g.check_vertex(t)
-    pairs: dict[Pair, FixedPath] = {}
-    for i, u in enumerate(ts):
-        if i == len(ts) - 1:
-            break
-        sp = shortest_paths(g, u)
-        for v in ts[i + 1:]:
-            pairs[(u, v)] = _path_from_tree(g, sp, u, v)
-    return PathTable(frozenset(ts), pairs)
+    return PathTable(frozenset(ts), {u: shortest_paths(g, u) for u in ts[:-1]})
 
 
 class PairBounds:
@@ -533,8 +576,8 @@ class PairBounds:
                  rel_tol: float = 0.0) -> None:
         self.rel_tol = rel_tol
         self.allowed: dict[Pair, Weight] = {
-            p: fp.dist + beta.slack(fp.max_edge, w_max)
-            for p, fp in sorted(table.pairs.items())}
+            p: table.dist(*p) + beta.slack(table.w(*p), w_max)
+            for p in table.pair_keys()}
 
     def check(self, sub: SubgraphAdjacency) -> Iterator[tuple[Pair, Weight, bool]]:
         """Yield (pair, d_H, ok) for every pair in sorted order.
@@ -592,12 +635,19 @@ def load_graph(text: str, exact: bool = False) -> Graph:
     return Graph.from_edges(max_id + 1, edges)
 
 
+def _json_weight(w, exact: bool):
+    if isinstance(w, str):
+        return _parse_weight(w, exact)
+    return float(w) if type(w) is int and not exact else w
+
+
 def load_instance(text: str, exact: bool = False):
     """Parse the JSON instance format.
 
     Returns (graph, terminals, levels) where levels is None when the
     document has no "levels" field.  A weight may be a JSON number or a
-    decimal or "p/q" string; with exact=True both become rationals.
+    decimal or "p/q" string; with exact=True both become rationals,
+    otherwise both become floats (JSON integers included).
     """
     try:
         doc = json.loads(text, parse_float=(Fraction if exact else float))
@@ -607,9 +657,8 @@ def load_instance(text: str, exact: bool = False):
         raise ParseError("instance must be an object with 'n' and 'edges'")
     try:
         n = int(doc["n"])
-        edges = [(int(u), int(v), _parse_weight(w, exact) if isinstance(w, str) else w)
-                 for u, v, w in doc["edges"]]
-    except (TypeError, ValueError) as exc:
+        edges = [(int(u), int(v), _json_weight(w, exact)) for u, v, w in doc["edges"]]
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"bad edge entry: {exc}") from exc
     g = Graph.from_edges(n, edges)
     terminals = frozenset(int(t) for t in doc.get("terminals", range(n)))

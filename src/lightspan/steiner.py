@@ -7,6 +7,11 @@ spanner condition, the enlarged set S' = S plus all vertices on fixed
 paths of pairs in P, an approximate Steiner tree T over S', and the
 pruned union H of R and T.  H is the cost yardstick: subset-lightness is
 spanner weight over the weight of the Steiner tree on S'.
+
+Nothing here is built per pair: the closure MST is a dense Prim over the
+memoised search labels, d(u, v) and W(u, v) are label lookups, and S' is
+collected by one tree walk per source.  A fixed path is materialised
+only where a caller needs its vertices.
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ from .graph import (
     Pair,
     PairBounds,
     PathTable,
+    ShortestPaths,
     SubgraphAdjacency,
     Weight,
     build_path_table,
@@ -163,28 +169,45 @@ def _steiner_subtree_of_tree(g: Graph, ts: list[int]) -> SteinerTree:
     return _tree_of(g, frozenset(ts), pruned)
 
 
+def _closure_mst(ts: list[int], sps: list[ShortestPaths]) -> list[tuple[int, int]]:
+    """MST of the metric closure on sorted terminals, by dense Prim.
+
+    sps[i] is the search from ts[i] for every terminal but the last.  The
+    closure edge (ts[i], ts[j]), i < j, has key (d, i, j) with d read
+    from sps[i], so no edge list is built.  Keys are distinct, so the MST
+    is unique: the one Kruskal finds under the same order.  Returns
+    (i, j) index pairs.
+    """
+    rows = [sp._dist for sp in sps]
+    best = {j: (rows[0][t], 0, j) for j, t in enumerate(ts) if j}
+    out: list[tuple[int, int]] = []
+    while best:
+        x = min(best, key=best.__getitem__)
+        out.append(best.pop(x)[1:])
+        for y in best:
+            key = (rows[x][ts[y]], x, y) if y > x else (rows[y][ts[x]], y, x)
+            if key < best[y]:
+                best[y] = key
+    return out
+
+
 def approx_steiner(g: Graph, terminals: Iterable[int]) -> SteinerTree:
     """Distance-network (metric closure) 2-approximate Steiner tree.
 
-    Builds the complete graph on the terminals weighted by shortest-path
-    distances, takes its MST, expands every MST edge into its fixed
-    shortest path, then takes an MST of the expanded subgraph and prunes
-    non-terminal leaves.  Weight is at most twice the optimum.
+    Takes the MST of the complete graph on the terminals weighted by
+    shortest-path distances (a dense Prim over the memoised search
+    labels, never a closure edge list), expands every MST edge into its
+    fixed shortest path, then takes an MST of the expanded subgraph and
+    prunes non-terminal leaves.  Weight is at most twice the optimum.
     """
     ts = _check_terminals(g, terminals)
     tset = frozenset(ts)
     if len(ts) == 1:
         return SteinerTree(tset, frozenset(), 0)
-    sps = {t: shortest_paths(g, t) for t in ts}
-    closure = []
-    for i, u in enumerate(ts):
-        sp = sps[u]
-        for v in ts[i + 1:]:
-            closure.append((sp.distance_raw(v), u, v))
-    closure_mst = _kruskal(closure)
+    sps = [shortest_paths(g, t) for t in ts[:-1]]
     expanded: set[Pair] = set()
-    for u, v in sorted(closure_mst):
-        verts = sps[u].path_to(v)
+    for i, j in _closure_mst(ts, sps):
+        verts = sps[i].path_to(ts[j])
         expanded.update(canonical(a, b) for a, b in zip(verts, verts[1:]))
     mst = _kruskal((g.weight_of(u, v), u, v) for u, v in expanded)
     return _tree_of(g, tset, prune_to_terminals(mst, tset))
@@ -303,10 +326,7 @@ def build_backbone(g: Graph, terminals: Iterable[int], beta: Beta) -> Backbone:
     bounds = PairBounds(table, beta, g.w_max)
     unsat = [p for p, _, ok in bounds.check(SubgraphAdjacency(g, r.edges)) if not ok]
 
-    s_prime = set(ts)
-    for u, v in unsat:
-        s_prime.update(table.path(u, v).vertices)
-    s_prime_f = frozenset(s_prime)
+    s_prime_f = tset | table.vertices_on(unsat)
 
     t_tree = approx_steiner(g, s_prime_f)
     union_mst = _kruskal((g.weight_of(u, v), u, v)

@@ -77,6 +77,13 @@ class TestLoadGraph:
         with pytest.raises(InvalidWeightError):
             Graph.from_edges(2, [(0, 1, w)])
 
+    @pytest.mark.parametrize("exact_w", [1, Fraction(5, 2)])
+    def test_mixed_weight_regimes_rejected(self, exact_w):
+        for edges in ([(0, 1, exact_w), (1, 2, 2.5)],
+                      [(0, 1, 2.5), (1, 2, exact_w)]):
+            with pytest.raises(InvalidWeightError, match="mixes"):
+                Graph.from_edges(3, edges)
+
     def test_infinite_weight_in_edge_list(self):
         with pytest.raises(GraphError):
             load_graph("0 1 inf")
@@ -161,11 +168,15 @@ class TestPathTable:
             build_path_table(g, [0, 9])
 
     def test_determinism_bit_identical(self):
-        g = rand_connected_graph(7, 20, 25)
+        # Two equal graphs built apart share no memoised search.
         s = [1, 3, 5, 7, 11]
-        t1 = build_path_table(g, s)
-        t2 = build_path_table(g, s)
-        assert t1.pairs == t2.pairs
+        t1 = build_path_table(rand_connected_graph(7, 20, 25), s)
+        t2 = build_path_table(rand_connected_graph(7, 20, 25), s)
+        assert t1.pair_keys() == t2.pair_keys()
+        for u, v in t1.pair_keys():
+            assert t1.dist(u, v) == t2.dist(u, v)
+            assert t1.w(u, v) == t2.w(u, v)
+            assert t1.path(u, v) == t2.path(u, v)
 
     def test_oracle_equivalence_floyd_warshall(self):
         for seed in range(10):
@@ -256,6 +267,14 @@ class TestInstanceJson:
             for exact in (False, True):
                 with pytest.raises(InvalidWeightError):
                     load_instance(doc, exact=exact)
+
+    def test_integer_json_weights_read_as_floats_without_exact_mode(self):
+        doc = '{"n": 3, "edges": [[0, 1, 1], [1, 2, 2.5]], "terminals": [0, 2]}'
+        g, _, _ = load_instance(doc)
+        assert not g.is_exact
+        assert type(g.weight_of(0, 1)) is float and g.weight_of(0, 1) == 1.0
+        g, _, _ = load_instance(doc, exact=True)
+        assert g.is_exact and g.weight_of(1, 2) == Fraction(5, 2)
 
     def test_exact_instance_weights(self):
         doc = '{"n": 2, "edges": [[0, 1, 2.5]], "terminals": [0, 1]}'

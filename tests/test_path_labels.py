@@ -1,0 +1,143 @@
+"""Pins the search labels behind PathTable and the dense closure MST on
+tie-heavy graphs: unit-weight grids, equal-weight cycles with chords,
+and grids with weights in {1, 2}, each exact and binary64.
+
+dist and W(u, v) are lookups into the labels of one search; here they
+are checked against a walk of the fixed path itself, and the Prim MST
+of the metric closure against Kruskal over the full closure edge list.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from helpers import floyd_warshall
+from lightspan.graph import Graph, build_path_table, shortest_paths
+from lightspan.steiner import _closure_mst, _kruskal
+
+
+def _w(k: int, exact: bool):
+    return k if exact else float(k)
+
+
+def grid_graph(rows: int, cols: int, weights: list[int], exact: bool) -> Graph:
+    edges = []
+    for r in range(rows):
+        for c in range(cols):
+            v = r * cols + c
+            if c + 1 < cols:
+                edges.append((v, v + 1))
+            if r + 1 < rows:
+                edges.append((v, v + cols))
+    return Graph.from_edges(rows * cols, [
+        (u, v, _w(weights[i % len(weights)], exact))
+        for i, (u, v) in enumerate(edges)])
+
+
+def cycle_graph(n: int, weight: int, chords: list[tuple[int, int]],
+                exact: bool) -> Graph:
+    edges = {(i, (i + 1) % n) if i + 1 < n else (0, n - 1) for i in range(n)}
+    edges |= {(min(a, b), max(a, b)) for a, b in chords
+              if a != b and (a - b) % n not in (1, n - 1)}
+    return Graph.from_edges(n, [(u, v, _w(weight, exact))
+                                for u, v in sorted(edges)])
+
+
+@st.composite
+def tie_heavy(draw):
+    """(graph, terminals) on a tie-heavy graph, exact or binary64."""
+    exact = draw(st.booleans())
+    kind = draw(st.sampled_from(["unit-grid", "grid-1-2", "cycle"]))
+    if kind == "cycle":
+        n = draw(st.integers(3, 12))
+        chords = draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                         st.integers(0, n - 1)), max_size=4))
+        g = cycle_graph(n, draw(st.integers(1, 3)), chords, exact)
+    else:
+        rows, cols = draw(st.integers(1, 4)), draw(st.integers(2, 5))
+        weights = [1] if kind == "unit-grid" else draw(
+            st.lists(st.sampled_from([1, 2]), min_size=1, max_size=7))
+        g = grid_graph(rows, cols, weights, exact)
+    ts = draw(st.lists(st.integers(0, g.n - 1), min_size=2, unique=True))
+    return g, sorted(ts)
+
+
+def _walk(g: Graph, verts):
+    """Distance summed in order from the first vertex, and the max edge."""
+    d, w = 0, 0
+    for a, b in zip(verts, verts[1:]):
+        x = g.weight_of(a, b)
+        d, w = d + x, max(w, x)
+    return d, w
+
+
+class TestLabelsMatchTheFixedPath:
+    @given(tie_heavy())
+    @settings(max_examples=80, deadline=None)
+    def test_dist_and_w_equal_the_walked_path(self, case):
+        g, ts = case
+        table = build_path_table(g, ts)
+        fw = floyd_warshall(g)
+        for u, v in table.pair_keys():
+            path = table.path(u, v)
+            assert path.vertices[0] == u and path.vertices[-1] == v
+            d, w = _walk(g, path.vertices)
+            assert table.dist(u, v) == d == path.dist == fw[u][v]
+            assert table.w(u, v) == w == path.max_edge
+            assert table.w(v, u) == w and table.dist(v, u) == d
+
+    @given(tie_heavy(), st.randoms(use_true_random=False))
+    @settings(max_examples=60, deadline=None)
+    def test_vertices_on_is_the_union_of_fixed_paths(self, case, rnd):
+        g, ts = case
+        table = build_path_table(g, ts)
+        keys = table.pair_keys()
+        pairs = rnd.sample(keys, rnd.randint(0, len(keys)))
+        pairs = [(v, u) if rnd.random() < 0.5 else (u, v) for u, v in pairs]
+        expected = set()
+        for u, v in pairs:
+            expected.update(table.path(u, v).vertices)
+        assert table.vertices_on(pairs) == expected
+
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_w_follows_a_parent_that_strictly_improves(self, exact):
+        # Vertex 2 is reached first over the edge of weight 3, then at a
+        # smaller distance through 1; W(0, 2) is the max of the final path.
+        g = Graph.from_edges(3, [(0, 1, _w(1, exact)), (0, 2, _w(3, exact)),
+                                 (1, 2, _w(1, exact))])
+        table = build_path_table(g, [0, 2])
+        assert table.path(0, 2).vertices == (0, 1, 2)
+        assert table.w(0, 2) == 1 and table.dist(0, 2) == 2
+
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_w_follows_a_tie_broken_parent(self, exact):
+        # 4 is reached first from 3 (distance 4, two hops), then again at
+        # distance 4 in two hops from 2, the smaller predecessor id.
+        g = Graph.from_edges(5, [(0, 3, _w(1, exact)), (0, 2, _w(2, exact)),
+                                 (3, 4, _w(3, exact)), (2, 4, _w(2, exact)),
+                                 (0, 1, _w(9, exact))])
+        table = build_path_table(g, [0, 4])
+        assert table.path(0, 4).vertices == (0, 2, 4)
+        assert table.w(0, 4) == 2
+
+    def test_exact_w_is_unpacked_over_the_common_denominator(self):
+        g = Graph.from_edges(3, [(0, 1, Fraction(1, 3)), (1, 2, Fraction(1, 2))])
+        table = build_path_table(g, [0, 2])
+        assert table.w(0, 2) == Fraction(1, 2)
+        assert table.dist(0, 2) == Fraction(5, 6)
+
+
+class TestClosureMst:
+    @given(tie_heavy())
+    @settings(max_examples=80, deadline=None)
+    def test_dense_prim_equals_kruskal_over_the_closure(self, case):
+        g, ts = case
+        sps = [shortest_paths(g, t) for t in ts[:-1]]
+        closure = [(sps[i].distance_raw(v), u, v)
+                   for i, u in enumerate(ts[:-1]) for v in ts[i + 1:]]
+        prim = {(ts[i], ts[j]) for i, j in _closure_mst(ts, sps)}
+        assert prim == _kruskal(closure)
+        assert len(prim) == len(ts) - 1
