@@ -175,6 +175,12 @@ class Graph:
         return {}
 
     @cached_property
+    def _blocked_sources(self) -> set[int]:
+        """Sources whose one terminal-blocked closure search has run on
+        this object (see `steiner._closure_searches`)."""
+        return set()
+
+    @cached_property
     def _packed(self) -> tuple[int | None, tuple[tuple[tuple[int, Weight], ...], ...]]:
         """Adjacency with weights lifted to integers over one denominator.
 
@@ -301,7 +307,15 @@ def shortest_paths_adj(adj, source: int, denom: int | None = None) -> ShortestPa
     label of a vertex is final when it is popped, so parent pointers need
     no post-settlement fixups.  maxw[v] is set with every parent[v] from
     the settled parent's own label, so it follows the final pointer.
+
+    The label order is tested a field at a time, not as one tuple: a
+    shorter distance, or an equal one in fewer hops, updates and pushes;
+    an equal (distance, hops) through a smaller predecessor id moves only
+    the parent, since the heap key is unchanged.  A vertex with an empty
+    adjacency is labelled but never expanded, which is how
+    `steiner.approx_steiner` blocks its closure searches at terminals.
     """
+    heappush, heappop = heapq.heappush, heapq.heappop
     n = len(adj)
     dist: list[Weight | None] = [None] * n
     hops = [0] * n
@@ -312,7 +326,7 @@ def shortest_paths_adj(adj, source: int, denom: int | None = None) -> ShortestPa
     parent[source] = -1
     heap: list[tuple[Weight, int, int]] = [(0, 0, source)]
     while heap:
-        d, h, u = heapq.heappop(heap)
+        d, h, u = heappop(heap)
         if settled[u]:
             continue
         settled[u] = 1
@@ -323,14 +337,22 @@ def shortest_paths_adj(adj, source: int, denom: int | None = None) -> ShortestPa
                 continue
             nd = d + w
             dv = dist[v]
-            if dv is None or (nd, nh, u) < (dv, hops[v], parent[v]):
-                push = dv is None or (nd, nh) < (dv, hops[v])
+            if dv is None or nd < dv:
                 dist[v] = nd
                 hops[v] = nh
                 parent[v] = u
                 maxw[v] = w if w > mu else mu
-                if push:
-                    heapq.heappush(heap, (nd, nh, v))
+                heappush(heap, (nd, nh, v))
+            elif nd == dv:
+                hv = hops[v]
+                if nh < hv:
+                    hops[v] = nh
+                    parent[v] = u
+                    maxw[v] = w if w > mu else mu
+                    heappush(heap, (nd, nh, v))
+                elif nh == hv and u < parent[v]:
+                    parent[v] = u
+                    maxw[v] = w if w > mu else mu
     return ShortestPaths(source, dist, parent, maxw, denom)
 
 
@@ -641,13 +663,34 @@ def _json_weight(w, exact: bool):
     return float(w) if type(w) is int and not exact else w
 
 
+def _json_int(x, what: str) -> int:
+    """A JSON integer as is; a float, bool or string is an error, not
+    something for int() to truncate or coerce."""
+    if type(x) is not int:
+        raise ParseError(f"{what} {x!r} is not a JSON integer")
+    return x
+
+
+def _json_int_key(k: str) -> int:
+    """An object key that spells an integer exactly as JSON writes one."""
+    try:
+        i = int(k)
+    except ValueError:
+        i = None
+    if str(i) != k:
+        raise ParseError(f"levels key {k!r} is not an integer")
+    return i
+
+
 def load_instance(text: str, exact: bool = False):
     """Parse the JSON instance format.
 
     Returns (graph, terminals, levels) where levels is None when the
     document has no "levels" field.  A weight may be a JSON number or a
     decimal or "p/q" string; with exact=True both become rationals,
-    otherwise both become floats (JSON integers included).
+    otherwise both become floats (JSON integers included).  n, vertex
+    ids, terminals and levels must be JSON integers (levels keys their
+    decimal spelling); anything else is a ParseError.
     """
     try:
         doc = json.loads(text, parse_float=(Fraction if exact else float))
@@ -655,21 +698,25 @@ def load_instance(text: str, exact: bool = False):
         raise ParseError(f"bad JSON: {exc}") from exc
     if not isinstance(doc, dict) or "n" not in doc or "edges" not in doc:
         raise ParseError("instance must be an object with 'n' and 'edges'")
+    n = _json_int(doc["n"], "n")
     try:
-        n = int(doc["n"])
-        edges = [(int(u), int(v), _json_weight(w, exact)) for u, v, w in doc["edges"]]
+        edges = [(_json_int(u, "vertex id"), _json_int(v, "vertex id"),
+                  _json_weight(w, exact)) for u, v, w in doc["edges"]]
+    except ParseError:
+        raise
     except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"bad edge entry: {exc}") from exc
     g = Graph.from_edges(n, edges)
-    terminals = frozenset(int(t) for t in doc.get("terminals", range(n)))
+    terminals = frozenset(_json_int(t, "terminal")
+                          for t in doc.get("terminals", range(n)))
     for t in terminals:
         g.check_vertex(t)
     levels = None
     if doc.get("levels") is not None:
-        try:
-            levels = {int(k): int(v) for k, v in doc["levels"].items()}
-        except (TypeError, ValueError, AttributeError) as exc:
-            raise ParseError(f"bad levels map: {exc}") from exc
+        if not isinstance(doc["levels"], dict):
+            raise ParseError("bad levels map: not an object")
+        levels = {_json_int_key(k): _json_int(v, "level")
+                  for k, v in doc["levels"].items()}
     return g, terminals, levels
 
 

@@ -9,9 +9,16 @@ pruned union H of R and T.  H is the cost yardstick: subset-lightness is
 spanner weight over the weight of the Steiner tree on S'.
 
 Nothing here is built per pair: the closure MST is a dense Prim over the
-memoised search labels, d(u, v) and W(u, v) are label lookups, and S' is
+search labels, d(u, v) and W(u, v) are label lookups, and S' is
 collected by one tree walk per source.  A fixed path is materialised
 only where a caller needs its vertices.
+
+The closure searches of `approx_steiner` stop at terminals.  The MST of
+the metric closure never holds a pair (i, j) whose fixed path runs
+through another terminal k: with positive weights d(i, k) < d(i, j) and
+d(k, j) < d(i, j), so (i, j) is the strict maximum of a cycle.  A search
+that labels terminals but never expands them therefore finds every pair
+the MST can use, settles far fewer vertices, and returns the same tree.
 """
 
 from __future__ import annotations
@@ -20,9 +27,11 @@ import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import itemgetter
 from typing import Iterable
 
 from .graph import (
+    INF,
     Beta,
     Graph,
     GraphError,
@@ -36,6 +45,7 @@ from .graph import (
     build_path_table,
     canonical,
     shortest_paths,
+    shortest_paths_adj,
 )
 
 
@@ -172,39 +182,89 @@ def _steiner_subtree_of_tree(g: Graph, ts: list[int]) -> SteinerTree:
 def _closure_mst(ts: list[int], sps: list[ShortestPaths]) -> list[tuple[int, int]]:
     """MST of the metric closure on sorted terminals, by dense Prim.
 
-    sps[i] is the search from ts[i] for every terminal but the last.  The
-    closure edge (ts[i], ts[j]), i < j, has key (d, i, j) with d read
-    from sps[i], so no edge list is built.  Keys are distinct, so the MST
-    is unique: the one Kruskal finds under the same order.  Returns
-    (i, j) index pairs.
+    sps[i] is a search from ts[i] for every terminal but the last, full
+    or terminal-blocked (see `approx_steiner` for why any mix gives the
+    same tree).  The closure edge (ts[i], ts[j]), i < j, has key
+    (d, i, j) with d read from sps[i], so no edge list is built; a
+    terminal a blocked search did not reach reads as INF.  Keys are
+    distinct, so the MST is unique: the one Kruskal finds under the same
+    order.  Returns (i, j) index pairs.
     """
-    rows = [sp._dist for sp in sps]
-    best = {j: (rows[0][t], 0, j) for j, t in enumerate(ts) if j}
+    pick = itemgetter(*ts)
+    rows = []
+    for sp in sps:
+        row = pick(sp._dist)
+        rows.append([INF if d is None else d for d in row] if None in row else row)
+    best = {j: (rows[0][j], 0, j) for j in range(1, len(ts))}
     out: list[tuple[int, int]] = []
     while best:
         x = min(best, key=best.__getitem__)
         out.append(best.pop(x)[1:])
         for y in best:
-            key = (rows[x][ts[y]], x, y) if y > x else (rows[y][ts[x]], y, x)
+            key = (rows[x][y], x, y) if y > x else (rows[y][x], y, x)
             if key < best[y]:
                 best[y] = key
     return out
 
 
+def _closure_searches(g: Graph, ts: list[int]) -> list[ShortestPaths]:
+    """One search per terminal but the last, terminal-blocked if possible.
+
+    A source in the memo reuses its full search.  Otherwise its first
+    request on this graph runs a blocked search (the packed adjacency
+    with no neighbours at every other terminal), never memoised, and
+    records the source in `g._blocked_sources`; any later request runs
+    the full memoised `shortest_paths`.  So a graph runs no more full
+    searches than without blocking, plus at most one blocked search per
+    source.
+    """
+    memo, seen = g._sssp_memo, g._blocked_sources
+    denom, adj = g._packed
+    blocked = None
+    out = []
+    for t in ts[:-1]:
+        if t in memo or t in seen:
+            out.append(shortest_paths(g, t))
+            continue
+        if blocked is None:
+            blocked = list(adj)
+            for x in ts:
+                blocked[x] = ()
+        seen.add(t)
+        blocked[t] = adj[t]
+        out.append(shortest_paths_adj(blocked, t, denom))
+        blocked[t] = ()
+    return out
+
+
 def approx_steiner(g: Graph, terminals: Iterable[int]) -> SteinerTree:
-    """Distance-network (metric closure) 2-approximate Steiner tree.
+    """Distance-network (metric closure) 2-approximate Steiner tree
+    (Kou, Markowsky & Berman, Acta Inf. 15, 1981).
 
     Takes the MST of the complete graph on the terminals weighted by
-    shortest-path distances (a dense Prim over the memoised search
-    labels, never a closure edge list), expands every MST edge into its
-    fixed shortest path, then takes an MST of the expanded subgraph and
-    prunes non-terminal leaves.  Weight is at most twice the optimum.
+    shortest-path distances (a dense Prim over search labels, never a
+    closure edge list), expands every MST edge into its fixed shortest
+    path, then takes an MST of the expanded subgraph and prunes
+    non-terminal leaves.  Weight is at most twice the optimum.
+
+    The closure searches are terminal-blocked where the memo rule of
+    `_closure_searches` allows, and the tree is the one full searches
+    give.  A pair whose fixed path has no terminal inside gets the same
+    (dist, hops, parent) labels from a blocked search as from a full one,
+    so the same key and the same fixed path.  Any other pair gets a
+    blocked key at least its full key, and its endpoints are joined by a
+    chain of terminal-free pairs, each strictly shorter: it is the strict
+    maximum of a cycle under either key, so it is in neither MST.  This
+    holds for any mix of full and blocked rows.  On binary64 graphs it
+    needs exact path sums, as with the generators' dyadic weights;
+    otherwise it holds up to ties made by rounding (a sub-path whose
+    rounded sum equals the whole path's).
     """
     ts = _check_terminals(g, terminals)
     tset = frozenset(ts)
     if len(ts) == 1:
         return SteinerTree(tset, frozenset(), 0)
-    sps = [shortest_paths(g, t) for t in ts[:-1]]
+    sps = _closure_searches(g, ts)
     expanded: set[Pair] = set()
     for i, j in _closure_mst(ts, sps):
         verts = sps[i].path_to(ts[j])

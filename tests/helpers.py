@@ -7,6 +7,7 @@ code paths with it.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import random
 from fractions import Fraction
@@ -178,3 +179,85 @@ def greedy_reference(inst, initial, terminals, slack, policy):
                 added.add(e)
         insertions += 1
     return frozenset(current), frozenset(added), insertions
+
+
+def reference_sssp(adj, source: int):
+    """The tuple-compare Dijkstra the library's kernel replaced:
+    (dist, parent, maxw) lists with the (distance, hops, parent) label
+    order written as one tuple comparison."""
+    n = len(adj)
+    dist = [None] * n
+    hops = [0] * n
+    parent = [None] * n
+    maxw = [0] * n
+    settled = bytearray(n)
+    dist[source] = 0
+    parent[source] = -1
+    heap = [(0, 0, source)]
+    while heap:
+        d, h, u = heapq.heappop(heap)
+        if settled[u]:
+            continue
+        settled[u] = 1
+        nh = h + 1
+        mu = maxw[u]
+        for v, w in adj[u]:
+            if settled[v]:
+                continue
+            nd = d + w
+            dv = dist[v]
+            if dv is None or (nd, nh, u) < (dv, hops[v], parent[v]):
+                push = dv is None or (nd, nh) < (dv, hops[v])
+                dist[v] = nd
+                hops[v] = nh
+                parent[v] = u
+                maxw[v] = w if w > mu else mu
+                if push:
+                    heapq.heappush(heap, (nd, nh, v))
+    return dist, parent, maxw
+
+
+def reference_approx_steiner(g: Graph, terminals):
+    """The closure 2-approximation with a full search from every terminal:
+    the closure edge list sorted by (d, u, v), union-find, each tree edge
+    expanded into its fixed path, an MST of the expansion under
+    (w, u, v), then non-terminal leaves pruned.  Returns the edge set."""
+    ts = sorted(set(terminals))
+    adj = g.adjacency
+    rows = {t: reference_sssp(adj, t) for t in ts}
+
+    def mst(edges):
+        parent = {}
+
+        def find(x):
+            parent.setdefault(x, x)
+            while parent[x] != x:
+                x = parent[x]
+            return x
+
+        out = set()
+        for _, u, v in sorted(edges):
+            ru, rv = find(u), find(v)
+            if ru != rv:
+                parent[ru] = rv
+                out.add(canonical(u, v))
+        return out
+
+    closure = [(rows[u][0][v], u, v) for i, u in enumerate(ts) for v in ts[i + 1:]]
+    expanded = set()
+    for u, v in mst(closure):
+        par = rows[u][1]
+        x = v
+        while x != u:
+            expanded.add(canonical(x, par[x]))
+            x = par[x]
+    tree = mst((g.weight_of(u, v), u, v) for u, v in expanded)
+    while True:
+        degree = {}
+        for e in tree:
+            for x in e:
+                degree[x] = degree.get(x, 0) + 1
+        leaves = {x for x, d in degree.items() if d == 1 and x not in ts}
+        if not leaves:
+            return tree
+        tree = {e for e in tree if not (set(e) & leaves)}

@@ -232,3 +232,17 @@ class TestCli:
         rc = main(["spanner", "--input", str(tmp_path / "missing.json"),
                    "--algo", "eps"])
         assert rc == 2
+
+    @pytest.mark.parametrize("doc", [
+        '{"n": 3, "edges": [[0, 1.5, 1], [1, 2, 1]], "terminals": [0, 2]}',
+        '{"n": 3, "edges": [[0, 1, 1], [1, 2, 1]], "terminals": [0, 2.9]}',
+        '{"n": 3, "edges": [[0, 1, 1], [1, true, 1]], "terminals": [0, 2]}',
+    ])
+    def test_non_integer_ids_exit_code_two(self, tmp_path, capsys, doc):
+        inst_file = tmp_path / "inst.json"
+        inst_file.write_text(doc)
+        for flags in ([], ["--exact-arithmetic"]):
+            rc = main(["spanner", "--input", str(inst_file), "--algo", "eps",
+                       *flags])
+            assert rc == 2
+        assert "integer" in capsys.readouterr().err

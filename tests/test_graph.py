@@ -289,6 +289,32 @@ class TestInstanceJson:
         with pytest.raises(ParseError):
             load_instance('{"n": 2, "edges": [[0, 1, 1]], "levels": "x"}')
 
+    @pytest.mark.parametrize("doc", [
+        '{"n": 3, "edges": [[0, 1.5, 1], [1, 2, 1]], "terminals": [0, 2]}',
+        '{"n": 3, "edges": [[0, 1, 1], [1, 2, 1]], "terminals": [0, 2.9]}',
+        '{"n": 3.0, "edges": [[0, 1, 1], [1, 2, 1]]}',
+        '{"n": 3, "edges": [[0, true, 1], [1, 2, 1]]}',
+        '{"n": 3, "edges": [[0, 1, 1], [1, 2, 1]], "terminals": [false, 2]}',
+        '{"n": 3, "edges": [[0, 1, 1], [1, 2, 1]], "terminals": ["2"]}',
+        '{"n": 3, "edges": [[0, 1, 1], [1, 2, 1]], "levels": {"1": 1.5}}',
+        '{"n": 3, "edges": [[0, 1, 1], [1, 2, 1]], "levels": {"1": true}}',
+        '{"n": 3, "edges": [[0, 1, 1], [1, 2, 1]], "levels": {"1.0": 1}}',
+        '{"n": 3, "edges": [[0, 1, 1], [1, 2, 1]], "levels": {"1_0": 1}}',
+        '{"n": 3, "edges": [[0, 1, 1], [1, 2, 1]], "levels": {" 1": 1}}',
+    ])
+    def test_ids_and_levels_must_be_json_integers(self, doc):
+        # int() would truncate 1.5 to 1 and read true as 1.
+        for exact in (False, True):
+            with pytest.raises(ParseError):
+                load_instance(doc, exact=exact)
+
+    def test_integer_ids_and_levels_still_load(self):
+        doc = ('{"n": 3, "edges": [[0, 1, 1], [1, 2, 1]], "terminals": [0, 2],'
+               ' "levels": {"0": 2, "2": 1}}')
+        g, terminals, levels = load_instance(doc)
+        assert g.n == 3 and terminals == frozenset({0, 2})
+        assert levels == {0: 2, 2: 1}
+
     def test_infinity_comparisons_with_fractions(self):
         assert math.inf > Fraction(10**9)
         assert math.inf - Fraction(3, 2) == math.inf

@@ -1,22 +1,36 @@
-"""Pins the search labels behind PathTable and the dense closure MST on
-tie-heavy graphs: unit-weight grids, equal-weight cycles with chords,
-and grids with weights in {1, 2}, each exact and binary64.
+"""Pins the search labels behind PathTable, the Dijkstra kernel and the
+terminal-blocked closure MST on tie-heavy graphs: unit-weight grids,
+equal-weight cycles with chords, and grids with weights in {1, 2}, each
+exact and binary64.
 
 dist and W(u, v) are lookups into the labels of one search; here they
-are checked against a walk of the fixed path itself, and the Prim MST
-of the metric closure against Kruskal over the full closure edge list.
+are checked against a walk of the fixed path itself, the kernel against
+the tuple-compare Dijkstra it replaced, and the Prim MST over blocked
+closure searches against Kruskal over the full closure edge list.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import floyd_warshall
-from lightspan.graph import Graph, build_path_table, shortest_paths
-from lightspan.steiner import _closure_mst, _kruskal
+from helpers import floyd_warshall, reference_approx_steiner, reference_sssp
+from lightspan import graph as graph_mod, steiner as steiner_mod
+from lightspan.graph import (
+    Graph,
+    build_path_table,
+    shortest_paths,
+    shortest_paths_adj,
+)
+from lightspan.steiner import (
+    _closure_mst,
+    _closure_searches,
+    _kruskal,
+    approx_steiner,
+)
 
 
 def _w(k: int, exact: bool):
@@ -141,3 +155,110 @@ class TestClosureMst:
         prim = {(ts[i], ts[j]) for i, j in _closure_mst(ts, sps)}
         assert prim == _kruskal(closure)
         assert len(prim) == len(ts) - 1
+
+    @given(tie_heavy())
+    @settings(max_examples=80, deadline=None)
+    def test_prim_over_blocked_rows_equals_kruskal_over_the_full_closure(self, case):
+        g, ts = case
+        full = Graph(g.n, g.edges)  # equal graph, its own memo
+        sps = [shortest_paths(full, t) for t in ts[:-1]]
+        closure = [(sps[i].distance_raw(v), u, v)
+                   for i, u in enumerate(ts[:-1]) for v in ts[i + 1:]]
+        blocked = _closure_searches(g, ts)
+        assert not g._sssp_memo  # every row was a blocked search
+        prim = {(ts[i], ts[j]) for i, j in _closure_mst(ts, blocked)}
+        assert prim == _kruskal(closure)
+
+
+class TestBlockedApproxSteiner:
+    """approx_steiner's terminal-blocked closure searches give the tree of
+    full searches, leave only full searches in the memo, and run at most
+    one blocked and one full search per source on a graph."""
+
+    @given(tie_heavy(), st.randoms(use_true_random=False))
+    @settings(max_examples=80, deadline=None)
+    def test_equals_the_full_row_reference(self, case, rnd):
+        g, ts = case
+        expected = reference_approx_steiner(g, ts)
+        fresh = Graph(g.n, g.edges)  # equal graphs, each with its own memo
+        assert set(approx_steiner(fresh, ts).edges) == expected
+        # Some rows memoised in full before the call, the rest blocked.
+        partly = Graph(g.n, g.edges)
+        for t in rnd.sample(ts, rnd.randint(0, len(ts))):
+            shortest_paths(partly, t)
+        assert set(approx_steiner(partly, ts).edges) == expected
+        # A second call runs full searches where the first ran blocked ones.
+        again = approx_steiner(fresh, ts)
+        assert set(again.edges) == expected
+        assert again.weight == sum(g.weight_of(u, v) for u, v in expected)
+
+    @given(tie_heavy(), st.randoms(use_true_random=False))
+    @settings(max_examples=60, deadline=None)
+    def test_memo_holds_only_full_searches(self, case, rnd):
+        g, ts = case
+        for _ in range(3):
+            approx_steiner(g, rnd.sample(ts, rnd.randint(1, len(ts))))
+            for sp in g._sssp_memo.values():
+                assert all(sp.reachable(v) for v in range(g.n))
+
+    @given(tie_heavy(), st.randoms(use_true_random=False))
+    @settings(max_examples=60, deadline=None)
+    def test_at_most_one_blocked_and_one_full_search_per_source(self, case, rnd):
+        g, ts = case
+        calls = []
+        original = shortest_paths_adj
+
+        def counted(adj, source, denom=None):
+            calls.append((source, "full" if adj is g._packed[1] else "blocked"))
+            return original(adj, source, denom)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(graph_mod, "shortest_paths_adj", counted)
+            mp.setattr(steiner_mod, "shortest_paths_adj", counted)
+            for _ in range(4):
+                approx_steiner(g, rnd.sample(ts, rnd.randint(1, len(ts))))
+            approx_steiner(g, ts)
+        assert calls and max(Counter(calls).values()) == 1
+        # A source's blocked search, if any, came before its full one.
+        for source, kind in calls:
+            if kind == "full" and (source, "blocked") in calls:
+                assert calls.index((source, "blocked")) < calls.index((source, kind))
+
+
+class TestKernelAgainstTupleCompare:
+    """shortest_paths_adj tests the (distance, hops, parent) order one
+    field at a time; it must label exactly as the tuple compare did."""
+
+    @given(tie_heavy())
+    @settings(max_examples=80, deadline=None)
+    def test_labels_equal_the_reference(self, case):
+        g, _ = case
+        for adj in (g._packed[1], g.adjacency):
+            for s in range(g.n):
+                sp = shortest_paths_adj(adj, s)
+                assert (sp._dist, sp._parent, sp._maxw) == reference_sssp(adj, s)
+
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_later_popped_smaller_predecessor_takes_over(self, exact):
+        # 3 is popped before 2 and labels 4 with (4, 2 hops, parent 3);
+        # 2 pops later and ties on (4, 2 hops) with the smaller id.
+        g = Graph.from_edges(5, [(0, 3, _w(1, exact)), (0, 2, _w(2, exact)),
+                                 (3, 4, _w(3, exact)), (2, 4, _w(2, exact)),
+                                 (0, 1, _w(9, exact))])
+        sp = shortest_paths_adj(g._packed[1], 0)
+        assert sp._parent[4] == 2 and sp._maxw[4] == 2
+        assert (sp._dist, sp._parent, sp._maxw) == reference_sssp(g._packed[1], 0)
+
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_equal_distance_in_fewer_hops_is_pushed_again(self, exact):
+        # 4 is labelled (4, 3 hops) via 0-1-2-4, then (4, 2 hops) via
+        # 0-3-4.  Its neighbour 7 ties on (5, 3 hops) through 4 and
+        # through 6, and 4 wins on id: only if 4 was settled with 2 hops.
+        g = Graph.from_edges(8, [
+            (0, 1, _w(1, exact)), (1, 2, _w(1, exact)), (2, 4, _w(2, exact)),
+            (0, 3, _w(3, exact)), (3, 4, _w(1, exact)), (4, 7, _w(1, exact)),
+            (0, 5, _w(1, exact)), (5, 6, _w(2, exact)), (6, 7, _w(2, exact))])
+        sp = shortest_paths_adj(g._packed[1], 0)
+        assert sp.path_to(4) == [0, 3, 4]
+        assert sp.path_to(7) == [0, 3, 4, 7]
+        assert (sp._dist, sp._parent, sp._maxw) == reference_sssp(g._packed[1], 0)
