@@ -467,6 +467,49 @@ class SubgraphAdjacency:
                 if d is not None}
 
 
+class TreeDistances:
+    """Distances on a forest of a host graph's edges (the backbone's
+    Steiner tree R), by one walk per source: `distances(s)` sets
+    dist[y] = dist[x] + w for each tree edge (x, y, w) met from x, with
+    weights packed as in `SubgraphAdjacency`.
+
+    The lists equal a Dijkstra search of the same edges bit for bit, in
+    binary64 too.  The path from s to y is unique, and every other
+    neighbour of y lies behind y, so Dijkstra labels y once, from its
+    neighbour x on the path: dist[y] = dist[x] + w, the path summed in
+    order from s, which is what the walk computes.  (depth(s) + depth(y)
+    - 2 depth(lca) from a fixed root sums in another order, and its
+    binary64 results can differ.)
+    """
+
+    def __init__(self, host: Graph, edges: Iterable[Pair]) -> None:
+        denom, _ = host._packed
+        adj: list[list[tuple[int, Weight]]] = [[] for _ in range(host.n)]
+        for u, v in edges:
+            w = host.weight_of(u, v)
+            if denom is not None:
+                w = _pack(w, denom)
+            adj[u].append((v, w))
+            adj[v].append((u, w))
+        self._adj = adj
+
+    def distances(self, source: int) -> list[Weight | None]:
+        """Packed distances from source (None = not on the forest's
+        component of source)."""
+        adj = self._adj
+        dist: list[Weight | None] = [None] * len(adj)
+        dist[source] = 0
+        stack = [source]
+        while stack:
+            x = stack.pop()
+            dx = dist[x]
+            for y, w in adj[x]:
+                if dist[y] is None:
+                    dist[y] = dx + w
+                    stack.append(y)
+        return dist
+
+
 @dataclass(frozen=True)
 class FixedPath:
     """The fixed shortest path of one vertex pair.
@@ -518,6 +561,7 @@ class PathTable:
 
     terminals: frozenset[int]
     _sources: dict[int, ShortestPaths] = field(compare=False, repr=False)
+    _denom: int | None = field(default=None, compare=False, repr=False)
     _paths: dict[Pair, FixedPath] = field(default_factory=dict,
                                           compare=False, repr=False)
 
@@ -582,7 +626,8 @@ def build_path_table(g: Graph, terminals: Iterable[int]) -> PathTable:
         raise InvalidVertexError("terminal set must be nonempty")
     for t in ts:
         g.check_vertex(t)
-    return PathTable(frozenset(ts), {u: shortest_paths(g, u) for u in ts[:-1]})
+    return PathTable(frozenset(ts), {u: shortest_paths(g, u) for u in ts[:-1]},
+                     g._packed[0])
 
 
 class PairBounds:
@@ -590,31 +635,93 @@ class PairBounds:
     of a fixed-path table: the one check behind the backbone's pair scan,
     the builders' certification and repair, and the oracles.
 
-    rel_tol = 0 is the exact check (mandatory in rational mode); binary64
-    callers pass a small relative tolerance such as 1e-9.
+    Construction keeps one row per source u of the table, with an entry
+    (v, allowed) for each terminal v > u, read straight from the search
+    labels of u in packed units:
+    - binary64: allowed is dist[v] + value * maxw[v] (relative mode) or
+      dist[v] + value * w_max (wmax mode), the same float expression as
+      in host units, since packed and host values are equal there;
+    - exact: the value is taken as a rational p/q and allowed is
+      dist[v] + floor(p * maxw[v] / q), or dist[v] + floor(value * w_max
+      * denom).  Packed distances are integers, and for an integer d_h,
+      d_h <= dist + x holds exactly when d_h <= dist + floor(x), so the
+      rows answer as the host-unit check does, in integer comparisons.
+
+    rel_tol = 0 is the exact check, and the only one a rational table
+    accepts (ValueError otherwise); binary64 callers may pass a small
+    nonnegative relative tolerance such as 1e-9.
     """
 
     def __init__(self, table: PathTable, beta: Beta, w_max: Weight,
                  rel_tol: float = 0.0) -> None:
+        denom = table._denom
+        if rel_tol < 0:
+            raise ValueError(f"rel_tol {rel_tol} is negative")
+        if rel_tol and denom is not None:
+            raise ValueError("exact (rational) checks take no tolerance; "
+                             f"got rel_tol {rel_tol}")
         self.rel_tol = rel_tol
-        self.allowed: dict[Pair, Weight] = {
-            p: table.dist(*p) + beta.slack(table.w(*p), w_max)
-            for p in table.pair_keys()}
+        self._table = table
+        self._w_max = w_max
+        self._denom = denom
+        value = beta.value
+        if denom is not None and type(value) is float:
+            value = Fraction(value)  # exact, as the rest of the check
+        self._value = value
+        self._relative = beta.mode == "relative"
+        fixed = None
+        if not self._relative:
+            fixed = (value * w_max if denom is None
+                     else math.floor(value * w_max * denom))
+        p, q = (value, 1) if denom is None else (value.numerator, value.denominator)
+        ts = sorted(table.terminals)
+        self._rows: list[tuple[int, list[tuple[int, Weight]]]] = []
+        for i, u in enumerate(ts[:-1]):
+            sp = table._sources[u]
+            dist, maxw = sp._dist, sp._maxw
+            row = []
+            for v in ts[i + 1:]:
+                d = dist[v]
+                if d is None:
+                    a = INF
+                elif fixed is not None:
+                    a = d + fixed
+                elif denom is None:
+                    a = d + value * maxw[v]
+                else:
+                    a = d + p * maxw[v] // q
+                row.append((v, a))
+            self._rows.append((u, row))
 
-    def check(self, sub: SubgraphAdjacency) -> Iterator[tuple[Pair, Weight, bool]]:
-        """Yield (pair, d_H, ok) for every pair in sorted order.
+    @cached_property
+    def allowed(self) -> dict[Pair, Weight]:
+        """d_G + slack per pair in host units, in pair order, for error
+        messages and reports; built on first read."""
+        t, value, w_max = self._table, self._value, self._w_max
+        rel = self._relative
+        return {p: t.dist(*p) + value * (t.w(*p) if rel else w_max)
+                for p in t.pair_keys()}
 
-        Reads the live distances of `sub`: one search per source, kept
-        exact when a consumer inserts edges between pairs.
+    def check(self, sub) -> Iterator[tuple[Pair, Weight, bool]]:
+        """Yield (pair, d_H, ok) for every pair in sorted order, d_H in
+        host units.
+
+        `sub` is a `SubgraphAdjacency` or a `TreeDistances`: one call of
+        `sub.distances(u)` per source, whose packed list is compared
+        with the row.  A `SubgraphAdjacency` keeps that list exact when a
+        consumer inserts edges between pairs.
         """
-        rel_tol = self.rel_tol
-        for pair, allowed in self.allowed.items():
-            d_h = sub.distance(*pair)
-            if rel_tol:
-                ok = d_h - allowed <= rel_tol * max(1.0, abs(float(allowed)))
-            else:
-                ok = d_h <= allowed
-            yield pair, d_h, ok
+        tol, denom = self.rel_tol, self._denom
+        for u, row in self._rows:
+            live = sub.distances(u)
+            for v, a in row:
+                d = live[v]
+                if d is None:
+                    yield (u, v), INF, a == INF
+                elif tol:  # binary64 only: packed is host units
+                    yield (u, v), d, d - a <= tol * max(1.0, abs(a))
+                else:
+                    yield (u, v), _unpack(d, denom), d <= a
 
 
 def _parse_weight(token: str, exact: bool) -> Weight:

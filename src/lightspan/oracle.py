@@ -81,8 +81,9 @@ def verify_spanner(g: Graph, terminals: Iterable[int], edges: Iterable[Pair],
                    beta: Beta, rel_tol: float = 0.0) -> VerificationReport:
     """Check d_H(u,v) <= d_G(u,v) + slack for every terminal pair.
 
-    rel_tol = 0 gives the exact check (mandatory in rational mode);
-    binary64 callers pass a small relative tolerance such as 1e-9.
+    rel_tol = 0 gives the exact check, the only one rational mode takes
+    (ValueError otherwise); binary64 callers pass a small nonnegative
+    relative tolerance such as 1e-9.
     """
     ts = sorted(set(terminals))
     for t in ts:

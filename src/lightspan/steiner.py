@@ -11,7 +11,10 @@ spanner weight over the weight of the Steiner tree on S'.
 Nothing here is built per pair: the closure MST is a dense Prim over the
 search labels, d(u, v) and W(u, v) are label lookups, and S' is
 collected by one tree walk per source.  A fixed path is materialised
-only where a caller needs its vertices.
+only where a caller needs its vertices.  The scan for P reads R's
+distances from one walk of R per source (`graph.TreeDistances`), not
+from a Dijkstra search: on a tree both sum the unique path in order
+from the source, so the distances, and P, are the same bit for bit.
 
 The closure searches of `approx_steiner` stop at terminals.  The MST of
 the metric closure never holds a pair (i, j) whose fixed path runs
@@ -40,7 +43,7 @@ from .graph import (
     PairBounds,
     PathTable,
     ShortestPaths,
-    SubgraphAdjacency,
+    TreeDistances,
     Weight,
     build_path_table,
     canonical,
@@ -185,25 +188,30 @@ def _closure_mst(ts: list[int], sps: list[ShortestPaths]) -> list[tuple[int, int
     sps[i] is a search from ts[i] for every terminal but the last, full
     or terminal-blocked (see `approx_steiner` for why any mix gives the
     same tree).  The closure edge (ts[i], ts[j]), i < j, has key
-    (d, i, j) with d read from sps[i], so no edge list is built; a
-    terminal a blocked search did not reach reads as INF.  Keys are
-    distinct, so the MST is unique: the one Kruskal finds under the same
-    order.  Returns (i, j) index pairs.
+    (d, i, j) with d read from sps[i], so no edge list is built.  A
+    terminal a blocked search did not reach (None) is skipped: its key
+    would be (INF, i, j) with i >= 1 (index 0 is taken first), which
+    never beats the initial (INF, 0, j).  Keys are distinct, so the MST
+    is unique: the one Kruskal finds under the same order.  Returns
+    (i, j) index pairs.
     """
     pick = itemgetter(*ts)
-    rows = []
-    for sp in sps:
-        row = pick(sp._dist)
-        rows.append([INF if d is None else d for d in row] if None in row else row)
-    best = {j: (rows[0][j], 0, j) for j in range(1, len(ts))}
+    rows = [pick(sp._dist) for sp in sps]
+    best = {j: (INF if d is None else d, 0, j) for j, d in enumerate(rows[0]) if j}
     out: list[tuple[int, int]] = []
     while best:
         x = min(best, key=best.__getitem__)
         out.append(best.pop(x)[1:])
+        row_x = rows[x] if x < len(rows) else None
         for y in best:
-            key = (rows[x][y], x, y) if y > x else (rows[y][x], y, x)
-            if key < best[y]:
-                best[y] = key
+            if y > x:
+                d = row_x[y]
+                if d is not None and (d, x, y) < best[y]:
+                    best[y] = (d, x, y)
+            else:
+                d = rows[y][x]
+                if d is not None and (d, y, x) < best[y]:
+                    best[y] = (d, y, x)
     return out
 
 
@@ -377,14 +385,20 @@ def exact_steiner(g: Graph, terminals: Iterable[int]) -> SteinerTree:
 
 
 def build_backbone(g: Graph, terminals: Iterable[int], beta: Beta) -> Backbone:
-    """Compute R, the unsatisfied pairs P, S', T and the pruned union H."""
+    """Compute R, the unsatisfied pairs P, S', T and the pruned union H.
+
+    P is one `PairBounds` scan of the terminal pairs, each source's row
+    compared with a walk of R from that source (`graph.TreeDistances`):
+    R is a tree, so the walk gives the distances a Dijkstra search of R
+    would, bit for bit, without a heap.
+    """
     ts = _check_terminals(g, terminals)
     tset = frozenset(ts)
     table = build_path_table(g, ts)
     r = approx_steiner(g, ts)
 
     bounds = PairBounds(table, beta, g.w_max)
-    unsat = [p for p, _, ok in bounds.check(SubgraphAdjacency(g, r.edges)) if not ok]
+    unsat = [p for p, _, ok in bounds.check(TreeDistances(g, r.edges)) if not ok]
 
     s_prime_f = tset | table.vertices_on(unsat)
 

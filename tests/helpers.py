@@ -2,7 +2,9 @@
 
 Everything here is deliberately naive (Floyd-Warshall, exhaustive path
 and tree enumeration) so it can double-check the library without sharing
-code paths with it.
+code paths with it.  The reference_* functions keep the simpler code the
+library's fast paths replaced.  tie_heavy draws the tie-heavy graphs
+(unit grids, {1, 2} grids, equal-weight cycles) several suites share.
 """
 
 from __future__ import annotations
@@ -11,6 +13,8 @@ import heapq
 import itertools
 import random
 from fractions import Fraction
+
+from hypothesis import strategies as st
 
 from lightspan.graph import Graph, build_path_table, canonical
 
@@ -261,3 +265,68 @@ def reference_approx_steiner(g: Graph, terminals):
         if not leaves:
             return tree
         tree = {e for e in tree if not (set(e) & leaves)}
+
+
+def as_weight(k: int, exact: bool):
+    """The integer weight k, as a binary64 float unless exact."""
+    return k if exact else float(k)
+
+
+def grid_graph(rows: int, cols: int, weights: list[int], exact: bool) -> Graph:
+    edges = []
+    for r in range(rows):
+        for c in range(cols):
+            v = r * cols + c
+            if c + 1 < cols:
+                edges.append((v, v + 1))
+            if r + 1 < rows:
+                edges.append((v, v + cols))
+    return Graph.from_edges(rows * cols, [
+        (u, v, as_weight(weights[i % len(weights)], exact))
+        for i, (u, v) in enumerate(edges)])
+
+
+def cycle_graph(n: int, weight: int, chords: list[tuple[int, int]],
+                exact: bool) -> Graph:
+    edges = {(i, (i + 1) % n) if i + 1 < n else (0, n - 1) for i in range(n)}
+    edges |= {(min(a, b), max(a, b)) for a, b in chords
+              if a != b and (a - b) % n not in (1, n - 1)}
+    return Graph.from_edges(n, [(u, v, as_weight(weight, exact))
+                                for u, v in sorted(edges)])
+
+
+@st.composite
+def tie_heavy(draw):
+    """(graph, terminals) on a tie-heavy graph, exact or binary64."""
+    exact = draw(st.booleans())
+    kind = draw(st.sampled_from(["unit-grid", "grid-1-2", "cycle"]))
+    if kind == "cycle":
+        n = draw(st.integers(3, 12))
+        chords = draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                         st.integers(0, n - 1)), max_size=4))
+        g = cycle_graph(n, draw(st.integers(1, 3)), chords, exact)
+    else:
+        rows, cols = draw(st.integers(1, 4)), draw(st.integers(2, 5))
+        weights = [1] if kind == "unit-grid" else draw(
+            st.lists(st.sampled_from([1, 2]), min_size=1, max_size=7))
+        g = grid_graph(rows, cols, weights, exact)
+    ts = draw(st.lists(st.integers(0, g.n - 1), min_size=2, unique=True))
+    return g, sorted(ts)
+
+
+def reference_pair_bounds(table, beta, w_max, sub, rel_tol=0.0):
+    """The host-unit pair check the library's packed rows replaced: each
+    allowance from two table lookups and Beta.slack, d_H from
+    sub.distance, and the tolerance applied whatever the weight regime.
+    Returns (allowed, [(pair, d_h, ok), ...]) in pair order."""
+    allowed = {p: table.dist(*p) + beta.slack(table.w(*p), w_max)
+               for p in table.pair_keys()}
+    out = []
+    for pair, a in allowed.items():
+        d_h = sub.distance(*pair)
+        if rel_tol:
+            ok = d_h - a <= rel_tol * max(1.0, abs(float(a)))
+        else:
+            ok = d_h <= a
+        out.append((pair, d_h, ok))
+    return allowed, out

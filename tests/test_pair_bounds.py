@@ -1,18 +1,27 @@
 """PairBounds, the one spanner-condition check behind the backbone scan,
 certification, the repair pass and the oracles, pinned against the naive
-references in helpers and against metamorphic and differential relations.
+references in helpers and against metamorphic and differential relations;
+and TreeDistances, the tree walks the backbone's scan over R reads,
+pinned against Dijkstra on the same tree.
 """
 
 import math
 import random
 from fractions import Fraction
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
 from helpers import (
     all_shortest_paths,
     floyd_warshall,
     rand_connected_graph,
+    rand_tree,
+    reference_pair_bounds,
     subgraph_dist,
+    tenths_graph,
     tie_break_choice,
+    tie_heavy,
 )
 from lightspan import sampled
 from lightspan.additive import EpsilonSplit, eps_spanner, four_eps_spanner
@@ -22,17 +31,37 @@ from lightspan.graph import (
     Graph,
     PairBounds,
     SubgraphAdjacency,
+    TreeDistances,
     build_path_table,
     canonical,
 )
 from lightspan.oracle import verify_spanner
 from lightspan.sampled import SampleConfig, wmax_spanner
+from lightspan.steiner import approx_steiner, build_backbone
 
 HALF = Beta("relative", Fraction(1, 2))
 
 
 def all_pairs(g):
     return [canonical(u, v) for u, v, _ in g.edges]
+
+
+def reweighted(g, weight):
+    """g with each edge weight w replaced by weight(w)."""
+    return Graph.from_edges(g.n, [(u, v, weight(w)) for u, v, w in g.edges])
+
+
+def regimes(seed, n, extra):
+    """One graph per weight regime: {1, 2}, p/q, dyadic binary64 k/8 and
+    non-dyadic binary64 k/10."""
+    g = rand_connected_graph(seed, n, extra)
+    rng = random.Random(seed)
+    return [
+        reweighted(g, lambda w: rng.choice((1, 2))),
+        reweighted(g, lambda w: Fraction(rng.randint(1, 9), rng.randint(1, 7))),
+        rand_connected_graph(seed, n, extra, exact=False),
+        tenths_graph(seed, n, extra),
+    ]
 
 
 class TestPairBounds:
@@ -88,6 +117,120 @@ class TestPairBounds:
             [(_, _, tol_ok)] = PairBounds(table, zero, g.w_max, 1e-9).check(sub)
             assert exact_ok is False
             assert tol_ok is tolerant
+
+
+EXACT_BETAS = (HALF, Beta("relative", 0), Beta("relative", Fraction(1, 3)),
+               Beta("relative", 2), Beta("wmax", Fraction(9, 2)),
+               Beta("wmax", Fraction(1, 3)))
+FLOAT_BETAS = (Beta("relative", 0.5), Beta("relative", 0), Beta("relative", 0.1),
+               HALF, Beta("wmax", 4.5), Beta("wmax", 0.3))
+
+
+def assert_rows_match_reference(g, ts, edges):
+    """The packed rows give the reference's (pair, d_h, ok) sequence and
+    allowances, for every beta and tolerance the regime admits."""
+    table = build_path_table(g, ts)
+    betas = EXACT_BETAS if g.is_exact else FLOAT_BETAS
+    for beta in betas:
+        for rel_tol in ((0.0,) if g.is_exact else (0.0, 1e-9)):
+            sub = SubgraphAdjacency(g, edges)
+            allowed, expected = reference_pair_bounds(table, beta, g.w_max,
+                                                      sub, rel_tol)
+            bounds = PairBounds(table, beta, g.w_max, rel_tol)
+            got = list(bounds.check(sub))
+            assert [repr(x) for x in got] == [repr(x) for x in expected], beta
+            assert ([repr(x) for x in bounds.allowed.items()]
+                    == [repr(x) for x in allowed.items()]), beta
+
+
+class TestPackedRowsAgainstReference:
+    @settings(max_examples=80, deadline=None)
+    @given(tie_heavy(), st.randoms(use_true_random=False))
+    def test_tie_heavy(self, case, rnd):
+        g, ts = case
+        for edges in (all_pairs(g),
+                      [e for e in all_pairs(g) if rnd.random() < 0.7]):
+            assert_rows_match_reference(g, ts, edges)
+
+    def test_weight_regimes(self):
+        rng = random.Random(5)
+        for seed in range(10):
+            for g in regimes(seed + 40, 14, 18):
+                ts = sorted(rng.sample(range(g.n), 6))
+                tree = approx_steiner(g, ts).edges
+                for edges in (all_pairs(g), tree,
+                              [e for e in all_pairs(g) if rng.random() < 0.6]):
+                    assert_rows_match_reference(g, ts, edges)
+
+
+class TestTreeDistances:
+    @staticmethod
+    def assert_walk_equals_dijkstra(g, edges):
+        walk, dijkstra = TreeDistances(g, edges), SubgraphAdjacency(g, edges)
+        for s in range(g.n):
+            assert ([repr(d) for d in walk.distances(s)]
+                    == [repr(d) for d in dijkstra.distances(s)]), s
+
+    def test_steiner_trees_in_every_regime(self):
+        rng = random.Random(9)
+        for seed in range(12):
+            for g in regimes(seed + 70, 30, 40):
+                ts = rng.sample(range(g.n), rng.randint(2, 12))
+                self.assert_walk_equals_dijkstra(g, approx_steiner(g, ts).edges)
+
+    def test_whole_trees_with_non_dyadic_weights(self):
+        for seed in range(10):
+            t = rand_tree(seed, 40)
+            g = reweighted(t, lambda w: int(w * 8) / 10)
+            self.assert_walk_equals_dijkstra(g, all_pairs(g))
+
+    def test_backbone_pairs_equal_the_reference_scan(self):
+        rng = random.Random(13)
+        for seed in range(8):
+            for g in regimes(seed + 90, 20, 26):
+                ts = sorted(rng.sample(range(g.n), 7))
+                betas = EXACT_BETAS if g.is_exact else FLOAT_BETAS
+                for beta in betas:
+                    bb = build_backbone(g, ts, beta)
+                    on_r = SubgraphAdjacency(g, bb.r.edges)
+                    _, rows = reference_pair_bounds(bb.path_table, beta,
+                                                    g.w_max, on_r)
+                    assert bb.unsatisfied_pairs == {p for p, _, ok in rows if not ok}
+
+
+class TestToleranceRules:
+    """Exact mode is tolerance-free: a nonzero rel_tol on a rational
+    table is refused, not applied; a negative one is refused anywhere."""
+
+    # d_H(0, 2) = 2 through vertex 1, against d_G(0, 2) = 3/2.
+    EXACT = [(0, 1, 1), (1, 2, 1), (0, 2, Fraction(3, 2))]
+
+    def test_exact_table_rejects_a_nonzero_tolerance(self):
+        g = Graph.from_edges(3, self.EXACT)
+        table = build_path_table(g, [0, 2])
+        for beta in (Beta("relative", 0), Beta("wmax", 0)):
+            for rel_tol in (0.4, 1e-9):
+                with pytest.raises(ValueError):
+                    PairBounds(table, beta, g.w_max, rel_tol)
+        [(_, d_h, ok)] = PairBounds(table, Beta("relative", 0), g.w_max).check(
+            SubgraphAdjacency(g, [(0, 1), (1, 2)]))
+        assert (d_h, ok) == (2, False)
+
+    def test_negative_tolerance_is_rejected_in_both_regimes(self):
+        for edges in (self.EXACT, [(u, v, float(w)) for u, v, w in self.EXACT]):
+            g = Graph.from_edges(3, edges)
+            table = build_path_table(g, [0, 2])
+            with pytest.raises(ValueError):
+                PairBounds(table, HALF, g.w_max, -1e-9)
+
+    def test_verify_spanner_refuses_a_tolerance_on_an_exact_graph(self):
+        g = Graph.from_edges(3, self.EXACT)
+        h, zero = [(0, 1), (1, 2)], Beta("relative", 0)
+        with pytest.raises(ValueError):
+            verify_spanner(g, [0, 2], h, zero, 0.4)
+        rep = verify_spanner(g, [0, 2], h, zero)
+        assert not rep.ok
+        assert [(v.d_h, v.allowed) for v in rep.violations] == [(2, Fraction(3, 2))]
 
 
 def brute_force_violations(g, terms, edges, beta):

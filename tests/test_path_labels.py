@@ -17,7 +17,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import floyd_warshall, reference_approx_steiner, reference_sssp
+from helpers import (
+    as_weight,
+    floyd_warshall,
+    reference_approx_steiner,
+    reference_sssp,
+    tie_heavy,
+)
 from lightspan import graph as graph_mod, steiner as steiner_mod
 from lightspan.graph import (
     Graph,
@@ -31,52 +37,6 @@ from lightspan.steiner import (
     _kruskal,
     approx_steiner,
 )
-
-
-def _w(k: int, exact: bool):
-    return k if exact else float(k)
-
-
-def grid_graph(rows: int, cols: int, weights: list[int], exact: bool) -> Graph:
-    edges = []
-    for r in range(rows):
-        for c in range(cols):
-            v = r * cols + c
-            if c + 1 < cols:
-                edges.append((v, v + 1))
-            if r + 1 < rows:
-                edges.append((v, v + cols))
-    return Graph.from_edges(rows * cols, [
-        (u, v, _w(weights[i % len(weights)], exact))
-        for i, (u, v) in enumerate(edges)])
-
-
-def cycle_graph(n: int, weight: int, chords: list[tuple[int, int]],
-                exact: bool) -> Graph:
-    edges = {(i, (i + 1) % n) if i + 1 < n else (0, n - 1) for i in range(n)}
-    edges |= {(min(a, b), max(a, b)) for a, b in chords
-              if a != b and (a - b) % n not in (1, n - 1)}
-    return Graph.from_edges(n, [(u, v, _w(weight, exact))
-                                for u, v in sorted(edges)])
-
-
-@st.composite
-def tie_heavy(draw):
-    """(graph, terminals) on a tie-heavy graph, exact or binary64."""
-    exact = draw(st.booleans())
-    kind = draw(st.sampled_from(["unit-grid", "grid-1-2", "cycle"]))
-    if kind == "cycle":
-        n = draw(st.integers(3, 12))
-        chords = draw(st.lists(st.tuples(st.integers(0, n - 1),
-                                         st.integers(0, n - 1)), max_size=4))
-        g = cycle_graph(n, draw(st.integers(1, 3)), chords, exact)
-    else:
-        rows, cols = draw(st.integers(1, 4)), draw(st.integers(2, 5))
-        weights = [1] if kind == "unit-grid" else draw(
-            st.lists(st.sampled_from([1, 2]), min_size=1, max_size=7))
-        g = grid_graph(rows, cols, weights, exact)
-    ts = draw(st.lists(st.integers(0, g.n - 1), min_size=2, unique=True))
-    return g, sorted(ts)
 
 
 def _walk(g: Graph, verts):
@@ -120,8 +80,8 @@ class TestLabelsMatchTheFixedPath:
     def test_w_follows_a_parent_that_strictly_improves(self, exact):
         # Vertex 2 is reached first over the edge of weight 3, then at a
         # smaller distance through 1; W(0, 2) is the max of the final path.
-        g = Graph.from_edges(3, [(0, 1, _w(1, exact)), (0, 2, _w(3, exact)),
-                                 (1, 2, _w(1, exact))])
+        w = [as_weight(k, exact) for k in (1, 3, 1)]
+        g = Graph.from_edges(3, [(0, 1, w[0]), (0, 2, w[1]), (1, 2, w[2])])
         table = build_path_table(g, [0, 2])
         assert table.path(0, 2).vertices == (0, 1, 2)
         assert table.w(0, 2) == 1 and table.dist(0, 2) == 2
@@ -130,9 +90,9 @@ class TestLabelsMatchTheFixedPath:
     def test_w_follows_a_tie_broken_parent(self, exact):
         # 4 is reached first from 3 (distance 4, two hops), then again at
         # distance 4 in two hops from 2, the smaller predecessor id.
-        g = Graph.from_edges(5, [(0, 3, _w(1, exact)), (0, 2, _w(2, exact)),
-                                 (3, 4, _w(3, exact)), (2, 4, _w(2, exact)),
-                                 (0, 1, _w(9, exact))])
+        w = [as_weight(k, exact) for k in (1, 2, 3, 2, 9)]
+        g = Graph.from_edges(5, [(0, 3, w[0]), (0, 2, w[1]), (3, 4, w[2]),
+                                 (2, 4, w[3]), (0, 1, w[4])])
         table = build_path_table(g, [0, 4])
         assert table.path(0, 4).vertices == (0, 2, 4)
         assert table.w(0, 4) == 2
@@ -242,9 +202,9 @@ class TestKernelAgainstTupleCompare:
     def test_later_popped_smaller_predecessor_takes_over(self, exact):
         # 3 is popped before 2 and labels 4 with (4, 2 hops, parent 3);
         # 2 pops later and ties on (4, 2 hops) with the smaller id.
-        g = Graph.from_edges(5, [(0, 3, _w(1, exact)), (0, 2, _w(2, exact)),
-                                 (3, 4, _w(3, exact)), (2, 4, _w(2, exact)),
-                                 (0, 1, _w(9, exact))])
+        w = [as_weight(k, exact) for k in (1, 2, 3, 2, 9)]
+        g = Graph.from_edges(5, [(0, 3, w[0]), (0, 2, w[1]), (3, 4, w[2]),
+                                 (2, 4, w[3]), (0, 1, w[4])])
         sp = shortest_paths_adj(g._packed[1], 0)
         assert sp._parent[4] == 2 and sp._maxw[4] == 2
         assert (sp._dist, sp._parent, sp._maxw) == reference_sssp(g._packed[1], 0)
@@ -255,9 +215,9 @@ class TestKernelAgainstTupleCompare:
         # 0-3-4.  Its neighbour 7 ties on (5, 3 hops) through 4 and
         # through 6, and 4 wins on id: only if 4 was settled with 2 hops.
         g = Graph.from_edges(8, [
-            (0, 1, _w(1, exact)), (1, 2, _w(1, exact)), (2, 4, _w(2, exact)),
-            (0, 3, _w(3, exact)), (3, 4, _w(1, exact)), (4, 7, _w(1, exact)),
-            (0, 5, _w(1, exact)), (5, 6, _w(2, exact)), (6, 7, _w(2, exact))])
+            (0, 1, as_weight(1, exact)), (1, 2, as_weight(1, exact)), (2, 4, as_weight(2, exact)),
+            (0, 3, as_weight(3, exact)), (3, 4, as_weight(1, exact)), (4, 7, as_weight(1, exact)),
+            (0, 5, as_weight(1, exact)), (5, 6, as_weight(2, exact)), (6, 7, as_weight(2, exact))])
         sp = shortest_paths_adj(g._packed[1], 0)
         assert sp.path_to(4) == [0, 3, 4]
         assert sp.path_to(7) == [0, 3, 4, 7]
