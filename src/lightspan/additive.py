@@ -334,10 +334,13 @@ def _trivial_spanner(algo: str) -> Spanner:
 
 
 def _one_level(g: Graph, terminals: frozenset[int], beta: Beta, h0_mode: str,
-               algo: str, instrument: EpsilonSplit | None = None) -> Spanner:
+               algo: str, instrument: EpsilonSplit | None = None,
+               bb: Backbone | None = None) -> Spanner:
+    """One builder run; bb, if given, is the backbone of (g, terminals,
+    beta), reused instead of rebuilt."""
     if len(terminals) < 2:
         return _trivial_spanner(algo)
-    bb = build_backbone(g, terminals, beta)
+    bb = bb or build_backbone(g, terminals, beta)
     inst = scaled_universe(g, bb)
     meta: dict = {
         "algo": algo,

@@ -175,12 +175,6 @@ class Graph:
         return {}
 
     @cached_property
-    def _blocked_sources(self) -> set[int]:
-        """Sources whose one terminal-blocked closure search has run on
-        this object (see `steiner._closure_searches`)."""
-        return set()
-
-    @cached_property
     def _packed(self) -> tuple[int | None, tuple[tuple[tuple[int, Weight], ...], ...]]:
         """Adjacency with weights lifted to integers over one denominator.
 
@@ -307,13 +301,14 @@ def shortest_paths_adj(adj, source: int, denom: int | None = None) -> ShortestPa
     label of a vertex is final when it is popped, so parent pointers need
     no post-settlement fixups.  maxw[v] is set with every parent[v] from
     the settled parent's own label, so it follows the final pointer.
+    Zero weights are allowed only on the edges out of the source (the
+    virtual source of `steiner.approx_steiner`): the source is popped
+    first, and every other label is still final when popped.
 
     The label order is tested a field at a time, not as one tuple: a
     shorter distance, or an equal one in fewer hops, updates and pushes;
     an equal (distance, hops) through a smaller predecessor id moves only
-    the parent, since the heap key is unchanged.  A vertex with an empty
-    adjacency is labelled but never expanded, which is how
-    `steiner.approx_steiner` blocks its closure searches at terminals.
+    the parent, since the heap key is unchanged.
     """
     heappush, heappop = heapq.heappush, heapq.heappop
     n = len(adj)
@@ -652,14 +647,19 @@ class PairBounds:
     nonnegative relative tolerance such as 1e-9.
     """
 
+    @staticmethod
+    def check_tolerance(rel_tol: float, exact: bool) -> None:
+        """Refuse a negative rel_tol, and a nonzero one on exact weights."""
+        if rel_tol < 0:
+            raise ValueError(f"rel_tol {rel_tol} is negative")
+        if rel_tol and exact:
+            raise ValueError("exact (rational) checks take no tolerance; "
+                             f"got rel_tol {rel_tol}")
+
     def __init__(self, table: PathTable, beta: Beta, w_max: Weight,
                  rel_tol: float = 0.0) -> None:
         denom = table._denom
-        if rel_tol < 0:
-            raise ValueError(f"rel_tol {rel_tol} is negative")
-        if rel_tol and denom is not None:
-            raise ValueError("exact (rational) checks take no tolerance; "
-                             f"got rel_tol {rel_tol}")
+        self.check_tolerance(rel_tol, denom is not None)
         self.rel_tol = rel_tol
         self._table = table
         self._w_max = w_max

@@ -90,6 +90,7 @@ def verify_spanner(g: Graph, terminals: Iterable[int], edges: Iterable[Pair],
         g.check_vertex(t)
     sub = SubgraphAdjacency(g, edges)  # raises UnknownEdgeError on foreign edges
     if len(ts) < 2:
+        PairBounds.check_tolerance(rel_tol, g.is_exact)
         return VerificationReport(True, (), 0)
     table = build_path_table(g, ts)
     bounds = PairBounds(table, beta, g.w_max, rel_tol)

@@ -21,6 +21,7 @@ from .additive import (
     EpsilonSplit,
     Spanner,
     _certify,
+    _one_level,
     build_h0_eps,
     eps_spanner,
     greedy_complete,
@@ -139,13 +140,17 @@ def threshold_search(factor: float, s_count: int, hi: float,
 
 
 def choose_ell(g: Graph, terminals: Iterable[int], cfg: SampleConfig,
-               inst: ScaledInstance | None = None) -> float | None:
+               inst: ScaledInstance | None = None, *,
+               backbones: dict[frozenset[int], Backbone] | None = None
+               ) -> float | None:
     """Approximate the fixed point ell = sqrt(c ln n |V_H| |V'_H|(ell)) / |S|.
 
     |V'_H|(ell) is the backbone vertex count of the sample drawn at ell;
     inst is the scaled wmax universe of (g, terminals), built if omitted.
     Returns None (fallback to the +eps*W spanner) when the fixed point
-    cannot be bracketed or lands below every edge weight of inst.
+    cannot be bracketed or lands below every edge weight of inst.  If
+    backbones is given, each sample backbone built here is stored in it
+    under its sample, so `wmax_spanner` can reuse the one it samples.
     """
     ts = frozenset(terminals)
     bb = inst.backbone if inst else build_backbone(
@@ -159,12 +164,13 @@ def choose_ell(g: Graph, terminals: Iterable[int], cfg: SampleConfig,
     def v_prime(ell: float) -> int:
         size = min(vh, max(1, math.ceil(factor / ell)))
         if size not in cache:
-            sample = _sample_vertices(bb, size, cfg.seed)
+            sample = frozenset(_sample_vertices(bb, size, cfg.seed))
             if len(sample) < 2:
                 cache[size] = 1
             else:
-                sub_bb = build_backbone(g, frozenset(sample),
-                                        Beta("relative", cfg.split.eps))
+                sub_bb = build_backbone(g, sample, Beta("relative", cfg.split.eps))
+                if backbones is not None:
+                    backbones[sample] = sub_bb
                 cache[size] = len(sub_bb.h.vertices)
         return cache[size]
 
@@ -194,7 +200,9 @@ def wmax_spanner(g: Graph, terminals: Iterable[int], cfg: SampleConfig,
     gps = inst.g_prime_s
     initial = build_h0_eps(inst, bb.s_prime) | inst.h_prime_pairs()
 
-    ell = cfg.ell if cfg.ell is not None else choose_ell(g, ts, cfg, inst)
+    sample_backbones: dict[frozenset[int], Backbone] = {}
+    ell = cfg.ell if cfg.ell is not None else choose_ell(
+        g, ts, cfg, inst, backbones=sample_backbones)
     meta: dict = {
         "algo": "wmax",
         "c": cfg.c,
@@ -236,7 +244,13 @@ def wmax_spanner(g: Graph, terminals: Iterable[int], cfg: SampleConfig,
     meta["sample_size"] = len(sample)
     sub_edges: frozenset[Pair] = frozenset()
     if len(sample) >= 2:
-        sub_edges = eps_spanner(g, frozenset(sample), cfg.split).edges
+        # The +eps*W(.,.) spanner of eps_spanner, on the backbone
+        # choose_ell built for this sample when it built one.
+        key = frozenset(sample)
+        cached = sample_backbones.get(key)
+        sample_backbones.clear()  # the other samples' backbones go now
+        sub_edges = _one_level(g, key, Beta("relative", cfg.split.eps),
+                               "incident", "eps", bb=cached).edges
 
     edges_g = map_back(inst, state.edges) | bb.h.edges | sub_edges
 

@@ -1,4 +1,4 @@
-"""Steiner-tree machinery: metric-closure 2-approximation, exact solver
+"""Steiner-tree machinery: Voronoi-region 2-approximation, exact solver
 for small terminal sets, and the backbone bundle every spanner starts from.
 
 The backbone of a terminal set S consists of: an approximate Steiner tree
@@ -8,20 +8,14 @@ paths of pairs in P, an approximate Steiner tree T over S', and the
 pruned union H of R and T.  H is the cost yardstick: subset-lightness is
 spanner weight over the weight of the Steiner tree on S'.
 
-Nothing here is built per pair: the closure MST is a dense Prim over the
-search labels, d(u, v) and W(u, v) are label lookups, and S' is
-collected by one tree walk per source.  A fixed path is materialised
-only where a caller needs its vertices.  The scan for P reads R's
-distances from one walk of R per source (`graph.TreeDistances`), not
-from a Dijkstra search: on a tree both sum the unique path in order
-from the source, so the distances, and P, are the same bit for bit.
-
-The closure searches of `approx_steiner` stop at terminals.  The MST of
-the metric closure never holds a pair (i, j) whose fixed path runs
-through another terminal k: with positive weights d(i, k) < d(i, j) and
-d(k, j) < d(i, j), so (i, j) is the strict maximum of a cycle.  A search
-that labels terminals but never expands them therefore finds every pair
-the MST can use, settles far fewer vertices, and returns the same tree.
+Nothing here is built per pair: each approximate tree takes one search
+from all its terminals at once, d(u, v) and W(u, v) are label lookups,
+and S' is collected by one tree walk per source.  A fixed path is
+materialised only where a caller needs its vertices.  The scan for P
+reads R's distances from one walk of R per source
+(`graph.TreeDistances`), not from a Dijkstra search: on a tree both sum
+the unique path in order from the source, so the distances, and P, are
+the same bit for bit.
 """
 
 from __future__ import annotations
@@ -30,11 +24,9 @@ import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from operator import itemgetter
 from typing import Iterable
 
 from .graph import (
-    INF,
     Beta,
     Graph,
     GraphError,
@@ -42,8 +34,8 @@ from .graph import (
     Pair,
     PairBounds,
     PathTable,
-    ShortestPaths,
     TreeDistances,
+    UnknownEdgeError,
     Weight,
     build_path_table,
     canonical,
@@ -182,103 +174,80 @@ def _steiner_subtree_of_tree(g: Graph, ts: list[int]) -> SteinerTree:
     return _tree_of(g, frozenset(ts), pruned)
 
 
-def _closure_mst(ts: list[int], sps: list[ShortestPaths]) -> list[tuple[int, int]]:
-    """MST of the metric closure on sorted terminals, by dense Prim.
+def _voronoi_bridges(g: Graph, ts: list[int]
+                     ) -> tuple[list[int | None], list[tuple[Weight, int, int, int, int]]]:
+    """Mehlhorn's boundary MST over the Voronoi regions of sorted terminals.
 
-    sps[i] is a search from ts[i] for every terminal but the last, full
-    or terminal-blocked (see `approx_steiner` for why any mix gives the
-    same tree).  The closure edge (ts[i], ts[j]), i < j, has key
-    (d, i, j) with d read from sps[i], so no edge list is built.  A
-    terminal a blocked search did not reach (None) is skipped: its key
-    would be (INF, i, j) with i >= 1 (index 0 is taken first), which
-    never beats the initial (INF, 0, j).  Keys are distinct, so the MST
-    is unique: the one Kruskal finds under the same order.  Returns
-    (i, j) index pairs.
+    One search runs from a virtual vertex n with a zero-weight edge to
+    every terminal; the region of v is the terminal its parent pointers
+    reach before n.  A host edge (u, v, w) whose ends lie in regions
+    i < j, u in region i, is a bridge with key (d[u] + w + d[v], i, j,
+    u, v) in packed units.  The smallest key of each region pair enters
+    a Kruskal over the regions.  Returns the search's parent pointers and
+    the chosen keys.
     """
-    pick = itemgetter(*ts)
-    rows = [pick(sp._dist) for sp in sps]
-    best = {j: (INF if d is None else d, 0, j) for j, d in enumerate(rows[0]) if j}
-    out: list[tuple[int, int]] = []
-    while best:
-        x = min(best, key=best.__getitem__)
-        out.append(best.pop(x)[1:])
-        row_x = rows[x] if x < len(rows) else None
-        for y in best:
-            if y > x:
-                d = row_x[y]
-                if d is not None and (d, x, y) < best[y]:
-                    best[y] = (d, x, y)
-            else:
-                d = rows[y][x]
-                if d is not None and (d, y, x) < best[y]:
-                    best[y] = (d, y, x)
-    return out
-
-
-def _closure_searches(g: Graph, ts: list[int]) -> list[ShortestPaths]:
-    """One search per terminal but the last, terminal-blocked if possible.
-
-    A source in the memo reuses its full search.  Otherwise its first
-    request on this graph runs a blocked search (the packed adjacency
-    with no neighbours at every other terminal), never memoised, and
-    records the source in `g._blocked_sources`; any later request runs
-    the full memoised `shortest_paths`.  So a graph runs no more full
-    searches than without blocking, plus at most one blocked search per
-    source.
-    """
-    memo, seen = g._sssp_memo, g._blocked_sources
     denom, adj = g._packed
-    blocked = None
-    out = []
-    for t in ts[:-1]:
-        if t in memo or t in seen:
-            out.append(shortest_paths(g, t))
+    n = g.n
+    sp = shortest_paths_adj(adj + (tuple((t, 0) for t in ts),), n, denom)
+    dist, parent = sp._dist, sp._parent
+    region: list[int | None] = [None] * n
+    for i, t in enumerate(ts):
+        region[t] = i
+    for v in range(n):
+        if region[v] is None and dist[v] is not None:
+            walk, x = [], v
+            while region[x] is None:
+                walk.append(x)
+                x = parent[x]
+            for y in walk:
+                region[y] = region[x]
+    best: dict[tuple[int, int], tuple[Weight, int, int, int, int]] = {}
+    for u, nbrs in enumerate(adj):
+        i = region[u]
+        if i is None:
             continue
-        if blocked is None:
-            blocked = list(adj)
-            for x in ts:
-                blocked[x] = ()
-        seen.add(t)
-        blocked[t] = adj[t]
-        out.append(shortest_paths_adj(blocked, t, denom))
-        blocked[t] = ()
-    return out
+        for v, w in nbrs:
+            j = region[v]
+            if j is None or j <= i:
+                continue
+            key = (dist[u] + w + dist[v], i, j, u, v)
+            if (i, j) not in best or key < best[i, j]:
+                best[i, j] = key
+    uf = _UnionFind(range(len(ts)))
+    chosen = [key for key in sorted(best.values()) if uf.union(key[1], key[2])]
+    if len(chosen) < len(ts) - 1:
+        raise UnknownEdgeError("the terminals are not connected")
+    return parent, chosen
 
 
 def approx_steiner(g: Graph, terminals: Iterable[int]) -> SteinerTree:
-    """Distance-network (metric closure) 2-approximate Steiner tree
-    (Kou, Markowsky & Berman, Acta Inf. 15, 1981).
+    """Voronoi-region 2-approximate Steiner tree (Mehlhorn, IPL 27, 1988).
 
-    Takes the MST of the complete graph on the terminals weighted by
-    shortest-path distances (a dense Prim over search labels, never a
-    closure edge list), expands every MST edge into its fixed shortest
-    path, then takes an MST of the expanded subgraph and prunes
-    non-terminal leaves.  Weight is at most twice the optimum.
-
-    The closure searches are terminal-blocked where the memo rule of
-    `_closure_searches` allows, and the tree is the one full searches
-    give.  A pair whose fixed path has no terminal inside gets the same
-    (dist, hops, parent) labels from a blocked search as from a full one,
-    so the same key and the same fixed path.  Any other pair gets a
-    blocked key at least its full key, and its endpoints are joined by a
-    chain of terminal-free pairs, each strictly shorter: it is the strict
-    maximum of a cycle under either key, so it is in neither MST.  This
-    holds for any mix of full and blocked rows.  On binary64 graphs it
-    needs exact path sums, as with the generators' dyadic weights;
-    otherwise it holds up to ties made by rounding (a sub-path whose
-    rounded sum equals the whole path's).
+    `_voronoi_bridges` finds the MST of the bridges between terminal
+    regions in one search; by Mehlhorn's lemma its keys sum to the weight
+    of an MST of the metric closure, so the tree weighs at most twice the
+    optimum.  Each bridge (u, v) expands into the parent path from u to
+    its terminal, the edge (u, v) and the parent path from v.  The parent
+    paths of one region form a subtree holding its terminal, and the
+    bridges join the regions in a tree, so the union is a tree; each
+    non-terminal on it has its parent edge and an edge towards a bridge,
+    so every leaf is a terminal.
     """
     ts = _check_terminals(g, terminals)
     tset = frozenset(ts)
     if len(ts) == 1:
         return SteinerTree(tset, frozenset(), 0)
-    sps = _closure_searches(g, ts)
-    expanded: set[Pair] = set()
-    for i, j in _closure_mst(ts, sps):
-        verts = sps[i].path_to(ts[j])
-        expanded.update(canonical(a, b) for a, b in zip(verts, verts[1:]))
-    mst = _kruskal((g.weight_of(u, v), u, v) for u, v in expanded)
-    return _tree_of(g, tset, prune_to_terminals(mst, tset))
+    parent, chosen = _voronoi_bridges(g, ts)
+    edges: set[Pair] = set()
+    on_tree = set(ts)
+    for _, _, _, u, v in chosen:
+        edges.add(canonical(u, v))
+        for x in (u, v):
+            while x not in on_tree:
+                on_tree.add(x)
+                edges.add(canonical(x, parent[x]))
+                x = parent[x]
+    return _tree_of(g, tset, edges)
 
 
 def exact_steiner(g: Graph, terminals: Iterable[int]) -> SteinerTree:

@@ -221,50 +221,62 @@ def reference_sssp(adj, source: int):
     return dist, parent, maxw
 
 
-def reference_approx_steiner(g: Graph, terminals):
-    """The closure 2-approximation with a full search from every terminal:
-    the closure edge list sorted by (d, u, v), union-find, each tree edge
-    expanded into its fixed path, an MST of the expansion under
-    (w, u, v), then non-terminal leaves pruned.  Returns the edge set."""
+def reference_closure_mst(g: Graph, terminals):
+    """The MST of the metric closure on the terminals, from a full search
+    per terminal: the closure edge list sorted by (d, u, v), then
+    union-find.  Returns the chosen (d, u, v) edges, d in host units."""
     ts = sorted(set(terminals))
     adj = g.adjacency
-    rows = {t: reference_sssp(adj, t) for t in ts}
+    rows = {t: reference_sssp(adj, t)[0] for t in ts}
+    parent = {}
 
-    def mst(edges):
-        parent = {}
+    def find(x):
+        parent.setdefault(x, x)
+        while parent[x] != x:
+            x = parent[x]
+        return x
 
-        def find(x):
-            parent.setdefault(x, x)
-            while parent[x] != x:
-                x = parent[x]
-            return x
+    out = []
+    for d, u, v in sorted((rows[u][v], u, v)
+                          for i, u in enumerate(ts) for v in ts[i + 1:]):
+        ru, rv = find(u), find(v)
+        if ru != rv:
+            parent[ru] = rv
+            out.append((d, u, v))
+    return out
 
-        out = set()
-        for _, u, v in sorted(edges):
-            ru, rv = find(u), find(v)
-            if ru != rv:
-                parent[ru] = rv
-                out.add(canonical(u, v))
-        return out
 
-    closure = [(rows[u][0][v], u, v) for i, u in enumerate(ts) for v in ts[i + 1:]]
-    expanded = set()
-    for u, v in mst(closure):
-        par = rows[u][1]
-        x = v
-        while x != u:
-            expanded.add(canonical(x, par[x]))
-            x = par[x]
-    tree = mst((g.weight_of(u, v), u, v) for u, v in expanded)
-    while True:
-        degree = {}
-        for e in tree:
-            for x in e:
-                degree[x] = degree.get(x, 0) + 1
-        leaves = {x for x, d in degree.items() if d == 1 and x not in ts}
-        if not leaves:
-            return tree
-        tree = {e for e in tree if not (set(e) & leaves)}
+def is_tree(edges, must_span=()):
+    """The edges form one tree touching every vertex of must_span."""
+    if not edges:
+        return len(set(must_span)) <= 1
+    verts = {x for e in edges for x in e}
+    if not set(must_span) <= verts:
+        return False
+    parent = {}
+
+    def find(x):
+        parent.setdefault(x, x)
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for u, v in edges:
+        ru, rv = find(u), find(v)
+        if ru == rv:
+            return False  # cycle
+        parent[rv] = ru
+    roots = {find(v) for v in verts}
+    return len(roots) == 1
+
+
+def leaves_are_terminals(edges, terminals):
+    deg = {}
+    for u, v in edges:
+        deg[u] = deg.get(u, 0) + 1
+        deg[v] = deg.get(v, 0) + 1
+    return all(v in terminals for v, d in deg.items() if d == 1)
 
 
 def as_weight(k: int, exact: bool):

@@ -232,6 +232,19 @@ class TestToleranceRules:
         assert not rep.ok
         assert [(v.d_h, v.allowed) for v in rep.violations] == [(2, Fraction(3, 2))]
 
+    @pytest.mark.parametrize("terminals", [[], [0], [2, 2]])
+    def test_verify_spanner_applies_the_rules_below_two_terminals(self, terminals):
+        # No pair is checked, but the arguments are refused as with pairs.
+        exact = Graph.from_edges(3, self.EXACT)
+        binary64 = Graph.from_edges(3, [(u, v, float(w)) for u, v, w in self.EXACT])
+        zero = Beta("relative", 0)
+        for g, rel_tol in ((exact, 0.4), (exact, -1.0), (binary64, -1.0)):
+            with pytest.raises(ValueError):
+                verify_spanner(g, terminals, [], zero, rel_tol)
+        for g, rel_tol in ((exact, 0.0), (binary64, 0.0), (binary64, 1e-9)):
+            rep = verify_spanner(g, terminals, [], zero, rel_tol)
+            assert rep.ok and rep.violations == ()
+
 
 def brute_force_violations(g, terms, edges, beta):
     """Violating pairs with d_G, d_H and the allowance, from Floyd-Warshall,

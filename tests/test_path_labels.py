@@ -1,17 +1,16 @@
 """Pins the search labels behind PathTable, the Dijkstra kernel and the
-terminal-blocked closure MST on tie-heavy graphs: unit-weight grids,
+Voronoi-region Steiner tree on tie-heavy graphs: unit-weight grids,
 equal-weight cycles with chords, and grids with weights in {1, 2}, each
 exact and binary64.
 
 dist and W(u, v) are lookups into the labels of one search; here they
 are checked against a walk of the fixed path itself, the kernel against
-the tuple-compare Dijkstra it replaced, and the Prim MST over blocked
-closure searches against Kruskal over the full closure edge list.
+the tuple-compare Dijkstra it replaced, and the bridge MST of the
+Steiner tree against Kruskal over the full metric closure.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -20,23 +19,20 @@ from hypothesis import given, settings, strategies as st
 from helpers import (
     as_weight,
     floyd_warshall,
-    reference_approx_steiner,
+    is_tree,
+    leaves_are_terminals,
+    reference_closure_mst,
     reference_sssp,
     tie_heavy,
 )
 from lightspan import graph as graph_mod, steiner as steiner_mod
 from lightspan.graph import (
     Graph,
+    UnknownEdgeError,
     build_path_table,
-    shortest_paths,
     shortest_paths_adj,
 )
-from lightspan.steiner import (
-    _closure_mst,
-    _closure_searches,
-    _kruskal,
-    approx_steiner,
-)
+from lightspan.steiner import _voronoi_bridges, approx_steiner
 
 
 def _walk(g: Graph, verts):
@@ -104,85 +100,101 @@ class TestLabelsMatchTheFixedPath:
         assert table.dist(0, 2) == Fraction(5, 6)
 
 
-class TestClosureMst:
-    @given(tie_heavy())
-    @settings(max_examples=80, deadline=None)
-    def test_dense_prim_equals_kruskal_over_the_closure(self, case):
-        g, ts = case
-        sps = [shortest_paths(g, t) for t in ts[:-1]]
-        closure = [(sps[i].distance_raw(v), u, v)
-                   for i, u in enumerate(ts[:-1]) for v in ts[i + 1:]]
-        prim = {(ts[i], ts[j]) for i, j in _closure_mst(ts, sps)}
-        assert prim == _kruskal(closure)
-        assert len(prim) == len(ts) - 1
+class TestVoronoiSteiner:
+    """approx_steiner is Mehlhorn's construction: one search from all
+    terminals, an MST of the bridges between their regions, and each
+    bridge expanded along parent pointers."""
 
     @given(tie_heavy())
     @settings(max_examples=80, deadline=None)
-    def test_prim_over_blocked_rows_equals_kruskal_over_the_full_closure(self, case):
+    def test_a_tree_over_the_terminals_with_terminal_leaves(self, case):
         g, ts = case
-        full = Graph(g.n, g.edges)  # equal graph, its own memo
-        sps = [shortest_paths(full, t) for t in ts[:-1]]
-        closure = [(sps[i].distance_raw(v), u, v)
-                   for i, u in enumerate(ts[:-1]) for v in ts[i + 1:]]
-        blocked = _closure_searches(g, ts)
-        assert not g._sssp_memo  # every row was a blocked search
-        prim = {(ts[i], ts[j]) for i, j in _closure_mst(ts, blocked)}
-        assert prim == _kruskal(closure)
+        tree = approx_steiner(g, ts)
+        assert is_tree(tree.edges, ts)
+        assert leaves_are_terminals(tree.edges, ts)
+        assert tree.weight == sum(g.weight_of(u, v) for u, v in tree.edges)
 
-
-class TestBlockedApproxSteiner:
-    """approx_steiner's terminal-blocked closure searches give the tree of
-    full searches, leave only full searches in the memo, and run at most
-    one blocked and one full search per source on a graph."""
-
-    @given(tie_heavy(), st.randoms(use_true_random=False))
+    @given(tie_heavy())
     @settings(max_examples=80, deadline=None)
-    def test_equals_the_full_row_reference(self, case, rnd):
+    def test_bridge_keys_sum_to_the_closure_mst_weight(self, case):
+        # Mehlhorn's lemma.  Integer weights keep binary64 sums exact, so
+        # it holds to the bit in both regimes.
         g, ts = case
-        expected = reference_approx_steiner(g, ts)
-        fresh = Graph(g.n, g.edges)  # equal graphs, each with its own memo
-        assert set(approx_steiner(fresh, ts).edges) == expected
-        # Some rows memoised in full before the call, the rest blocked.
-        partly = Graph(g.n, g.edges)
-        for t in rnd.sample(ts, rnd.randint(0, len(ts))):
-            shortest_paths(partly, t)
-        assert set(approx_steiner(partly, ts).edges) == expected
-        # A second call runs full searches where the first ran blocked ones.
-        again = approx_steiner(fresh, ts)
-        assert set(again.edges) == expected
-        assert again.weight == sum(g.weight_of(u, v) for u, v in expected)
+        denom = g._packed[0]
+        _, chosen = _voronoi_bridges(g, ts)
+        bridges = sum(key[0] for key in chosen)
+        if denom is not None:
+            bridges = Fraction(bridges, denom)
+        assert len(chosen) == len(ts) - 1
+        assert bridges == sum(d for d, _, _ in reference_closure_mst(g, ts))
+        assert approx_steiner(g, ts).weight <= bridges
 
-    @given(tie_heavy(), st.randoms(use_true_random=False))
-    @settings(max_examples=60, deadline=None)
-    def test_memo_holds_only_full_searches(self, case, rnd):
+    @given(tie_heavy())
+    @settings(max_examples=80, deadline=None)
+    def test_each_bridge_joins_the_nearest_terminals_of_its_ends(self, case):
+        # The parent pointers from a bridge's ends reach ts[i] and ts[j],
+        # no terminal is nearer to either end, and the key is the length
+        # of the walk ts[i] .. u - v .. ts[j].
         g, ts = case
-        for _ in range(3):
-            approx_steiner(g, rnd.sample(ts, rnd.randint(1, len(ts))))
-            for sp in g._sssp_memo.values():
-                assert all(sp.reachable(v) for v in range(g.n))
+        denom = g._packed[0]
+        fw = floyd_warshall(g)
+        parent, chosen = _voronoi_bridges(g, ts)
+        for d, i, j, u, v in chosen:
+            ends = []
+            for x in (u, v):
+                while x not in ts:
+                    x = parent[x]
+                ends.append(x)
+            assert ends == [ts[i], ts[j]]
+            for x, t in ((u, ts[i]), (v, ts[j])):
+                assert fw[t][x] == min(fw[s][x] for s in ts)
+            walk = fw[ts[i]][u] + g.weight_of(u, v) + fw[v][ts[j]]
+            assert walk == (d if denom is None else Fraction(d, denom))
 
-    @given(tie_heavy(), st.randoms(use_true_random=False))
+    @given(tie_heavy())
     @settings(max_examples=60, deadline=None)
-    def test_at_most_one_blocked_and_one_full_search_per_source(self, case, rnd):
+    def test_equal_graphs_built_apart_give_equal_trees(self, case):
+        g, ts = case
+        again = Graph.from_edges(g.n, reversed(g.edges))
+        first = approx_steiner(g, ts)
+        assert approx_steiner(again, list(reversed(ts))) == first
+        assert approx_steiner(g, ts) == first
+
+    @given(tie_heavy())
+    @settings(max_examples=60, deadline=None)
+    def test_one_search_per_call(self, case):
         g, ts = case
         calls = []
         original = shortest_paths_adj
 
         def counted(adj, source, denom=None):
-            calls.append((source, "full" if adj is g._packed[1] else "blocked"))
+            calls.append(source)
             return original(adj, source, denom)
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(graph_mod, "shortest_paths_adj", counted)
             mp.setattr(steiner_mod, "shortest_paths_adj", counted)
-            for _ in range(4):
-                approx_steiner(g, rnd.sample(ts, rnd.randint(1, len(ts))))
             approx_steiner(g, ts)
-        assert calls and max(Counter(calls).values()) == 1
-        # A source's blocked search, if any, came before its full one.
-        for source, kind in calls:
-            if kind == "full" and (source, "blocked") in calls:
-                assert calls.index((source, "blocked")) < calls.index((source, kind))
+        assert calls == [g.n]  # the virtual source
+        assert not g._sssp_memo
+
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_an_equidistant_vertex_joins_the_region_of_its_parent(self, exact):
+        # Path 1 - 2 - 4 - 0 - 3, terminals 1 and 3: vertex 4 is two hops
+        # from both, its parent is 0, the smaller id, so it lies in the
+        # region of 3, not of the smaller terminal, and the bridge is (2, 4).
+        order = [1, 2, 4, 0, 3]
+        g = Graph.from_edges(5, [(a, b, as_weight(1, exact))
+                                 for a, b in zip(order, order[1:])])
+        parent, [key] = _voronoi_bridges(g, [1, 3])
+        assert parent[4] == 0
+        assert key == (4, 0, 1, 2, 4)
+        assert approx_steiner(g, [1, 3]).edges == {(1, 2), (2, 4), (0, 4), (0, 3)}
+
+    def test_disconnected_terminals_are_refused(self):
+        g = Graph(4, ((0, 1, 1), (2, 3, 1)))
+        with pytest.raises(UnknownEdgeError):
+            approx_steiner(g, [0, 3])
 
 
 class TestKernelAgainstTupleCompare:

@@ -1,10 +1,12 @@
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from helpers import rand_connected_graph, rand_tree
 from lightspan.additive import EpsilonSplit, build_h0_eps, greedy_complete
+from lightspan import additive as additive_mod, sampled as sampled_mod
 from lightspan.generators import GeneratorSpec, generate
 from lightspan.graph import Beta, Graph, FixedPath, SubgraphAdjacency, canonical
 from lightspan.oracle import verify_spanner
@@ -202,6 +204,33 @@ class TestWmaxSpanner:
                             lambda self, u, v: real(self, u, v) + 10)
         with pytest.raises(DistanceChainError):
             _distance_chains(g, bb, edges, route, [1, 3], cfg)
+
+    def test_no_backbone_is_built_twice(self, monkeypatch):
+        # choose_ell hands its sample backbones to the sample spanner, so
+        # no (terminal set, beta) backbone repeats within one build, and
+        # the edges are those of a sample spanner with its own backbone.
+        g, terms, _ = generate(GeneratorSpec(
+            "erdos-renyi", n=60, seed=4, terminal_fraction=0.2, exact=False))
+        real_one_level = sampled_mod._one_level
+        for seed in range(3):
+            cfg = SampleConfig(SPLIT, seed=seed)
+            calls = Counter()
+
+            def counted(g, terminals, beta):
+                calls[frozenset(terminals), beta] += 1
+                return build_backbone(g, terminals, beta)
+
+            with monkeypatch.context() as mp:
+                mp.setattr(sampled_mod, "build_backbone", counted)
+                mp.setattr(additive_mod, "build_backbone", counted)
+                sp = wmax_spanner(g, terms, cfg)
+            assert sp.meta["fallback"] is False and sp.meta["sample_size"] >= 2
+            assert max(calls.values()) == 1
+            assert sum(len(ts) == sp.meta["sample_size"] for ts, _ in calls) == 1
+            with monkeypatch.context() as mp:
+                mp.setattr(sampled_mod, "_one_level",
+                           lambda *args, bb: real_one_level(*args))
+                assert wmax_spanner(g, terms, cfg).edges == sp.edges
 
     def test_needs_two_terminals(self):
         g = rand_connected_graph(2, 8, 10)

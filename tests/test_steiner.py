@@ -4,7 +4,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import enumerate_steiner_optimum, rand_connected_graph, rand_tree, subgraph_dist
+from helpers import (
+    enumerate_steiner_optimum,
+    is_tree,
+    leaves_are_terminals,
+    rand_connected_graph,
+    rand_tree,
+    subgraph_dist,
+)
 from lightspan.graph import Beta, Graph, canonical
 from lightspan import steiner
 from lightspan.steiner import (
@@ -17,38 +24,6 @@ from lightspan.steiner import (
     exact_steiner,
     prune_to_terminals,
 )
-
-
-def is_tree(edges, must_span=()):
-    if not edges:
-        return len(set(must_span)) <= 1
-    verts = {x for e in edges for x in e}
-    if not set(must_span) <= verts:
-        return False
-    parent = {}
-
-    def find(x):
-        parent.setdefault(x, x)
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for u, v in edges:
-        ru, rv = find(u), find(v)
-        if ru == rv:
-            return False  # cycle
-        parent[rv] = ru
-    roots = {find(v) for v in verts}
-    return len(roots) == 1
-
-
-def leaves_are_terminals(edges, terminals):
-    deg = {}
-    for u, v in edges:
-        deg[u] = deg.get(u, 0) + 1
-        deg[v] = deg.get(v, 0) + 1
-    return all(v in terminals for v, d in deg.items() if d == 1)
 
 
 class TestApproxSteiner:
