@@ -177,7 +177,9 @@ class _Instrumentor:
             "w": w,
             "premise": d_cur > self.table.dist(u, v) + self.split.eps * w,
             "witnesses": witnesses,
-            "before": {x: current.sssp(x) for x in pair},
+            # Values, not the live lists, which add_edge lowers in place.
+            "before": {(x, q): current.distance(x, q)
+                       for x in pair for q in witnesses},
             "seton_snapshot": set(self.setoffs),
         }
 
@@ -187,12 +189,11 @@ class _Instrumentor:
         u, v = ctx["pair"]
         w = ctx["w"]
         thr = self.split.eps2 * w / 2
-        after = {x: current.sssp(x) for x in (u, v)}
         for q in ctx["witnesses"]:
             drops = {}
             for x in (u, v):
-                d_b = ctx["before"][x].distance(q)
-                d_a = after[x].distance(q)
+                d_b = ctx["before"][x, q]
+                d_a = current.distance(x, q)
                 drops[x] = d_b - d_a if d_a != math.inf else 0
                 d_full = shortest_paths(self.gps, x).distance(q)
                 cond1 = d_a <= d_full + 2 * self.split.eps1 * w

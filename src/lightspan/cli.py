@@ -123,9 +123,9 @@ def _cmd_multilevel(args) -> int:
 def _cmd_verify(args) -> int:
     g, terminals, _levels = _load_instance_arg(args)
     edges = []
-    for line in _read(args.edges).splitlines():
+    for i, line in enumerate(_read(args.edges).splitlines()):
         line = line.split("#", 1)[0].strip()
-        if not line:
+        if not line or (i == 0 and line == "u,v"):  # `spanner --format csv`
             continue
         u, v = line.replace(",", " ").split()[:2]
         edges.append((int(u), int(v)))
@@ -194,7 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
     _shared_flags(ver)
     ver.add_argument("--input", required=True)
     ver.add_argument("--edges", required=True,
-                     help="file of 'u v' spanner edges or -")
+                     help="file of 'u v' or 'u,v' spanner edges, or -")
     ver.set_defaults(func=_cmd_verify)
 
     ben = subs.add_parser("bench", help="run an experiment config")

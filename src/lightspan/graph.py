@@ -201,9 +201,6 @@ class Graph:
         except KeyError:
             raise UnknownEdgeError(f"edge ({u},{v}) not in graph") from None
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return canonical(u, v) in self.weight_by_pair
-
     def check_vertex(self, u: int) -> None:
         if not (0 <= u < self.n):
             raise InvalidVertexError(f"vertex {u} outside 0..{self.n - 1}")
@@ -271,11 +268,6 @@ class ShortestPaths:
     def distance(self, v: int) -> Weight:
         return _unpack(self._dist[v], self._denom)
 
-    def distance_raw(self, v: int) -> Weight:
-        """Packed-integer distance (same denominator as the host graph)."""
-        d = self._dist[v]
-        return INF if d is None else d
-
     def max_edge(self, v: int) -> Weight:
         """Heaviest edge weight on the tree path to v (0 at the source)."""
         return _unpack(self._maxw[v], self._denom)
@@ -294,7 +286,9 @@ class ShortestPaths:
 
 
 def shortest_paths_adj(adj, source: int, denom: int | None = None) -> ShortestPaths:
-    """Deterministic Dijkstra over an adjacency structure.
+    """Deterministic Dijkstra over an adjacency structure: the engine for
+    searches whose paths are read (host searches and the Voronoi regions
+    of `steiner.approx_steiner`); distances alone come from `_relax`.
 
     `adj` indexes each vertex 0..len(adj)-1 to its (neighbor, weight)
     pairs; with strictly positive weights the (distance, hops, parent)
@@ -362,27 +356,51 @@ def shortest_paths(g: Graph, source: int) -> ShortestPaths:
     return sp
 
 
+def _relax(adj, dist: list[Weight | None],
+           seeds: list[tuple[Weight, int]]) -> list[Weight | None]:
+    """Decrease-only search (Ramalingam & Reps, J. Algorithms 21, 1996):
+    lower dist[x] to d for each seed (d, x), consuming seeds, then relax
+    outward while distances drop; returns dist.  The engine for distances
+    that need no path; `shortest_paths_adj` is the one for paths."""
+    heappush, heappop = heapq.heappush, heapq.heappop
+    for d, x in seeds:
+        dist[x] = d
+    heapq.heapify(seeds)
+    while seeds:
+        d, x = heappop(seeds)
+        if d > dist[x]:
+            continue  # superseded by a later decrease
+        for y, w in adj[x]:
+            nd = d + w
+            dy = dist[y]
+            if dy is None or nd < dy:
+                dist[y] = nd
+                heappush(seeds, (nd, y))
+    return dist
+
+
 class SubgraphAdjacency:
     """Mutable adjacency over a subset of a host graph's edges.
 
     Used by greedy loops that repeatedly query distances on a growing
-    edge set; weights are taken packed from the host graph.
+    edge set; weights are taken packed from the host graph.  No caller
+    needs a path, so its engine is `_relax`, not `shortest_paths_adj`.
 
-    `distances(s)` is seeded by one search and then kept exact under
-    `add_edge`: when the new edge (a, b, w) shortens d(s, b) through a
-    (or d(s, a) through b), a decrease-only Dijkstra from that endpoint
-    lowers exactly the vertices whose distance drops (Ramalingam & Reps,
-    J. Algorithms 21, 1996).  Edges are never removed, so no distance
-    ever rises.
+    `distances(s)` is seeded by `_relax` from (0, s) and then kept exact
+    under `add_edge`: when the new edge (a, b, w) shortens d(s, b)
+    through a (or d(s, a) through b), `_relax` from that endpoint lowers
+    exactly the vertices whose distance drops.  Edges are never removed,
+    so no distance ever rises.
 
-    The repaired lists equal a fresh search bit for bit, in binary64
-    too.  Both compute, for every vertex, the minimum over paths from s
-    of the path length summed in order from s.  Rounded addition is
-    monotone and fl(d + w) >= d for w > 0, so that minimum is the only
-    labelling with d(s) = 0 that gives each vertex the summed length of
-    some walk from s and that no edge can lower.  Each repaired value is
-    the length of a walk (an old path, or a repaired one extended by an
-    edge), and the repair stops only when no edge lowers any label.
+    The seeded and repaired lists equal a kernel search bit for bit, in
+    binary64 too.  Both compute, for every vertex, the minimum over
+    paths from s of the path length summed in order from s.  Rounded
+    addition is monotone and fl(d + w) >= d for w > 0, so that minimum
+    is the only labelling with d(s) = 0 that gives each vertex the summed
+    length of some walk from s and that no edge can lower.  Each value
+    `_relax` sets is the length of a walk (the seed, an old path, or a
+    relaxed one extended by an edge), and it stops only when no edge
+    lowers any label.
     """
 
     def __init__(self, host: Graph, edges: Iterable[Pair] = ()) -> None:
@@ -410,28 +428,9 @@ class SubgraphAdjacency:
         for dist in self._live.values():
             du, dv = dist[u], dist[v]
             if du is not None and (dv is None or du + w < dv):
-                self._decrease(dist, [(du + w, v)])
+                _relax(self._adj, dist, [(du + w, v)])
             elif dv is not None and (du is None or dv + w < du):
-                self._decrease(dist, [(dv + w, u)])
-
-    def _decrease(self, dist: list[Weight | None],
-                  heap: list[tuple[Weight, int]]) -> None:
-        """Lower dist[x] to d for each heap entry (d, x), then relax
-        outward for as long as distances drop."""
-        adj = self._adj
-        for d, x in heap:
-            dist[x] = d
-        heapq.heapify(heap)
-        while heap:
-            d, x = heapq.heappop(heap)
-            if d > dist[x]:
-                continue  # superseded by a later decrease
-            for y, w in adj[x]:
-                nd = d + w
-                dy = dist[y]
-                if dy is None or nd < dy:
-                    dist[y] = nd
-                    heapq.heappush(heap, (nd, y))
+                _relax(self._adj, dist, [(dv + w, u)])
 
     def __contains__(self, pair: Pair) -> bool:
         return canonical(*pair) in self._edges
@@ -440,15 +439,12 @@ class SubgraphAdjacency:
     def edges(self) -> frozenset[Pair]:
         return frozenset(self._edges)
 
-    def sssp(self, source: int) -> ShortestPaths:
-        """A fresh search with paths, not kept up to date."""
-        return shortest_paths_adj(self._adj, source, self.denom)
-
     def distances(self, source: int) -> list[Weight | None]:
         """Live packed distances from source (None = unreached), read-only."""
         dist = self._live.get(source)
         if dist is None:
-            dist = self._live[source] = self.sssp(source)._dist
+            dist = self._live[source] = _relax(
+                self._adj, [None] * len(self._adj), [(0, source)])
         return dist
 
     def distance(self, u: int, v: int) -> Weight:
@@ -456,37 +452,29 @@ class SubgraphAdjacency:
 
     def multi_source_distances(self, sources: Iterable[int]) -> dict[int, Weight]:
         """Distance from the nearest source, for every reachable vertex."""
-        dist: list[Weight | None] = [None] * len(self._adj)
-        self._decrease(dist, [(0, s) for s in sources if self._adj[s]])
+        dist = _relax(self._adj, [None] * len(self._adj),
+                      [(0, s) for s in sources if self._adj[s]])
         return {v: _unpack(d, self.denom) for v, d in enumerate(dist)
                 if d is not None}
 
 
 class TreeDistances:
     """Distances on a forest of a host graph's edges (the backbone's
-    Steiner tree R), by one walk per source: `distances(s)` sets
-    dist[y] = dist[x] + w for each tree edge (x, y, w) met from x, with
-    weights packed as in `SubgraphAdjacency`.
+    Steiner tree R), by one walk per source over a `SubgraphAdjacency`'s
+    packed adjacency: `distances(s)` sets dist[y] = dist[x] + w for each
+    tree edge (x, y, w) met from x: no search engine, and no heap.
 
-    The lists equal a Dijkstra search of the same edges bit for bit, in
-    binary64 too.  The path from s to y is unique, and every other
-    neighbour of y lies behind y, so Dijkstra labels y once, from its
-    neighbour x on the path: dist[y] = dist[x] + w, the path summed in
-    order from s, which is what the walk computes.  (depth(s) + depth(y)
-    - 2 depth(lca) from a fixed root sums in another order, and its
-    binary64 results can differ.)
+    The lists equal a `_relax` or kernel search of the same edges bit
+    for bit, in binary64 too.  The path from s to y is unique, and every
+    other neighbour of y lies behind y, so a search labels y once, from
+    its neighbour x on the path: dist[y] = dist[x] + w, the path summed
+    in order from s, which is what the walk computes.  (depth(s) +
+    depth(y) - 2 depth(lca) from a fixed root sums in another order, and
+    its binary64 results can differ.)
     """
 
     def __init__(self, host: Graph, edges: Iterable[Pair]) -> None:
-        denom, _ = host._packed
-        adj: list[list[tuple[int, Weight]]] = [[] for _ in range(host.n)]
-        for u, v in edges:
-            w = host.weight_of(u, v)
-            if denom is not None:
-                w = _pack(w, denom)
-            adj[u].append((v, w))
-            adj[v].append((u, w))
-        self._adj = adj
+        self._adj = SubgraphAdjacency(host, edges)._adj
 
     def distances(self, source: int) -> list[Weight | None]:
         """Packed distances from source (None = not on the forest's

@@ -34,6 +34,7 @@ from .graph import (
     PairBounds,
     SubgraphAdjacency,
     Weight,
+    _unpack,
 )
 from .steiner import Backbone, build_backbone
 from .transform import ScaledInstance, map_back, scaled_universe
@@ -284,20 +285,21 @@ def _distance_chains(g: Graph, bb: Backbone, edges_g: Iterable[Pair],
     """
     sub = SubgraphAdjacency(g, edges_g)
     w_max = g.w_max
-    sample_sp = {r: sub.sssp(r) for r in sample}
+    rows = {r: [_unpack(d, sub.denom) for d in sub.distances(r)]
+            for r in sample}
     out: list[dict] = []
     for pair, (path, pre, suf) in sorted(route.items()):
         u, v = pair
         pre_verts = [x for e in pre for x in e if x < g.n]
         suf_verts = [x for e in suf for x in e if x < g.n]
         best_pre = best_suf = None
-        for r, sp in sample_sp.items():
+        for r in rows:
             for a in pre_verts:
-                d = sp.distance(a)
+                d = rows[r][a]
                 if d <= w_max and (best_pre is None or (d, a, r) < best_pre):
                     best_pre = (d, a, r)
             for b in suf_verts:
-                d = sp.distance(b)
+                d = rows[r][b]
                 if d <= w_max and (best_suf is None or (d, b, r) < best_suf):
                     best_suf = (d, b, r)
         hit = best_pre is not None and best_suf is not None
@@ -305,9 +307,8 @@ def _distance_chains(g: Graph, bb: Backbone, edges_g: Iterable[Pair],
         if hit:
             _, a, r = best_pre
             _, b, s = best_suf
-            chain = (sub.distance(u, a) + sample_sp[r].distance(a)
-                     + sample_sp[r].distance(s) + sample_sp[s].distance(b)
-                     + sub.distance(b, v))
+            chain = (sub.distance(u, a) + rows[r][a] + rows[r][s]
+                     + rows[s][b] + sub.distance(b, v))
             allowed = (bb.path_table.dist(u, v)
                        + (4 + cfg.split.eps) * w_max)
             entry["chain"] = chain

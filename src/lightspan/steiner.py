@@ -16,15 +16,18 @@ reads R's distances from one walk of R per source
 (`graph.TreeDistances`), not from a Dijkstra search: on a tree both sum
 the unique path in order from the source, so the distances, and P, are
 the same bit for bit.
+
+Of `graph`'s two search engines, the Voronoi regions and fixed paths read
+parent pointers from `shortest_paths_adj`; the Dreyfus-Wagner rows need
+only distances, from `_relax`.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .graph import (
     Beta,
@@ -37,6 +40,7 @@ from .graph import (
     TreeDistances,
     UnknownEdgeError,
     Weight,
+    _relax,
     build_path_table,
     canonical,
     shortest_paths,
@@ -255,6 +259,13 @@ def exact_steiner(g: Graph, terminals: Iterable[int]) -> SteinerTree:
 
     Exponential in the number of terminals (capped at 12); used as the
     oracle behind lightness denominators and approximation-ratio tests.
+
+    Row `mask` holds per vertex v the packed weight of a cheapest tree
+    spanning v and the terminals in `mask`: a singleton's memoised host
+    search, else the elementwise minimum of its split merges, relaxed by
+    `_relax`.  The tree is rebuilt by integer equality: from (mask, v) to
+    a neighbour u with row[u] + w == row[v], else to a split whose halves
+    sum to row[v]; a singleton follows its search's parents.
     """
     if not g.is_exact:
         raise NonExactArithmeticError(
@@ -272,84 +283,74 @@ def exact_steiner(g: Graph, terminals: Iterable[int]) -> SteinerTree:
 
     denom, adj = g._packed
     root = ts[-1]
-    others = ts[:-1]
-    t = len(others)
-    full = (1 << t) - 1
-    cost: list[dict[int, Weight]] = [{} for _ in range(full + 1)]
-    pred: list[dict[int, tuple[str, int]]] = [{} for _ in range(full + 1)]
+    singles = [shortest_paths(g, q) for q in ts[:-1]]
+    full = (1 << len(singles)) - 1
+    rows: list[list[int | None]] = [[]] * (full + 1)
+    for i, sp in enumerate(singles):
+        rows[1 << i] = sp._dist  # read only
 
-    for i, q in enumerate(others):
-        sp = shortest_paths(g, q)
-        m = 1 << i
-        cm, pm = cost[m], pred[m]
-        for v in sp.reached():
-            cm[v] = sp.distance_raw(v) if denom is not None else sp.distance(v)
-            if v != q:
-                pm[v] = ("walk", sp._parent[v])
+    def splits(mask: int) -> Iterator[tuple[int, int]]:
+        sub = (mask - 1) & mask
+        while sub:
+            if sub < mask ^ sub:
+                yield sub, mask ^ sub
+            sub = (sub - 1) & mask
 
     for mask in range(1, full + 1):
         if mask & (mask - 1) == 0:
             continue
-        cm: dict[int, Weight] = {}
-        pm: dict[int, tuple[str, int]] = {}
-        sub = (mask - 1) & mask
-        while sub:
-            other = mask ^ sub
-            if sub < other:
-                cs, co = cost[sub], cost[other]
-                small, big = (cs, co) if len(cs) <= len(co) else (co, cs)
-                for v, c1 in small.items():
-                    c2 = big.get(v)
-                    if c2 is None:
-                        continue
-                    nc = c1 + c2
-                    if v not in cm or nc < cm[v]:
-                        cm[v] = nc
-                        pm[v] = ("merge", sub)
-            sub = (sub - 1) & mask
-        heap = sorted((c, v) for v, c in cm.items())
-        heapq.heapify(heap)
-        settled: set[int] = set()
-        while heap:
-            c, v = heapq.heappop(heap)
-            if v in settled or c > cm.get(v, c):
-                continue
-            settled.add(v)
-            for u, w in adj[v]:
-                nc = c + w
-                if u not in cm or nc < cm[u]:
-                    cm[u] = nc
-                    pm[u] = ("walk", v)
-                    heapq.heappush(heap, (nc, u))
-        cost[mask], pred[mask] = cm, pm
+        row: list[int | None] = [None] * g.n
+        for a, b in splits(mask):
+            for v, (ca, cb) in enumerate(zip(rows[a], rows[b])):
+                if ca is not None and cb is not None:
+                    c = ca + cb
+                    if row[v] is None or c < row[v]:
+                        row[v] = c
+        rows[mask] = _relax(adj, row, [(c, v) for v, c in enumerate(row)
+                                       if c is not None])
+    if rows[full][root] is None:
+        raise UnknownEdgeError("the terminals are not connected")
 
+    # Each step lowers row[v] within a mask or splits the mask into
+    # disjoint halves, so no state (mask, v) is met twice.
     edges: set[Pair] = set()
-    stack = [(full, root)]
+    stack, seen = [(full, root)], set()
     while stack:
         mask, v = stack.pop()
-        while True:
-            tag = pred[mask].get(v)
-            if tag is None:
+        if (mask, v) in seen:
+            raise SteinerReconstructionError(f"rebuild met {v} in {mask} twice")
+        seen.add((mask, v))
+        if mask & (mask - 1) == 0:
+            parent = singles[mask.bit_length() - 1]._parent
+            while parent[v] != -1:
+                edges.add(canonical(v, parent[v]))
+                v = parent[v]
+            continue
+        row = rows[mask]
+        c = row[v]
+        u = next((u for u, w in adj[v]
+                  if row[u] is not None and row[u] + w == c), None)
+        if u is not None:
+            edges.add(canonical(u, v))
+            stack.append((mask, u))
+            continue
+        for a, b in splits(mask):
+            ca, cb = rows[a][v], rows[b][v]
+            if ca is not None and cb is not None and ca + cb == c:
+                stack += [(a, v), (b, v)]
                 break
-            kind, x = tag
-            if kind == "walk":
-                edges.add(canonical(x, v))
-                v = x
-            else:
-                stack.append((x, v))
-                stack.append((mask ^ x, v))
-                break
+        else:
+            raise SteinerReconstructionError(f"no split of {mask} at {v} "
+                                             f"weighs {c}")
 
     # Ties in the DP can reconstruct a subgraph rather than a tree; an MST
     # plus pruning restores treeness without changing the optimal weight.
     mst = _kruskal((g.weight_of(u, v), u, v) for u, v in edges)
     tree = _tree_of(g, tset, prune_to_terminals(mst, tset))
-    best = cost[full][root]
-    if denom is not None:
-        best = Fraction(best, denom)
-        if tree.weight != best:
-            raise SteinerReconstructionError(
-                f"reconstructed tree weighs {tree.weight}, optimum is {best}")
+    best = Fraction(rows[full][root], denom)
+    if tree.weight != best:
+        raise SteinerReconstructionError(
+            f"reconstructed tree weighs {tree.weight}, optimum is {best}")
     return tree
 
 

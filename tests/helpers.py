@@ -16,6 +16,7 @@ from fractions import Fraction
 
 from hypothesis import strategies as st
 
+from lightspan import graph as graph_mod
 from lightspan.graph import Graph, build_path_table, canonical
 
 
@@ -221,6 +222,65 @@ def reference_sssp(adj, source: int):
     return dist, parent, maxw
 
 
+def reference_exact_steiner(g: Graph, terminals) -> Fraction:
+    """The dict-based Dreyfus-Wagner program the library's list rows
+    replaced: per subset of the terminals but the largest, a dict of
+    vertex -> packed cost, the minimum over the subset's splits, relaxed
+    by its own heap loop.  Returns the optimum weight in host units;
+    exact graphs only."""
+    denom, adj = g._packed
+    ts = sorted(set(terminals))
+    root, others = ts[-1], ts[:-1]
+    full = (1 << len(others)) - 1
+    cost = [{} for _ in range(full + 1)]
+    for i, q in enumerate(others):
+        cost[1 << i] = {v: d for v, d in enumerate(reference_sssp(adj, q)[0])
+                        if d is not None}
+    for mask in range(1, full + 1):
+        if mask & (mask - 1) == 0:
+            continue
+        cm = {}
+        sub = (mask - 1) & mask
+        while sub:
+            other = mask ^ sub
+            if sub < other:
+                for v, c1 in cost[sub].items():
+                    c2 = cost[other].get(v)
+                    if c2 is not None and (v not in cm or c1 + c2 < cm[v]):
+                        cm[v] = c1 + c2
+            sub = (sub - 1) & mask
+        heap = sorted((c, v) for v, c in cm.items())
+        settled = set()
+        while heap:
+            c, v = heapq.heappop(heap)
+            if v in settled or c > cm[v]:
+                continue
+            settled.add(v)
+            for u, w in adj[v]:
+                if u not in cm or c + w < cm[u]:
+                    cm[u] = c + w
+                    heapq.heappush(heap, (c + w, u))
+        cost[mask] = cm
+    return Fraction(cost[full][root], denom)
+
+
+def record_seeded_searches(monkeypatch) -> list[int]:
+    """Patch `graph._relax` to record, in call order, the seed vertices of
+    every search it starts on a fresh (all-None) list, the way
+    `SubgraphAdjacency.distances` seeds a source.  Repairs after an edge
+    insertion run on filled lists and are not recorded."""
+    seeded = []
+    real = graph_mod._relax
+
+    def recording(adj, dist, seeds):
+        if all(d is None for d in dist):
+            seeded.extend(x for _, x in seeds)
+        return real(adj, dist, seeds)
+
+    monkeypatch.setattr(graph_mod, "_relax", recording)
+    return seeded
+
+
 def reference_closure_mst(g: Graph, terminals):
     """The MST of the metric closure on the terminals, from a full search
     per terminal: the closure edge list sorted by (d, u, v), then
@@ -308,9 +368,11 @@ def cycle_graph(n: int, weight: int, chords: list[tuple[int, int]],
 
 
 @st.composite
-def tie_heavy(draw):
-    """(graph, terminals) on a tie-heavy graph, exact or binary64."""
-    exact = draw(st.booleans())
+def tie_heavy(draw, exact=None, max_terminals=None):
+    """(graph, terminals) on a tie-heavy graph, exact or binary64 unless
+    `exact` fixes the regime, with at most `max_terminals` terminals."""
+    if exact is None:
+        exact = draw(st.booleans())
     kind = draw(st.sampled_from(["unit-grid", "grid-1-2", "cycle"]))
     if kind == "cycle":
         n = draw(st.integers(3, 12))
@@ -322,7 +384,8 @@ def tie_heavy(draw):
         weights = [1] if kind == "unit-grid" else draw(
             st.lists(st.sampled_from([1, 2]), min_size=1, max_size=7))
         g = grid_graph(rows, cols, weights, exact)
-    ts = draw(st.lists(st.integers(0, g.n - 1), min_size=2, unique=True))
+    ts = draw(st.lists(st.integers(0, g.n - 1), min_size=2,
+                       max_size=max_terminals, unique=True))
     return g, sorted(ts)
 
 

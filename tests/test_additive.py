@@ -8,6 +8,7 @@ from helpers import (
     greedy_reference,
     rand_connected_graph,
     rand_tree,
+    record_seeded_searches,
     subgraph_dist,
     tenths_graph,
 )
@@ -23,7 +24,7 @@ from lightspan.additive import (
     neighborhood_budget,
 )
 from lightspan.generators import GeneratorSpec, generate
-from lightspan.graph import Beta, Graph, SubgraphAdjacency, canonical
+from lightspan.graph import Beta, Graph, canonical
 from lightspan.sampled import SampleConfig, wmax_spanner
 from lightspan.steiner import build_backbone
 from lightspan.transform import ScaledInstance, scaled_universe
@@ -252,10 +253,7 @@ class TestGreedyAgainstReference:
         assert sum(state.insertions for *_, state in calls) > 0
 
     def test_at_most_one_search_per_source(self, monkeypatch):
-        searched = []
-        real = SubgraphAdjacency.sssp
-        monkeypatch.setattr(SubgraphAdjacency, "sssp",
-                            lambda self, s: searched.append(s) or real(self, s))
+        searched = record_seeded_searches(monkeypatch)
         total = 0
         for g, terms, _ in greedy_instances("unit-grid"):
             bb = build_backbone(g, terms, Beta("relative", HALF.eps))

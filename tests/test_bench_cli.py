@@ -1,3 +1,4 @@
+import io
 import json
 
 import pytest
@@ -169,6 +170,23 @@ class TestCli:
                    str(edges_file), "--epsilon", "0.5",
                    "--exact-arithmetic"])
         assert rc == 1
+
+    def test_verify_reads_spanner_csv_from_stdin(self, tmp_path, capsys,
+                                                 monkeypatch):
+        rc = main(["generate", "--kind", "grid", "--n", "16", "--seed", "2"])
+        assert rc == 0
+        inst_file = tmp_path / "inst.json"
+        inst_file.write_text(capsys.readouterr().out)
+        rc = main(["spanner", "--input", str(inst_file), "--algo", "eps",
+                   "--epsilon", "0.5", "--format", "csv"])
+        assert rc == 0
+        csv = capsys.readouterr().out
+        assert csv.startswith("u,v\n")
+        monkeypatch.setattr("sys.stdin", io.StringIO(csv))
+        rc = main(["verify", "--input", str(inst_file), "--edges", "-",
+                   "--epsilon", "0.5"])
+        assert rc == 0, capsys.readouterr().err
+        assert json.loads(capsys.readouterr().out)["ok"] is True
 
     def test_wmax_subcommand(self, tmp_path, capsys):
         rc = main(["generate", "--kind", "erdos-renyi", "--n", "12",

@@ -9,6 +9,7 @@ from helpers import (
     all_shortest_paths,
     floyd_warshall,
     rand_connected_graph,
+    record_seeded_searches,
     tenths_graph,
     tie_break_choice,
 )
@@ -343,19 +344,21 @@ class TestShortestPathsMemo:
                 memo = shortest_paths(g, s)
                 fresh = shortest_paths_adj(adj, s, denom)
                 assert sorted(memo.reached()) == list(range(g.n))
+                assert memo._dist == fresh._dist
                 for v in range(g.n):
                     assert memo.distance(v) == fresh.distance(v)
-                    assert memo.distance_raw(v) == fresh.distance_raw(v)
                     assert memo.path_to(v) == fresh.path_to(v)
 
     def test_subgraph_vertex_without_edges(self):
         g = Graph.from_edges(4, [(0, 1, 2), (1, 2, 3), (2, 3, 1)])
-        sp = SubgraphAdjacency(g, [(0, 1)]).sssp(0)
-        assert list(sp.reached()) == [0, 1]
-        assert sp.distance(1) == 2
-        assert sp.distance(3) == INF and sp.reachable(3) is False
+        sub = SubgraphAdjacency(g, [(0, 1)])
+        dist = sub.distances(0)
+        assert [v for v, d in enumerate(dist) if d is not None] == [0, 1]
+        assert sub.distance(0, 1) == 2
+        assert sub.distance(0, 3) == INF and dist[3] is None
+        # A path is the kernel's to give, and there is none to 3.
         with pytest.raises(UnknownEdgeError):
-            sp.path_to(3)
+            shortest_paths_adj(sub._adj, 0, sub.denom).path_to(3)
 
 
 def live_graph(kind, seed):
@@ -384,7 +387,8 @@ class TestLiveDistances:
                 fresh = SubgraphAdjacency(g, order[:k])
                 for s in sources:
                     assert sub.distances(s) is live[s]
-                    assert live[s] == fresh.sssp(s)._dist
+                    assert live[s] == shortest_paths_adj(
+                        fresh._adj, s, fresh.denom)._dist
             # With every edge in, the lists are the host's own distances,
             # over the host's packed weights.
             for s in sources:
@@ -393,10 +397,7 @@ class TestLiveDistances:
     def test_seeded_by_one_search_per_source(self, monkeypatch):
         g = rand_connected_graph(3, 10, 12)
         sub = SubgraphAdjacency(g)
-        searched = []
-        real = SubgraphAdjacency.sssp
-        monkeypatch.setattr(SubgraphAdjacency, "sssp",
-                            lambda self, s: searched.append(s) or real(self, s))
+        searched = record_seeded_searches(monkeypatch)
         assert sub.distance(0, 5) == INF
         for u, v, _ in g.edges:
             sub.add_edge(u, v)

@@ -17,6 +17,7 @@ from helpers import (
     floyd_warshall,
     rand_connected_graph,
     rand_tree,
+    record_seeded_searches,
     reference_pair_bounds,
     subgraph_dist,
     tenths_graph,
@@ -79,14 +80,7 @@ class TestPairBounds:
         g = rand_connected_graph(6, 12, 16)
         table = build_path_table(g, [0, 3, 7, 11])
         bounds = PairBounds(table, HALF, g.w_max)
-        sources = []
-        real = SubgraphAdjacency.sssp
-
-        def counting(self, source):
-            sources.append(source)
-            return real(self, source)
-
-        monkeypatch.setattr(SubgraphAdjacency, "sssp", counting)
+        sources = record_seeded_searches(monkeypatch)
         full = SubgraphAdjacency(g, all_pairs(g))
         assert all(ok for _, _, ok in bounds.check(full))
         assert sources == [0, 3, 7]

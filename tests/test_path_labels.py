@@ -32,7 +32,7 @@ from lightspan.graph import (
     build_path_table,
     shortest_paths_adj,
 )
-from lightspan.steiner import _voronoi_bridges, approx_steiner
+from lightspan.steiner import _voronoi_bridges, approx_steiner, exact_steiner
 
 
 def _walk(g: Graph, verts):
@@ -193,8 +193,9 @@ class TestVoronoiSteiner:
 
     def test_disconnected_terminals_are_refused(self):
         g = Graph(4, ((0, 1, 1), (2, 3, 1)))
-        with pytest.raises(UnknownEdgeError):
-            approx_steiner(g, [0, 3])
+        for solver in (approx_steiner, exact_steiner):
+            with pytest.raises(UnknownEdgeError):
+                solver(g, [0, 3])
 
 
 class TestKernelAgainstTupleCompare:

@@ -10,7 +10,9 @@ from helpers import (
     leaves_are_terminals,
     rand_connected_graph,
     rand_tree,
+    reference_exact_steiner,
     subgraph_dist,
+    tie_heavy,
 )
 from lightspan.graph import Beta, Graph, canonical
 from lightspan import steiner
@@ -140,6 +142,17 @@ class TestExactSteiner:
         t = exact_steiner(g, [0, 1, 2])
         assert t.weight == 3
         assert t.edges == frozenset({(0, 3), (1, 3), (2, 3)})
+
+    @given(tie_heavy(exact=True, max_terminals=8))
+    @settings(max_examples=80, deadline=None)
+    def test_rows_match_the_dict_program_on_tie_heavy_graphs(self, case):
+        # Equal-weight alternatives abound here, so the rebuild by
+        # integer equality meets many ties.
+        g, ts = case
+        tree = exact_steiner(g, ts)
+        assert tree.weight == reference_exact_steiner(g, ts)
+        assert is_tree(tree.edges, ts)
+        assert leaves_are_terminals(tree.edges, ts)
 
 
 class TestPrune:
