@@ -1,15 +1,18 @@
 """Deterministic subsetwise additive spanners.
 
-Two constructions share one greedy completion loop over the spliced
-scaled graph: the +eps*W(.,.) spanner seeds the loop with one sub-unit
-edge per S' vertex, the +(4+eps)*W(.,.) spanner seeds it with a weight
-budget of cheap edges around every terminal.  Pairs are processed in
+Two constructions share one greedy completion loop over the host graph:
+the +eps*W(.,.) spanner seeds the loop with one sub-unit edge per S'
+vertex, the +(4+eps)*W(.,.) spanner seeds it with a weight budget of
+cheap edges around every terminal, both chosen in the scaled universe
+and joined with the backbone tree.  Pairs are processed in
 nondecreasing order of the maximum edge weight on their fixed path, ties
 by shorter distance; a pair whose current detour exceeds its allowance
 gets all missing fixed-path edges inserted (the sampled W_max spanner
-reuses the loop with a prefix/suffix insertion policy).  The result is
-mapped back to the input graph, joined with the backbone tree, and
-certified.
+reuses the loop with a prefix/suffix insertion policy).  The paper runs
+the loop on the spliced graph; on G it agrees up to ties (the scale is
+uniform, every backbone piece is in the initial set, and dropped heavy
+edges lie on no terminal shortest path), and certification reads its
+live subgraph.
 """
 
 from __future__ import annotations
@@ -26,7 +29,6 @@ from .graph import (
     Pair,
     PairBounds,
     SubgraphAdjacency,
-    UnknownEdgeError,
     Weight,
     build_path_table,
     canonical,
@@ -34,7 +36,7 @@ from .graph import (
 )
 from .oracle import LightnessResult, subset_lightness
 from .steiner import Backbone, build_backbone
-from .transform import ScaledInstance, map_back, scaled_universe
+from .transform import ScaledInstance, scaled_universe
 
 
 class SpannerConstructionError(RuntimeError):
@@ -54,8 +56,8 @@ class EpsilonSplit:
     eps2: Weight
 
     def __post_init__(self) -> None:
-        if not (self.eps > 0 and self.eps1 > 0 and self.eps2 > 0):
-            raise ValueError("all epsilon shares must be positive")
+        if not (0 < self.eps < math.inf and self.eps1 > 0 and self.eps2 > 0):
+            raise ValueError("all epsilon shares must be positive and finite")
         if 2 * self.eps1 + self.eps2 != self.eps:
             raise ValueError("split must satisfy 2*eps1 + eps2 = eps")
 
@@ -112,6 +114,8 @@ class GreedyState:
     added: frozenset[Pair]
     insertions: int
     instrumentation: InstrumentationReport | None = None
+    sub: SubgraphAdjacency | None = field(default=None, compare=False,
+                                          repr=False)
 
 
 def build_h0_eps(inst: ScaledInstance, s_prime: Iterable[int]) -> frozenset[Pair]:
@@ -156,10 +160,10 @@ def build_h0_budget(inst: ScaledInstance, terminals: Iterable[int],
 class _Instrumentor:
     """Tracks the set-off / improvement events around each insertion."""
 
-    def __init__(self, inst: ScaledInstance, split: EpsilonSplit, table) -> None:
+    def __init__(self, g: Graph, split: EpsilonSplit, table) -> None:
         self.split = split
         self.table = table
-        self.gps = inst.g_prime_s
+        self.g = g
         self.setoffs: dict[tuple[int, int], int] = {}
         self.improvements: dict[tuple[int, int], int] = {}
         self.failures: list = []
@@ -195,7 +199,7 @@ class _Instrumentor:
                 d_b = ctx["before"][x, q]
                 d_a = current.distance(x, q)
                 drops[x] = d_b - d_a if d_a != math.inf else 0
-                d_full = shortest_paths(self.gps, x).distance(q)
+                d_full = shortest_paths(self.g, x).distance(q)
                 cond1 = d_a <= d_full + 2 * self.split.eps1 * w
                 if ctx["premise"] and not cond1:
                     self.failures.append(((u, v), q, x, "set-off bound"))
@@ -218,33 +222,29 @@ def _insert_path(pair: Pair, path: FixedPath,
     return [e for e in path.edge_pairs() if e not in current]
 
 
-def greedy_complete(inst: ScaledInstance, initial: Iterable[Pair],
+def greedy_complete(g: Graph, initial: Iterable[Pair],
                     terminals: Iterable[int],
                     slack: Callable[[Pair], Weight],
                     instrument: EpsilonSplit | None = None,
                     policy: Callable[[Pair, FixedPath, SubgraphAdjacency],
                                      Iterable[Pair]] = _insert_path) -> GreedyState:
-    """Process terminal pairs of the spliced graph in nondecreasing order
-    of fixed-path max edge weight (ties: shorter distance, then pair id),
-    inserting the edges that the insertion policy(pair, fixed path,
-    current subgraph) returns for every violating pair: by default all
-    missing fixed-path edges, for wmax_spanner a prefix and suffix.
+    """Process terminal pairs of g in nondecreasing order of fixed-path
+    max edge weight (ties: shorter distance, then pair id), inserting the
+    edges that the insertion policy(pair, fixed path, current subgraph)
+    returns for every violating pair: by default all missing fixed-path
+    edges, for wmax_spanner a prefix and suffix.  slack is in g's units.
 
-    The subgraph keeps one live distance list per source terminal,
-    seeded by one search and repaired by a decrease-only search from the
-    endpoints of each inserted edge, so each examined pair is a lookup.
-    Insertions only shrink later distances, so pairs stay satisfied.
+    The fixed paths come from g's memoised searches, which the backbone
+    ran.  The subgraph, returned as state.sub, keeps one live distance
+    list per source terminal, seeded by one search and repaired by a
+    decrease-only search from the endpoints of each inserted edge, so
+    each examined pair is a lookup.  Insertions only shrink later
+    distances, so pairs stay satisfied.
     """
-    gps = inst.g_prime_s
-    init = frozenset(canonical(*e) for e in initial)
-    for e in init:
-        if e not in gps.weight_by_pair:
-            raise UnknownEdgeError(f"initial edge {e} not in spliced graph")
-    ts = sorted(set(terminals))
-    table = build_path_table(gps, ts)
+    table = build_path_table(g, sorted(set(terminals)))
     order = sorted(table.pair_keys(), key=table.order_key)
-    current = SubgraphAdjacency(gps, init)
-    instr = _Instrumentor(inst, instrument, table) if instrument else None
+    current = SubgraphAdjacency(g, initial)  # UnknownEdgeError if foreign
+    instr = _Instrumentor(g, instrument, table) if instrument else None
     added: set[Pair] = set()
     insertions = 0
     for pair in order:
@@ -263,7 +263,7 @@ def greedy_complete(inst: ScaledInstance, initial: Iterable[Pair],
         if instr:
             instr.after(current)
     return GreedyState(current.edges, frozenset(added), insertions,
-                       instr.report() if instr else None)
+                       instr.report() if instr else None, current)
 
 
 def _icbrt(n: int) -> int:
@@ -309,10 +309,10 @@ def neighborhood_budget(inst: ScaledInstance, terminal_count: int) -> Weight:
     return min(max(1, d), cap)
 
 
-def _certify(g: Graph, beta: Beta, bb: Backbone, edges_g: frozenset[Pair],
-             sub: SubgraphAdjacency, meta: dict) -> Spanner:
-    """Check every terminal pair on sub, the caller's subgraph of g over
-    exactly edges_g, and report the spanner."""
+def _certify(g: Graph, beta: Beta, bb: Backbone, sub: SubgraphAdjacency,
+             meta: dict) -> Spanner:
+    """Check every terminal pair on sub, the caller's subgraph of g, and
+    report the spanner of its edges."""
     table = bb.path_table
     w_max = g.w_max
     bounds = PairBounds(table, beta, w_max, 0.0 if g.is_exact else 1e-9)
@@ -323,11 +323,12 @@ def _certify(g: Graph, beta: Beta, bb: Backbone, edges_g: frozenset[Pair],
         if not ok:
             raise SpannerConstructionError(
                 f"pair ({u},{v}): d_H={d_h} exceeds {bounds.allowed[(u, v)]}")
-    weight = sum((g.weight_of(u, v) for u, v in edges_g), 0)
+    edges = sub.edges
+    weight = sum((g.weight_of(u, v) for u, v in edges), 0)
     light: LightnessResult = subset_lightness(g, bb, weight)
     meta = dict(meta)
     meta["lightness_mode"] = light.mode
-    return Spanner(edges_g, weight, report, light.ratio, meta)
+    return Spanner(edges, weight, report, light.ratio, meta)
 
 
 def _trivial_spanner(algo: str) -> Spanner:
@@ -357,26 +358,14 @@ def _one_level(g: Graph, terminals: frozenset[int], beta: Beta, h0_mode: str,
         budget = neighborhood_budget(inst, len(terminals))
         h0 = build_h0_budget(inst, terminals, budget)
         meta["budget"] = float(budget)
-    initial = h0 | inst.h_prime_pairs()
-    sigma = inst.sigma
-    table = bb.path_table
-    w_max = g.w_max
-
-    def slack(pair: Pair) -> Weight:
-        # Slack is the scaled image of the target condition in G; the
-        # fixed paths of G and G_s coincide, so this certifies the final
-        # unscaled condition exactly (the spliced graph's own max-edge
-        # values can drift when subdivision changes a tie-break).
-        return sigma * beta.slack(table.w(*pair), w_max)
-
-    state = greedy_complete(inst, initial, terminals, slack,
+    state = greedy_complete(g, h0 | bb.h.edges, terminals,
+                            lambda p: beta.slack(bb.path_table.w(*p), g.w_max),
                             instrument=instrument)
-    edges_g = map_back(inst, state.edges) | bb.h.edges
     meta["insertions"] = state.insertions
     meta["h0_edges"] = len(h0)
     if state.instrumentation is not None:
         meta["instrumentation"] = state.instrumentation
-    return _certify(g, beta, bb, edges_g, SubgraphAdjacency(g, edges_g), meta)
+    return _certify(g, beta, bb, state.sub, meta)
 
 
 def eps_spanner(g: Graph, terminals: Iterable[int], split: EpsilonSplit,

@@ -1,13 +1,14 @@
 """Randomized +(4+eps)*W_max spanner with threshold search and repair.
 
-Pairs whose fixed path misses less than a threshold ell of weight get all
-missing edges; heavier pairs get only a prefix and suffix of missing
-weight ell each, and a uniformly sampled vertex subset of the backbone is
-tied together by a +eps*W(.,.) spanner so sampled vertices land near
-those prefixes and suffixes with high probability.  A deterministic
-repair pass then certifies the output unconditionally: any still-violating
-pair receives its fixed path, and every repair is logged so the
-high-probability claim stays measurable.
+Pairs whose fixed path misses less than a threshold ell of scaled weight
+(ell / sigma on the host graph, where the loop runs) get all missing
+edges; heavier pairs get only a prefix and suffix of that missing weight
+each, and a uniformly sampled vertex subset of the backbone is tied
+together by a +eps*W(.,.) spanner so sampled vertices land near those
+prefixes and suffixes with high probability.  A deterministic repair
+pass, on the loop's live subgraph, then certifies the output
+unconditionally: any still-violating pair receives its fixed path, and
+every repair is logged so the high-probability claim stays measurable.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterable
 
 from .additive import (
@@ -37,7 +39,7 @@ from .graph import (
     _unpack,
 )
 from .steiner import Backbone, build_backbone
-from .transform import ScaledInstance, map_back, scaled_universe
+from .transform import ScaledInstance, scaled_universe
 
 
 class DistanceChainError(RuntimeError):
@@ -48,9 +50,10 @@ class DistanceChainError(RuntimeError):
 class SampleConfig:
     """Knobs of the sampled construction.
 
-    ell is the missing-weight threshold in scaled units; None means it is
-    found by the fixed-point search.  c controls the oversampling factor
-    c * ln n * |V_H| / ell.
+    ell is the missing-weight threshold in scaled units (ell / sigma in
+    host units); None means it is found by the fixed-point search.  c
+    controls the oversampling factor c * ln n * |V_H| / ell, capped at
+    |V_H|.  Both must be positive and finite.
     """
 
     split: EpsilonSplit
@@ -59,13 +62,13 @@ class SampleConfig:
     ell: float | None = None
 
     def __post_init__(self) -> None:
-        if not self.c > 0:
-            raise ValueError("oversampling constant c must be positive")
-        if self.ell is not None and not self.ell > 0:
-            raise ValueError("ell must be positive")
+        if not 0 < self.c < math.inf:
+            raise ValueError("oversampling constant c must be positive and finite")
+        if self.ell is not None and not 0 < self.ell < math.inf:
+            raise ValueError("ell must be positive and finite")
 
 
-def prefix_suffix(gps: Graph, path: FixedPath, current, ell: Weight
+def prefix_suffix(g: Graph, path: FixedPath, current, ell: Weight
                   ) -> tuple[tuple[Pair, ...], tuple[Pair, ...], bool]:
     """Shortest initial and final subpaths holding >= ell missing weight.
 
@@ -77,7 +80,7 @@ def prefix_suffix(gps: Graph, path: FixedPath, current, ell: Weight
     if not ell > 0:
         raise ValueError("ell must be positive")
     edges = path.edge_pairs()
-    missing = [0 if e in current else gps.weight_of(*e) for e in edges]
+    missing = [0 if e in current else g.weight_of(*e) for e in edges]
     if not any(missing):
         return (), (), False
     last = len(edges) - 1
@@ -163,7 +166,8 @@ def choose_ell(g: Graph, terminals: Iterable[int], cfg: SampleConfig,
     cache: dict[int, int] = {}
 
     def v_prime(ell: float) -> int:
-        size = min(vh, max(1, math.ceil(factor / ell)))
+        # Capped before the ceiling: an overflowing factor is infinite.
+        size = max(1, math.ceil(min(factor / ell, vh)))
         if size not in cache:
             sample = frozenset(_sample_vertices(bb, size, cfg.seed))
             if len(sample) < 2:
@@ -198,8 +202,7 @@ def wmax_spanner(g: Graph, terminals: Iterable[int], cfg: SampleConfig,
     beta = Beta("wmax", 4 + cfg.split.eps)
     bb = build_backbone(g, ts, beta)
     inst = scaled_universe(g, bb)
-    gps = inst.g_prime_s
-    initial = build_h0_eps(inst, bb.s_prime) | inst.h_prime_pairs()
+    initial = build_h0_eps(inst, bb.s_prime) | bb.h.edges
 
     sample_backbones: dict[frozenset[int], Backbone] = {}
     ell = cfg.ell if cfg.ell is not None else choose_ell(
@@ -215,54 +218,51 @@ def wmax_spanner(g: Graph, terminals: Iterable[int], cfg: SampleConfig,
         # valid +(4+eps)*W_max spanner since W(u,v) <= W_max.
         fallback = eps_spanner(g, ts, cfg.split)
         meta.update({"fallback": True, "ell": None, "repaired": []})
-        return _certify(g, beta, bb, fallback.edges,
-                        SubgraphAdjacency(g, fallback.edges), meta)
+        return _certify(g, beta, bb, SubgraphAdjacency(g, fallback.edges), meta)
     if not 0 < ell <= inst.v_h:
         raise ValueError(f"ell={ell} outside (0, |V_H|={inst.v_h}]")
     meta["fallback"] = False
     meta["ell"] = float(ell)
 
     w_max = g.w_max
-    slack_scaled = inst.sigma * beta.slack(0, w_max)
+    slack = beta.slack(0, w_max)
+    ell_g = Fraction(ell) / inst.sigma  # exact on exact graphs, else ell / sigma
     route: dict[Pair, tuple] = {}
 
     def prefix_suffix_policy(pair: Pair, path: FixedPath,
                              current: SubgraphAdjacency) -> Iterable[Pair]:
         missing = [e for e in path.edge_pairs() if e not in current]
-        if sum((gps.weight_of(*e) for e in missing), 0) < ell:
+        if sum((g.weight_of(*e) for e in missing), 0) < ell_g:
             return missing
-        pre, suf, overlapped = prefix_suffix(gps, path, current, ell)
+        pre, suf, overlapped = prefix_suffix(g, path, current, ell_g)
         if overlapped:
             return missing
         route[pair] = (path, pre, suf)
         return pre + suf
 
-    state = greedy_complete(inst, initial, ts, lambda pair: slack_scaled,
+    state = greedy_complete(g, initial, ts, lambda pair: slack,
                             policy=prefix_suffix_policy)
+    sub = state.sub
 
-    sample_size = math.ceil(cfg.c * math.log(max(g.n, 2)) * inst.v_h / ell)
-    sample = _sample_vertices(bb, sample_size, cfg.seed)
+    factor = cfg.c * math.log(max(g.n, 2)) * inst.v_h
+    sample = _sample_vertices(bb, math.ceil(min(factor / ell, inst.v_h)), cfg.seed)
     meta["sample_size"] = len(sample)
-    sub_edges: frozenset[Pair] = frozenset()
     if len(sample) >= 2:
         # The +eps*W(.,.) spanner of eps_spanner, on the backbone
         # choose_ell built for this sample when it built one.
         key = frozenset(sample)
         cached = sample_backbones.get(key)
         sample_backbones.clear()  # the other samples' backbones go now
-        sub_edges = _one_level(g, key, Beta("relative", cfg.split.eps),
-                               "incident", "eps", bb=cached).edges
-
-    edges_g = map_back(inst, state.edges) | bb.h.edges | sub_edges
+        for e in _one_level(g, key, Beta("relative", cfg.split.eps),
+                            "incident", "eps", bb=cached).edges:
+            sub.add_edge(*e)
 
     if instrument and route:
-        meta["distance_chain"] = _distance_chains(
-            g, bb, edges_g, route, sample, cfg)
+        meta["distance_chain"] = _distance_chains(g, bb, sub, route, sample, cfg)
 
     # Repair pass: check every pair, inserting the fixed path of any
-    # violator (sorted order, deterministic).  The live distances of sub
-    # absorb each insertion, and certification reads them afterwards.
-    sub = SubgraphAdjacency(g, edges_g)
+    # violator (sorted order, deterministic).  The greedy's live
+    # distances absorb each insertion, and certification reads them.
     bounds = PairBounds(bb.path_table, beta, w_max, 0.0 if g.is_exact else 1e-9)
     repaired: list[Pair] = []
     for pair, _, ok in bounds.check(sub):
@@ -271,10 +271,10 @@ def wmax_spanner(g: Graph, terminals: Iterable[int], cfg: SampleConfig,
             for e in bb.path_table.path(*pair).edge_pairs():
                 sub.add_edge(*e)
     meta["repaired"] = repaired
-    return _certify(g, beta, bb, sub.edges, sub, meta)
+    return _certify(g, beta, bb, sub, meta)
 
 
-def _distance_chains(g: Graph, bb: Backbone, edges_g: Iterable[Pair],
+def _distance_chains(g: Graph, bb: Backbone, sub: SubgraphAdjacency,
                      route: dict[Pair, tuple], sample: list[int],
                      cfg: SampleConfig) -> list[dict]:
     """Reconstruct the prefix/suffix distance chain for instrumented runs.
@@ -282,16 +282,16 @@ def _distance_chains(g: Graph, bb: Backbone, edges_g: Iterable[Pair],
     For each prefix/suffix pair whose neighborhoods were hit by sampled
     vertices (within W_max in the built spanner), the chain
     u -> a -> r -> s -> b -> v must stay within d_G(u,v) + (4+eps)W_max.
+    sub is the built spanner before its repair pass.
     """
-    sub = SubgraphAdjacency(g, edges_g)
     w_max = g.w_max
     rows = {r: [_unpack(d, sub.denom) for d in sub.distances(r)]
             for r in sample}
     out: list[dict] = []
     for pair, (path, pre, suf) in sorted(route.items()):
         u, v = pair
-        pre_verts = [x for e in pre for x in e if x < g.n]
-        suf_verts = [x for e in suf for x in e if x < g.n]
+        pre_verts = [x for e in pre for x in e]
+        suf_verts = [x for e in suf for x in e]
         best_pre = best_suf = None
         for r in rows:
             for a in pre_verts:

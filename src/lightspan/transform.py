@@ -1,12 +1,13 @@
-"""The scaled and subdivided universe every spanner construction works in.
+"""The scaled and subdivided universe of the paper's analysis.
 
 Starting from a backbone tree H over S', the host graph is rescaled so
 that H weighs exactly |V_H|, edges heavier than |V_H| are dropped (they
 can never lie on a terminal-pair shortest path), H's scaled edges are
 subdivided into unit-or-lighter pieces, and the pieces are spliced into
 the scaled graph.  A provenance map carries every spliced edge back to
-the original edge of the host so finished spanners can be expressed in
-the input graph.
+the original edge of the host.  The builders choose their seed edges
+H0 here, by the paper's rules in scaled units; the greedy completion
+and certification then run on the host graph (see `additive`).
 """
 
 from __future__ import annotations

@@ -161,14 +161,14 @@ def subgraph_dist(g: Graph, edges, u: int, v: int):
     return dist.get(v, inf)
 
 
-def greedy_reference(inst, initial, terminals, slack, policy):
-    """greedy_complete's loop with a from-scratch Bellman-Ford distance for
-    every examined pair: (edges, added, insertions).
+def greedy_reference(g, initial, terminals, slack, policy):
+    """greedy_complete's loop on the host graph g with a from-scratch
+    Bellman-Ford distance for every examined pair: (edges, added,
+    insertions).
 
     The policy sees the current edge set as a plain set of canonical pairs.
     """
-    gps = inst.g_prime_s
-    table = build_path_table(gps, sorted(set(terminals)))
+    table = build_path_table(g, sorted(set(terminals)))
     order = sorted(table.pair_keys(),
                    key=lambda p: (table.w(*p), table.dist(*p), p))
     current = {canonical(*e) for e in initial}
@@ -176,7 +176,7 @@ def greedy_reference(inst, initial, terminals, slack, policy):
     insertions = 0
     for pair in order:
         u, v = pair
-        if subgraph_dist(gps, current, u, v) <= table.dist(u, v) + slack(pair):
+        if subgraph_dist(g, current, u, v) <= table.dist(u, v) + slack(pair):
             continue
         for e in policy(pair, table.path(u, v), current):
             if e not in current:

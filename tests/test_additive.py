@@ -64,6 +64,13 @@ class TestEpsilonSplit:
         with pytest.raises(ValueError):
             EpsilonSplit(Fraction(1, 2), Fraction(1, 4), Fraction(0))
 
+    def test_non_finite_eps_rejected(self):
+        for eps in (math.inf, math.nan):
+            with pytest.raises(ValueError):
+                EpsilonSplit.of(eps)
+        with pytest.raises(ValueError):
+            EpsilonSplit(math.inf, math.inf, math.inf)
+
 
 class TestBuildH0Eps:
     def test_no_subunit_edge_gives_empty_set(self):
@@ -133,9 +140,8 @@ class TestGreedyComplete:
     def test_satisfied_initial_adds_nothing(self):
         g = rand_connected_graph(3, 10, 12)
         bb = build_backbone(g, [0, 4, 9], Beta("relative", HALF.eps))
-        inst = scaled_universe(g, bb)
-        all_edges = [canonical(u, v) for u, v, _ in inst.g_prime_s.edges]
-        state = greedy_complete(inst, all_edges, [0, 4, 9], lambda p: 0)
+        all_edges = [canonical(u, v) for u, v, _ in g.edges]
+        state = greedy_complete(g, all_edges, [0, 4, 9], lambda p: 0)
         assert state.added == frozenset()
         assert state.insertions == 0
 
@@ -143,15 +149,11 @@ class TestGreedyComplete:
         g = unit_clique(4)
         bb = build_backbone(g, range(4), Beta("relative", HALF.eps))
         inst = scaled_universe(g, bb)
-        initial = build_h0_eps(inst, bb.s_prime) | inst.h_prime_pairs()
-        sigma = inst.sigma
+        initial = build_h0_eps(inst, bb.s_prime) | bb.h.edges
         table = bb.path_table
         state = greedy_complete(
-            inst, initial, range(4),
-            lambda p: sigma * HALF.eps * table.w(*p))
-        from lightspan.transform import map_back
-        mapped = map_back(inst, state.edges) | bb.h.edges
-        assert len(mapped) == 6  # all of K4
+            g, initial, range(4), lambda p: HALF.eps * table.w(*p))
+        assert len(state.edges) == 6  # all of K4
 
     def test_policy_decides_what_is_inserted(self):
         # A policy that inserts nothing is asked once about every pair
@@ -161,19 +163,18 @@ class TestGreedyComplete:
         terms = [0, 5, 10, 15]
         bb = build_backbone(g, terms, Beta("relative", HALF.eps))
         inst = scaled_universe(g, bb)
-        initial = build_h0_eps(inst, bb.s_prime) | inst.h_prime_pairs()
+        initial = build_h0_eps(inst, bb.s_prime) | bb.h.edges
         asked = []
 
         def nothing(pair, path, current):
             asked.append(pair)
             return []
 
-        state = greedy_complete(inst, initial, terms, lambda p: 0, policy=nothing)
+        state = greedy_complete(g, initial, terms, lambda p: 0, policy=nothing)
         assert state.edges == initial and state.added == frozenset()
-        gps_table = build_path_table(inst.g_prime_s, terms)
-        violated = {(u, v) for u, v in gps_table.pair_keys()
-                    if subgraph_dist(inst.g_prime_s, initial, u, v)
-                    > gps_table.dist(u, v)}
+        table = build_path_table(g, terms)
+        violated = {(u, v) for u, v in table.pair_keys()
+                    if subgraph_dist(g, initial, u, v) > table.dist(u, v)}
         assert violated and sorted(asked) == sorted(violated)
         assert state.insertions == len(asked)
 
@@ -183,22 +184,20 @@ class TestGreedyComplete:
             terms = [1, 5, 9, 13, 17]
             bb = build_backbone(g, terms, Beta("relative", HALF.eps))
             inst = scaled_universe(g, bb)
-            initial = build_h0_eps(inst, bb.s_prime) | inst.h_prime_pairs()
+            initial = build_h0_eps(inst, bb.s_prime) | bb.h.edges
             table = bb.path_table
-            sigma = inst.sigma
 
             def slack(pair):
-                return sigma * HALF.eps * table.w(*pair)
+                return HALF.eps * table.w(*pair)
 
-            state = greedy_complete(inst, initial, terms, slack)
+            state = greedy_complete(g, initial, terms, slack)
             assert initial <= state.edges
-            gps_table = None
             from lightspan.graph import build_path_table
-            gps_table = build_path_table(inst.g_prime_s, terms)
+            g_table = build_path_table(g, terms)
             for i, u in enumerate(terms):
                 for v in terms[i + 1:]:
-                    d = subgraph_dist(inst.g_prime_s, state.edges, u, v)
-                    assert d <= gps_table.dist(u, v) + slack(canonical(u, v))
+                    d = subgraph_dist(g, state.edges, u, v)
+                    assert d <= g_table.dist(u, v) + slack(canonical(u, v))
 
 
 def greedy_instances(kind):
@@ -243,11 +242,11 @@ class TestGreedyAgainstReference:
             wmax_spanner(g, terms, SampleConfig(split, seed=1, ell=0.5))
         policies = set()
         for args, kwargs, state in calls:
-            inst, initial, terminals, slack = args
+            g, initial, terminals, slack = args
             policy = kwargs.get("policy", additive._insert_path)
             policies.add(policy.__name__)
             edges, added, insertions = greedy_reference(
-                inst, initial, terminals, slack, policy)
+                g, initial, terminals, slack, policy)
             assert state == GreedyState(edges, added, insertions)
         assert policies == {"_insert_path", "prefix_suffix_policy"}
         assert sum(state.insertions for *_, state in calls) > 0
@@ -258,13 +257,66 @@ class TestGreedyAgainstReference:
         for g, terms, _ in greedy_instances("unit-grid"):
             bb = build_backbone(g, terms, Beta("relative", HALF.eps))
             inst = scaled_universe(g, bb)
-            initial = build_h0_eps(inst, bb.s_prime) | inst.h_prime_pairs()
+            initial = build_h0_eps(inst, bb.s_prime) | bb.h.edges
             searched.clear()
-            state = greedy_complete(inst, initial, terms, lambda p: 0)
+            state = greedy_complete(g, initial, terms, lambda p: 0)
             total += state.insertions
             assert len(searched) <= len(terms) - 1
             assert len(searched) == len(set(searched))
         assert total > 0
+
+
+class TestOneLiveSubgraph:
+    """A build seeds one live distance list per source terminal, in its
+    greedy; certification and the wmax repair pass read those lists."""
+
+    def test_eps_build_seeds_at_most_one_list_per_source(self, monkeypatch):
+        searched = record_seeded_searches(monkeypatch)
+        for kind in ("exact", "tenths", "unit-grid"):
+            for g, terms, split in greedy_instances(kind):
+                searched.clear()
+                sp = eps_spanner(g, terms, split)
+                assert sp.pair_report
+                assert len(searched) <= len(terms) - 1
+
+    def test_wmax_repair_and_certification_seed_nothing(self, monkeypatch):
+        searched = record_seeded_searches(monkeypatch)
+        marks = {}
+        real_greedy, real_one_level = sampled.greedy_complete, sampled._one_level
+
+        def greedy(*args, **kwargs):
+            state = real_greedy(*args, **kwargs)
+            marks["greedy"] = len(searched)
+            return state
+
+        def one_level(*args, **kwargs):
+            before = len(searched)
+            sp = real_one_level(*args, **kwargs)
+            marks["sample"] += len(searched) - before
+            return sp
+
+        monkeypatch.setattr(sampled, "greedy_complete", greedy)
+        monkeypatch.setattr(sampled, "_one_level", one_level)
+        grid = generate(GeneratorSpec("grid", n=100, seed=5, weight_range=(1, 1),
+                                      terminal_fraction=0.25))
+        checked = repaired = 0
+        for g, terms, _ in greedy_instances("unit-grid") + [grid]:
+            for ell, no_sample in itertools.product((None, 0.5), (False, True)):
+                searched.clear()
+                marks.update(greedy=None, sample=0)
+                with monkeypatch.context() as mp:
+                    if no_sample:  # the routes stay open: repairs fire
+                        mp.setattr(sampled, "_sample_vertices",
+                                   lambda bb, size, seed: [])
+                    sp = wmax_spanner(g, terms,
+                                      SampleConfig(HALF, seed=1, ell=ell))
+                if sp.meta["fallback"]:
+                    continue
+                checked += 1
+                repaired += len(sp.meta["repaired"])
+                assert marks["greedy"] <= len(terms) - 1
+                assert len(searched) == marks["greedy"] + marks["sample"]
+        assert checked and repaired
 
 
 class TestEpsSpanner:

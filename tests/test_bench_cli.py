@@ -251,6 +251,36 @@ class TestCli:
                    "--algo", "eps"])
         assert rc == 2
 
+    @pytest.mark.parametrize("flags", [
+        ["--algo", "wmax", "--c", "inf"],
+        ["--algo", "wmax", "--ell", "inf"],
+        ["--algo", "eps", "--epsilon", "inf"],
+        ["--algo", "wmax", "--epsilon", "inf"],
+    ])
+    def test_non_finite_knob_exit_code_two(self, tmp_path, capsys, flags):
+        rc = main(["generate", "--kind", "grid", "--n", "16", "--seed", "2"])
+        assert rc == 0
+        inst_file = tmp_path / "inst.json"
+        inst_file.write_text(capsys.readouterr().out)
+        rc = main(["spanner", "--input", str(inst_file), *flags])
+        assert rc == 2
+        assert "finite" in capsys.readouterr().err
+
+    def test_overflowing_oversampling_samples_every_backbone_vertex(
+            self, tmp_path, capsys):
+        # c ln n |V_H| / ell overflows to infinity; the sample is capped
+        # at |V_H| before rounding up.
+        rc = main(["generate", "--kind", "grid", "--n", "16", "--seed", "2"])
+        assert rc == 0
+        inst_file = tmp_path / "inst.json"
+        inst_file.write_text(capsys.readouterr().out)
+        rc = main(["spanner", "--input", str(inst_file), "--algo", "wmax",
+                   "--c", "1e308"])
+        assert rc == 0, capsys.readouterr().err
+        meta = json.loads(capsys.readouterr().out)["meta"]
+        assert meta["fallback"] is False
+        assert meta["sample_size"] == meta["v_h"]
+
     @pytest.mark.parametrize("doc", [
         '{"n": 3, "edges": [[0, 1.5, 1], [1, 2, 1]], "terminals": [0, 2]}',
         '{"n": 3, "edges": [[0, 1, 1], [1, 2, 1]], "terminals": [0, 2.9]}',

@@ -310,7 +310,7 @@ def test_repair_pass_inserts_fixed_paths(monkeypatch):
     # repair pass must close them with fixed paths.
     monkeypatch.setattr(sampled, "_sample_vertices", lambda bb, size, seed: [])
     g, terms, _ = generate(GeneratorSpec(
-        "grid", n=40, seed=1, weight_range=(1, 1), terminal_fraction=0.25))
+        "grid", n=100, seed=5, weight_range=(1, 1), terminal_fraction=0.25))
     beta = Beta("wmax", Fraction(9, 2))
     sp = wmax_spanner(g, terms, SampleConfig(EpsilonSplit.of(Fraction(1, 2)),
                                              seed=1, ell=0.5))

@@ -20,7 +20,7 @@ from lightspan.sampled import (
     wmax_spanner,
 )
 from lightspan.steiner import build_backbone
-from lightspan.transform import map_back, scaled_universe
+from lightspan.transform import scaled_universe
 
 SPLIT = EpsilonSplit.of(Fraction(1, 2))
 WMAX_BETA = Beta("wmax", Fraction(9, 2))
@@ -141,12 +141,10 @@ class TestWmaxSpanner:
         if total_gps < ell:  # precondition of the equivalence
             pytest.skip("instance too heavy for the degenerate case")
         sp = wmax_spanner(g, terms, SampleConfig(SPLIT, seed=5, ell=ell))
-        initial = build_h0_eps(inst, bb.s_prime) | inst.h_prime_pairs()
-        sigma = inst.sigma
+        initial = build_h0_eps(inst, bb.s_prime) | bb.h.edges
         state = greedy_complete(
-            inst, initial, terms,
-            lambda p: sigma * WMAX_BETA.value * g.w_max)
-        expected = map_back(inst, state.edges) | bb.h.edges
+            g, initial, terms, lambda p: WMAX_BETA.value * g.w_max)
+        expected = state.edges
         # the sampled sub-spanner may add more; the greedy core must agree
         assert expected <= sp.edges
 
@@ -197,13 +195,15 @@ class TestWmaxSpanner:
         edges = {(i, i + 1) for i in range(4)}
         route = {(0, 4): (bb.path_table.path(0, 4), [(0, 1)], [(3, 4)])}
         cfg = SampleConfig(SPLIT)
-        [entry] = _distance_chains(g, bb, edges, route, [1, 3], cfg)
+        [entry] = _distance_chains(g, bb, SubgraphAdjacency(g, edges), route,
+                                   [1, 3], cfg)
         assert entry["hit"] and entry["ok"]
         real = SubgraphAdjacency.distance
         monkeypatch.setattr(SubgraphAdjacency, "distance",
                             lambda self, u, v: real(self, u, v) + 10)
         with pytest.raises(DistanceChainError):
-            _distance_chains(g, bb, edges, route, [1, 3], cfg)
+            _distance_chains(g, bb, SubgraphAdjacency(g, edges), route,
+                             [1, 3], cfg)
 
     def test_no_backbone_is_built_twice(self, monkeypatch):
         # choose_ell hands its sample backbones to the sample spanner, so
