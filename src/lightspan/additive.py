@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Iterable
 
 from .graph import (
@@ -34,7 +35,7 @@ from .graph import (
     canonical,
     shortest_paths,
 )
-from .oracle import LightnessResult, subset_lightness
+from .oracle import subset_lightness
 from .steiner import Backbone, build_backbone
 from .transform import ScaledInstance, scaled_universe
 
@@ -81,13 +82,28 @@ class PairCheck:
 
 @dataclass(frozen=True)
 class Spanner:
-    """A certified spanner: edge subset of the host plus its report."""
+    """A certified spanner: edge subset of the host plus its report.
+
+    Only the public builders compute subset_lightness (oracle and sample
+    spanner builds carry None); pair_report is built on first read.
+    """
 
     edges: frozenset[Pair]
     weight: Weight
-    pair_report: dict[Pair, PairCheck] = field(compare=False)
     subset_lightness: Weight | None
     meta: dict = field(compare=False)
+    # (g, beta, fixed-path table, certifying subgraph), read by pair_report.
+    _checked: tuple | None = field(default=None, compare=False, repr=False)
+
+    @cached_property
+    def pair_report(self) -> dict[Pair, PairCheck]:
+        """One PairCheck per terminal pair, in host units and pair order."""
+        if self._checked is None:
+            return {}
+        g, beta, t, sub = self._checked
+        return {p: PairCheck(t.dist(*p), sub.distance(*p), t.w(*p),
+                             beta.slack(t.w(*p), g.w_max))
+                for p in t.pair_keys()}
 
 
 @dataclass(frozen=True)
@@ -310,38 +326,30 @@ def neighborhood_budget(inst: ScaledInstance, terminal_count: int) -> Weight:
 
 
 def _certify(g: Graph, beta: Beta, bb: Backbone, sub: SubgraphAdjacency,
-             meta: dict) -> Spanner:
+             meta: dict, light: bool) -> Spanner:
     """Check every terminal pair on sub, the caller's subgraph of g, and
-    report the spanner of its edges."""
-    table = bb.path_table
-    w_max = g.w_max
-    bounds = PairBounds(table, beta, w_max, 0.0 if g.is_exact else 1e-9)
-    report: dict[Pair, PairCheck] = {}
+    return the spanner of its edges, with its subset lightness if light."""
+    bounds = PairBounds(bb.path_table, beta, g.w_max, 0.0 if g.is_exact else 1e-9)
     for (u, v), d_h, ok in bounds.check(sub):
-        w = table.w(u, v)
-        report[(u, v)] = PairCheck(table.dist(u, v), d_h, w, beta.slack(w, w_max))
         if not ok:
             raise SpannerConstructionError(
                 f"pair ({u},{v}): d_H={d_h} exceeds {bounds.allowed[(u, v)]}")
     edges = sub.edges
     weight = sum((g.weight_of(u, v) for u, v in edges), 0)
-    light: LightnessResult = subset_lightness(g, bb, weight)
-    meta = dict(meta)
-    meta["lightness_mode"] = light.mode
-    return Spanner(edges, weight, report, light.ratio, meta)
-
-
-def _trivial_spanner(algo: str) -> Spanner:
-    return Spanner(frozenset(), 0, {}, None, {"algo": algo, "degenerate": True})
+    ratio = None
+    if light:
+        res = subset_lightness(g, bb, weight)
+        ratio, meta = res.ratio, {**meta, "lightness_mode": res.mode}
+    return Spanner(edges, weight, ratio, meta, (g, beta, bb.path_table, sub))
 
 
 def _one_level(g: Graph, terminals: frozenset[int], beta: Beta, h0_mode: str,
                algo: str, instrument: EpsilonSplit | None = None,
-               bb: Backbone | None = None) -> Spanner:
-    """One builder run; bb, if given, is the backbone of (g, terminals,
-    beta), reused instead of rebuilt."""
+               bb: Backbone | None = None, light: bool = False) -> Spanner:
+    """One builder run, reusing bb as the backbone of (g, terminals, beta)
+    if given; light adds the lightness, which only public builders read."""
     if len(terminals) < 2:
-        return _trivial_spanner(algo)
+        return Spanner(frozenset(), 0, None, {"algo": algo, "degenerate": True})
     bb = bb or build_backbone(g, terminals, beta)
     inst = scaled_universe(g, bb)
     meta: dict = {
@@ -365,14 +373,15 @@ def _one_level(g: Graph, terminals: frozenset[int], beta: Beta, h0_mode: str,
     meta["h0_edges"] = len(h0)
     if state.instrumentation is not None:
         meta["instrumentation"] = state.instrumentation
-    return _certify(g, beta, bb, state.sub, meta)
+    return _certify(g, beta, bb, state.sub, meta, light)
 
 
 def eps_spanner(g: Graph, terminals: Iterable[int], split: EpsilonSplit,
                 instrument: bool = False) -> Spanner:
     """Subsetwise +eps*W(.,.) spanner (deterministic)."""
     return _one_level(g, frozenset(terminals), Beta("relative", split.eps),
-                      "incident", "eps", split if instrument else None)
+                      "incident", "eps", split if instrument else None,
+                      light=True)
 
 
 def four_eps_spanner(g: Graph, terminals: Iterable[int], split: EpsilonSplit,
@@ -380,11 +389,11 @@ def four_eps_spanner(g: Graph, terminals: Iterable[int], split: EpsilonSplit,
     """Subsetwise +(4+eps)*W(.,.) spanner (deterministic)."""
     return _one_level(g, frozenset(terminals),
                       Beta("relative", 4 + split.eps), "budget", "four-eps",
-                      split if instrument else None)
+                      split if instrument else None, light=True)
 
 
 def one_level_oracle(beta: Beta) -> Callable[[Graph, frozenset[int]], frozenset[Pair]]:
-    """A single-level spanner builder for the multi-level solver."""
+    """A single-level builder for the multi-level solver: edges only."""
 
     def build(g: Graph, terminals: frozenset[int]) -> frozenset[Pair]:
         return _one_level(g, frozenset(terminals), beta, "incident",

@@ -88,8 +88,8 @@ class Beta:
     def __post_init__(self) -> None:
         if self.mode not in ("relative", "wmax"):
             raise ValueError(f"unknown beta mode {self.mode!r}")
-        if self.value < 0:
-            raise ValueError("beta value must be nonnegative")
+        if not 0 <= self.value < math.inf:  # also refuses nan
+            raise ValueError("beta value must be nonnegative and finite")
 
     def slack(self, w_pair: Weight, w_max: Weight) -> Weight:
         if self.mode == "relative":

@@ -25,7 +25,6 @@ from .additive import (
     _certify,
     _one_level,
     build_h0_eps,
-    eps_spanner,
     greedy_complete,
 )
 from .graph import (
@@ -215,10 +214,12 @@ def wmax_spanner(g: Graph, terminals: Iterable[int], cfg: SampleConfig,
     }
     if ell is None:
         # Degenerate threshold search: the +eps*W(.,.) spanner on S is a
-        # valid +(4+eps)*W_max spanner since W(u,v) <= W_max.
-        fallback = eps_spanner(g, ts, cfg.split)
+        # valid +(4+eps)*W_max spanner since W(u,v) <= W_max; its live
+        # subgraph is certified again, with the lightness against bb.
+        fallback = _one_level(g, ts, Beta("relative", cfg.split.eps),
+                              "incident", "eps")
         meta.update({"fallback": True, "ell": None, "repaired": []})
-        return _certify(g, beta, bb, SubgraphAdjacency(g, fallback.edges), meta)
+        return _certify(g, beta, bb, fallback._checked[3], meta, light=True)
     if not 0 < ell <= inst.v_h:
         raise ValueError(f"ell={ell} outside (0, |V_H|={inst.v_h}]")
     meta["fallback"] = False
@@ -271,7 +272,7 @@ def wmax_spanner(g: Graph, terminals: Iterable[int], cfg: SampleConfig,
             for e in bb.path_table.path(*pair).edge_pairs():
                 sub.add_edge(*e)
     meta["repaired"] = repaired
-    return _certify(g, beta, bb, sub, meta)
+    return _certify(g, beta, bb, sub, meta, light=True)
 
 
 def _distance_chains(g: Graph, bb: Backbone, sub: SubgraphAdjacency,

@@ -12,7 +12,7 @@ from helpers import (
     subgraph_dist,
     tenths_graph,
 )
-from lightspan import additive, sampled
+from lightspan import additive, oracle, sampled, steiner
 from lightspan.additive import (
     EpsilonSplit,
     GreedyState,
@@ -24,7 +24,12 @@ from lightspan.additive import (
     neighborhood_budget,
 )
 from lightspan.generators import GeneratorSpec, generate
-from lightspan.graph import Beta, Graph, canonical
+from lightspan.graph import Beta, Graph, build_path_table, canonical
+from lightspan.multilevel import (
+    MultiLevelInstance,
+    four_approx_baseline,
+    solve_multilevel,
+)
 from lightspan.sampled import SampleConfig, wmax_spanner
 from lightspan.steiner import build_backbone
 from lightspan.transform import ScaledInstance, scaled_universe
@@ -317,6 +322,126 @@ class TestOneLiveSubgraph:
                 assert marks["greedy"] <= len(terms) - 1
                 assert len(searched) == marks["greedy"] + marks["sample"]
         assert checked and repaired
+
+
+def count_calls(monkeypatch, name, *modules):
+    """Replace the function `name` on each module with a wrapper that
+    logs one entry per call; returns the log."""
+    calls = []
+    real = getattr(modules[0], name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return real(*args, **kwargs)
+
+    for mod in modules:
+        monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+def small_levels_instance():
+    """An exact 3-level instance small enough for exact lightness."""
+    g, _, levels = generate(GeneratorSpec("erdos-renyi", n=20, seed=5,
+                                          levels_k=3, exact=True))
+    return MultiLevelInstance(g, levels, max(levels.values()),
+                              Beta("relative", HALF.eps))
+
+
+def report_builds(monkeypatch):
+    """(spanner build, its graph, terminals, condition) for exact and
+    binary64 one-level builds, a wmax build with repairs and a wmax
+    fallback build."""
+    wmax = Beta("wmax", 4 + HALF.eps)
+
+    def repaired_wmax():
+        with monkeypatch.context() as mp:  # the routes stay open
+            mp.setattr(sampled, "_sample_vertices", lambda bb, size, seed: [])
+            return wmax_spanner(grid, grid_terms,
+                                SampleConfig(HALF, seed=1, ell=0.5))
+
+    g, terms, _ = generate(GeneratorSpec("erdos-renyi", n=24, seed=3,
+                                         terminal_fraction=0.25, exact=True))
+    gf = tenths_graph(701, 18, 26)
+    tf = [0, 3, 7, 11, 14, 17]
+    grid, grid_terms, _ = generate(GeneratorSpec(
+        "grid", n=100, seed=5, weight_range=(1, 1), terminal_fraction=0.25))
+    dense = rand_connected_graph(51, 18, 26)
+    return [
+        (lambda: eps_spanner(g, terms, HALF), g, terms,
+         Beta("relative", HALF.eps)),
+        (lambda: four_eps_spanner(g, terms, HALF), g, terms,
+         Beta("relative", 4 + HALF.eps)),
+        (lambda: eps_spanner(gf, tf, EpsilonSplit.of(0.5)), gf, tf,
+         Beta("relative", 0.5)),
+        (repaired_wmax, grid, grid_terms, wmax),
+        (lambda: wmax_spanner(dense, range(18),
+                              SampleConfig(HALF, c=0.01, seed=2)),
+         dense, list(range(18)), wmax),
+    ]
+
+
+class TestLightnessAndReportOnDemand:
+    """Builds compute only what their caller reads: oracle and sample
+    spanner builds no lightness, and no build a pair report before it is
+    read.  The public builders compute their lightness inside the call."""
+
+    def test_multilevel_solves_compute_no_lightness(self, monkeypatch):
+        inst = small_levels_instance()
+        light = count_calls(monkeypatch, "subset_lightness", additive, oracle)
+        dw = count_calls(monkeypatch, "exact_steiner", steiner, oracle)
+        solve_multilevel(inst, p=math.e, seed=3)
+        four_approx_baseline(inst)
+        assert light == [] and dw == []
+        # The same terminals through a public builder run both, so the
+        # counters see what the solves skipped.
+        eps_spanner(inst.g, inst.terminal_set(1), HALF)
+        assert light == ["subset_lightness"] and dw == ["exact_steiner"]
+
+    def test_public_builders_compute_lightness_inside_the_call(
+            self, monkeypatch):
+        g, terms, _ = generate(GeneratorSpec("erdos-renyi", n=24, seed=3,
+                                             terminal_fraction=0.25,
+                                             exact=True))
+        dense = rand_connected_graph(51, 18, 26)
+        builds = [
+            lambda: eps_spanner(g, terms, HALF),
+            lambda: four_eps_spanner(g, terms, HALF),
+            lambda: wmax_spanner(g, terms, SampleConfig(HALF, seed=4)),
+            lambda: wmax_spanner(dense, range(18),
+                                 SampleConfig(HALF, c=0.01, seed=2)),
+        ]
+        light = count_calls(monkeypatch, "subset_lightness", additive, oracle)
+        for build in builds:
+            light.clear()
+            sp = build()
+            assert len(light) == 1  # before any attribute is read
+            assert sp.subset_lightness is not None
+            assert sp.meta["lightness_mode"] in ("exact", "approx")
+            assert len(light) == 1
+
+    def test_pair_report_is_built_on_first_read(self, monkeypatch):
+        real = additive.PairCheck
+        made = count_calls(monkeypatch, "PairCheck", additive)
+        repaired = fallback = 0
+        for build, g, terms, beta in report_builds(monkeypatch):
+            sp = build()
+            repaired += len(sp.meta.get("repaired", ()))
+            fallback += bool(sp.meta.get("fallback"))
+            assert made == []
+            table = build_path_table(g, terms)
+            expected = {}
+            for u, v in table.pair_keys():
+                w = table.w(u, v)
+                expected[(u, v)] = real(table.dist(u, v),
+                                        subgraph_dist(g, sp.edges, u, v),
+                                        w, beta.slack(w, g.w_max))
+            report = sp.pair_report
+            assert list(report) == sorted(expected)
+            assert report == expected
+            assert len(made) == len(expected)
+            assert sp.pair_report is report  # built once
+            made.clear()
+        assert repaired and fallback
 
 
 class TestEpsSpanner:

@@ -266,6 +266,21 @@ class TestCli:
         assert rc == 2
         assert "finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_verify_non_finite_epsilon_exit_code_two(self, tmp_path, capsys,
+                                                     value):
+        # With an infinite allowance even the empty edge set would pass.
+        rc = main(["generate", "--kind", "grid", "--n", "16", "--seed", "2"])
+        assert rc == 0
+        inst_file = tmp_path / "inst.json"
+        inst_file.write_text(capsys.readouterr().out)
+        edges_file = tmp_path / "edges.txt"
+        edges_file.write_text("")
+        rc = main(["verify", "--input", str(inst_file), "--edges",
+                   str(edges_file), "--epsilon", value])
+        assert rc == 2
+        assert "finite" in capsys.readouterr().err
+
     def test_overflowing_oversampling_samples_every_backbone_vertex(
             self, tmp_path, capsys):
         # c ln n |V_H| / ell overflows to infinity; the sample is capped

@@ -240,6 +240,13 @@ class TestBeta:
         with pytest.raises(ValueError):
             Beta("multiplicative", 1)
 
+    @pytest.mark.parametrize("mode", ["relative", "wmax"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan, -math.inf])
+    def test_non_finite_value_rejected(self, mode, value):
+        # An infinite allowance accepts every edge set, a nan one none.
+        with pytest.raises(ValueError, match="finite"):
+            Beta(mode, value)
+
 
 class TestInstanceJson:
     def test_round_trip(self):

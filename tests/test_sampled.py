@@ -4,12 +4,17 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import rand_connected_graph, rand_tree
-from lightspan.additive import EpsilonSplit, build_h0_eps, greedy_complete
+from helpers import rand_connected_graph, rand_tree, record_seeded_searches
+from lightspan.additive import (
+    EpsilonSplit,
+    build_h0_eps,
+    eps_spanner,
+    greedy_complete,
+)
 from lightspan import additive as additive_mod, sampled as sampled_mod
 from lightspan.generators import GeneratorSpec, generate
 from lightspan.graph import Beta, Graph, FixedPath, SubgraphAdjacency, canonical
-from lightspan.oracle import verify_spanner
+from lightspan.oracle import subset_lightness, verify_spanner
 from lightspan.sampled import (
     DistanceChainError,
     SampleConfig,
@@ -171,6 +176,25 @@ class TestWmaxSpanner:
         sp = wmax_spanner(g, terms, cfg)
         assert sp.meta["fallback"] is True
         assert verify_spanner(g, terms, sp.edges, WMAX_BETA).ok
+
+    def test_fallback_certifies_the_eps_build_once(self, monkeypatch):
+        # The fallback's eps build seeds one live list per source, and the
+        # wmax certification reads those lists; the output is the eps
+        # spanner, with its lightness taken against the wmax backbone.
+        g = rand_connected_graph(51, 18, 26)
+        terms = list(range(18))
+        searched = record_seeded_searches(monkeypatch)
+        sp = wmax_spanner(g, terms, SampleConfig(SPLIT, c=0.01, seed=2))
+        assert len(searched) <= len(terms) - 1
+        eps = eps_spanner(g, terms, SPLIT)
+        bb = build_backbone(g, terms, WMAX_BETA)
+        light = subset_lightness(g, bb, eps.weight)
+        assert sp.edges == eps.edges and sp.weight == eps.weight
+        assert sp.subset_lightness == light.ratio
+        assert list(sp.meta.items()) == [
+            ("algo", "wmax"), ("c", 0.01), ("seed", 2),
+            ("v_h", scaled_universe(g, bb).v_h), ("fallback", True),
+            ("ell", None), ("repaired", []), ("lightness_mode", light.mode)]
 
     def test_distance_chain_instrumentation(self):
         # Unit grids with a small ell route pairs through prefixes and
