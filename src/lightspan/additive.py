@@ -6,13 +6,13 @@ vertex, the +(4+eps)*W(.,.) spanner seeds it with a weight budget of
 cheap edges around every terminal, both chosen in the scaled universe
 and joined with the backbone tree.  Pairs are processed in
 nondecreasing order of the maximum edge weight on their fixed path, ties
-by shorter distance; a pair whose current detour exceeds its allowance
-gets all missing fixed-path edges inserted (the sampled W_max spanner
-reuses the loop with a prefix/suffix insertion policy).  The paper runs
-the loop on the spliced graph; on G it agrees up to ties (the scale is
-uniform, every backbone piece is in the initial set, and dropped heavy
-edges lie on no terminal shortest path), and certification reads its
-live subgraph.
+by shorter distance; a pair whose detour breaks the builder's Beta (by
+PairBounds, as certification checks, but with no tolerance) gets all
+missing fixed-path edges (the sampled W_max spanner reuses the loop with
+a prefix/suffix insertion policy).  The paper runs the loop on the
+spliced graph; on G it agrees up to ties (the scale is uniform, every
+backbone piece is in the initial set, and dropped heavy edges lie on no
+terminal shortest path), and certification reads its live subgraph.
 """
 
 from __future__ import annotations
@@ -185,10 +185,10 @@ class _Instrumentor:
         self.failures: list = []
         self._ctx = None
 
-    def before(self, pair: Pair, path, d_cur: Weight,
-               current: SubgraphAdjacency) -> None:
+    def before(self, pair: Pair, path, current: SubgraphAdjacency) -> None:
         u, v = pair
         w = self.table.w(u, v)
+        d_cur = current.distance(u, v)
         near = current.multi_source_distances(path.vertices)
         witnesses = sorted(q for q, d in near.items()
                            if d <= self.split.eps1 * w)
@@ -239,16 +239,15 @@ def _insert_path(pair: Pair, path: FixedPath,
 
 
 def greedy_complete(g: Graph, initial: Iterable[Pair],
-                    terminals: Iterable[int],
-                    slack: Callable[[Pair], Weight],
+                    terminals: Iterable[int], beta: Beta,
                     instrument: EpsilonSplit | None = None,
                     policy: Callable[[Pair, FixedPath, SubgraphAdjacency],
                                      Iterable[Pair]] = _insert_path) -> GreedyState:
     """Process terminal pairs of g in nondecreasing order of fixed-path
     max edge weight (ties: shorter distance, then pair id), inserting the
-    edges that the insertion policy(pair, fixed path, current subgraph)
-    returns for every violating pair: by default all missing fixed-path
-    edges, for wmax_spanner a prefix and suffix.  slack is in g's units.
+    edges that policy(pair, fixed path, current subgraph) returns for
+    each pair that PairBounds.holds rejects under beta: by default all
+    missing fixed-path edges, for wmax_spanner a prefix and suffix.
 
     The fixed paths come from g's memoised searches, which the backbone
     ran.  The subgraph, returned as state.sub, keeps one live distance
@@ -259,18 +258,17 @@ def greedy_complete(g: Graph, initial: Iterable[Pair],
     """
     table = build_path_table(g, sorted(set(terminals)))
     order = sorted(table.pair_keys(), key=table.order_key)
+    bounds = PairBounds(table, beta, g.w_max)
     current = SubgraphAdjacency(g, initial)  # UnknownEdgeError if foreign
     instr = _Instrumentor(g, instrument, table) if instrument else None
     added: set[Pair] = set()
     insertions = 0
     for pair in order:
-        u, v = pair
-        d_cur = current.distance(u, v)
-        if d_cur <= table.dist(u, v) + slack(pair):
+        if bounds.holds(current, *pair):
             continue
-        path = table.path(u, v)
+        path = table.path(*pair)
         if instr:
-            instr.before(pair, path, d_cur, current)
+            instr.before(pair, path, current)
         for e in policy(pair, path, current):
             if e not in current:
                 current.add_edge(*e)
@@ -366,9 +364,7 @@ def _one_level(g: Graph, terminals: frozenset[int], beta: Beta, h0_mode: str,
         budget = neighborhood_budget(inst, len(terminals))
         h0 = build_h0_budget(inst, terminals, budget)
         meta["budget"] = float(budget)
-    state = greedy_complete(g, h0 | bb.h.edges, terminals,
-                            lambda p: beta.slack(bb.path_table.w(*p), g.w_max),
-                            instrument=instrument)
+    state = greedy_complete(g, h0 | bb.h.edges, terminals, beta, instrument)
     meta["insertions"] = state.insertions
     meta["h0_edges"] = len(h0)
     if state.instrumentation is not None:

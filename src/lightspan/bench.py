@@ -107,11 +107,14 @@ def _check_config(config: dict) -> None:
         if a not in ALGORITHMS:
             raise ConfigError(f"unknown algorithm {a!r}; pick from {ALGORITHMS}")
     seeds = config.get("seeds", [0])
-    if not isinstance(seeds, list) or not all(isinstance(s, int) for s in seeds):
+    # type(), not isinstance: JSON true and false are ints to isinstance.
+    if not isinstance(seeds, list) or not all(type(s) is int for s in seeds):
         raise ConfigError("config.seeds must be a list of integers")
     eps = config.get("epsilon", 0.5)
-    if not (isinstance(eps, (int, float)) and eps > 0):
+    if not (type(eps) in (int, float) and eps > 0):
         raise ConfigError("config.epsilon must be a positive number")
+    if isinstance(config.get("c"), bool):
+        raise ConfigError("config.c must be a number, not a boolean")
 
 
 def _spec_from(entry: dict, exact: bool) -> GeneratorSpec:

@@ -616,10 +616,10 @@ def build_path_table(g: Graph, terminals: Iterable[int]) -> PathTable:
 class PairBounds:
     """The spanner condition d_H(u, v) <= d_G(u, v) + slack on every pair
     of a fixed-path table: the one check behind the backbone's pair scan,
-    the builders' certification and repair, and the oracles.
+    the greedy completion, certification and repair, and the oracles.
 
-    Construction keeps one row per source u of the table, with an entry
-    (v, allowed) for each terminal v > u, read straight from the search
+    Construction keeps one row per source u of the table, mapping each
+    terminal v > u to its allowance, read straight from the search
     labels of u in packed units:
     - binary64: allowed is dist[v] + value * maxw[v] (relative mode) or
       dist[v] + value * w_max (wmax mode), the same float expression as
@@ -663,11 +663,11 @@ class PairBounds:
                      else math.floor(value * w_max * denom))
         p, q = (value, 1) if denom is None else (value.numerator, value.denominator)
         ts = sorted(table.terminals)
-        self._rows: list[tuple[int, list[tuple[int, Weight]]]] = []
+        self._rows: dict[int, dict[int, Weight]] = {}
         for i, u in enumerate(ts[:-1]):
             sp = table._sources[u]
             dist, maxw = sp._dist, sp._maxw
-            row = []
+            row = self._rows[u] = {}
             for v in ts[i + 1:]:
                 d = dist[v]
                 if d is None:
@@ -678,8 +678,7 @@ class PairBounds:
                     a = d + value * maxw[v]
                 else:
                     a = d + p * maxw[v] // q
-                row.append((v, a))
-            self._rows.append((u, row))
+                row[v] = a
 
     @cached_property
     def allowed(self) -> dict[Pair, Weight]:
@@ -690,6 +689,18 @@ class PairBounds:
         return {p: t.dist(*p) + value * (t.w(*p) if rel else w_max)
                 for p in t.pair_keys()}
 
+    def _ok(self, d: Weight | None, a: Weight) -> bool:
+        """The condition on a packed d_H (None = unreached) and allowance."""
+        if d is None:
+            return a == INF
+        if self.rel_tol:  # binary64 only: packed is host units
+            return d - a <= self.rel_tol * max(1.0, abs(a))
+        return d <= a
+
+    def holds(self, sub, u: int, v: int) -> bool:
+        """The ok that check(sub) yields for the pair (u, v), u < v."""
+        return self._ok(sub.distances(u)[v], self._rows[u][v])
+
     def check(self, sub) -> Iterator[tuple[Pair, Weight, bool]]:
         """Yield (pair, d_H, ok) for every pair in sorted order, d_H in
         host units.
@@ -699,17 +710,10 @@ class PairBounds:
         with the row.  A `SubgraphAdjacency` keeps that list exact when a
         consumer inserts edges between pairs.
         """
-        tol, denom = self.rel_tol, self._denom
-        for u, row in self._rows:
+        for u, row in self._rows.items():
             live = sub.distances(u)
-            for v, a in row:
-                d = live[v]
-                if d is None:
-                    yield (u, v), INF, a == INF
-                elif tol:  # binary64 only: packed is host units
-                    yield (u, v), d, d - a <= tol * max(1.0, abs(a))
-                else:
-                    yield (u, v), _unpack(d, denom), d <= a
+            for v, a in row.items():
+                yield (u, v), _unpack(live[v], self._denom), self._ok(live[v], a)
 
 
 def _parse_weight(token: str, exact: bool) -> Weight:
@@ -802,6 +806,8 @@ def load_instance(text: str, exact: bool = False):
     except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"bad edge entry: {exc}") from exc
     g = Graph.from_edges(n, edges)
+    if not isinstance(doc.get("terminals", []), list):
+        raise ParseError("bad terminals: not an array")
     terminals = frozenset(_json_int(t, "terminal")
                           for t in doc.get("terminals", range(n)))
     for t in terminals:

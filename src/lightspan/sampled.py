@@ -100,6 +100,11 @@ def prefix_suffix(g: Graph, path: FixedPath, current, ell: Weight
     return tuple(edges[:i + 1]), tuple(edges[j:]), j <= i
 
 
+def _sample_size(cfg: SampleConfig, n: int, vh: int, ell: float) -> int:
+    """c ln n |V_H| / ell in [1, |V_H|], capped before ceil: it may be inf."""
+    return max(1, math.ceil(min(cfg.c * math.log(max(n, 2)) * vh / ell, vh)))
+
+
 def _sample_vertices(backbone: Backbone, size: int, seed: int) -> list[int]:
     pool = sorted(backbone.h.vertices)
     rng = random.Random(seed)
@@ -165,8 +170,7 @@ def choose_ell(g: Graph, terminals: Iterable[int], cfg: SampleConfig,
     cache: dict[int, int] = {}
 
     def v_prime(ell: float) -> int:
-        # Capped before the ceiling: an overflowing factor is infinite.
-        size = max(1, math.ceil(min(factor / ell, vh)))
+        size = _sample_size(cfg, g.n, vh, ell)
         if size not in cache:
             sample = frozenset(_sample_vertices(bb, size, cfg.seed))
             if len(sample) < 2:
@@ -225,8 +229,6 @@ def wmax_spanner(g: Graph, terminals: Iterable[int], cfg: SampleConfig,
     meta["fallback"] = False
     meta["ell"] = float(ell)
 
-    w_max = g.w_max
-    slack = beta.slack(0, w_max)
     ell_g = Fraction(ell) / inst.sigma  # exact on exact graphs, else ell / sigma
     route: dict[Pair, tuple] = {}
 
@@ -241,12 +243,10 @@ def wmax_spanner(g: Graph, terminals: Iterable[int], cfg: SampleConfig,
         route[pair] = (path, pre, suf)
         return pre + suf
 
-    state = greedy_complete(g, initial, ts, lambda pair: slack,
-                            policy=prefix_suffix_policy)
+    state = greedy_complete(g, initial, ts, beta, policy=prefix_suffix_policy)
     sub = state.sub
 
-    factor = cfg.c * math.log(max(g.n, 2)) * inst.v_h
-    sample = _sample_vertices(bb, math.ceil(min(factor / ell, inst.v_h)), cfg.seed)
+    sample = _sample_vertices(bb, _sample_size(cfg, g.n, inst.v_h, ell), cfg.seed)
     meta["sample_size"] = len(sample)
     if len(sample) >= 2:
         # The +eps*W(.,.) spanner of eps_spanner, on the backbone
@@ -264,7 +264,7 @@ def wmax_spanner(g: Graph, terminals: Iterable[int], cfg: SampleConfig,
     # Repair pass: check every pair, inserting the fixed path of any
     # violator (sorted order, deterministic).  The greedy's live
     # distances absorb each insertion, and certification reads them.
-    bounds = PairBounds(bb.path_table, beta, w_max, 0.0 if g.is_exact else 1e-9)
+    bounds = PairBounds(bb.path_table, beta, g.w_max, 0.0 if g.is_exact else 1e-9)
     repaired: list[Pair] = []
     for pair, _, ok in bounds.check(sub):
         if not ok:

@@ -161,10 +161,10 @@ def subgraph_dist(g: Graph, edges, u: int, v: int):
     return dist.get(v, inf)
 
 
-def greedy_reference(g, initial, terminals, slack, policy):
+def greedy_reference(g, initial, terminals, beta, policy):
     """greedy_complete's loop on the host graph g with a from-scratch
-    Bellman-Ford distance for every examined pair: (edges, added,
-    insertions).
+    Bellman-Ford distance for every examined pair, held against
+    d_G + Beta.slack in host units: (edges, added, insertions).
 
     The policy sees the current edge set as a plain set of canonical pairs.
     """
@@ -176,7 +176,8 @@ def greedy_reference(g, initial, terminals, slack, policy):
     insertions = 0
     for pair in order:
         u, v = pair
-        if subgraph_dist(g, current, u, v) <= table.dist(u, v) + slack(pair):
+        slack = beta.slack(table.w(u, v), g.w_max)
+        if subgraph_dist(g, current, u, v) <= table.dist(u, v) + slack:
             continue
         for e in policy(pair, table.path(u, v), current):
             if e not in current:

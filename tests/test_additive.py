@@ -146,7 +146,7 @@ class TestGreedyComplete:
         g = rand_connected_graph(3, 10, 12)
         bb = build_backbone(g, [0, 4, 9], Beta("relative", HALF.eps))
         all_edges = [canonical(u, v) for u, v, _ in g.edges]
-        state = greedy_complete(g, all_edges, [0, 4, 9], lambda p: 0)
+        state = greedy_complete(g, all_edges, [0, 4, 9], Beta("relative", 0))
         assert state.added == frozenset()
         assert state.insertions == 0
 
@@ -155,9 +155,7 @@ class TestGreedyComplete:
         bb = build_backbone(g, range(4), Beta("relative", HALF.eps))
         inst = scaled_universe(g, bb)
         initial = build_h0_eps(inst, bb.s_prime) | bb.h.edges
-        table = bb.path_table
-        state = greedy_complete(
-            g, initial, range(4), lambda p: HALF.eps * table.w(*p))
+        state = greedy_complete(g, initial, range(4), Beta("relative", HALF.eps))
         assert len(state.edges) == 6  # all of K4
 
     def test_policy_decides_what_is_inserted(self):
@@ -175,7 +173,8 @@ class TestGreedyComplete:
             asked.append(pair)
             return []
 
-        state = greedy_complete(g, initial, terms, lambda p: 0, policy=nothing)
+        state = greedy_complete(g, initial, terms, Beta("relative", 0),
+                                policy=nothing)
         assert state.edges == initial and state.added == frozenset()
         table = build_path_table(g, terms)
         violated = {(u, v) for u, v in table.pair_keys()
@@ -195,7 +194,8 @@ class TestGreedyComplete:
             def slack(pair):
                 return HALF.eps * table.w(*pair)
 
-            state = greedy_complete(g, initial, terms, slack)
+            state = greedy_complete(g, initial, terms,
+                                    Beta("relative", HALF.eps))
             assert initial <= state.edges
             from lightspan.graph import build_path_table
             g_table = build_path_table(g, terms)
@@ -247,11 +247,11 @@ class TestGreedyAgainstReference:
             wmax_spanner(g, terms, SampleConfig(split, seed=1, ell=0.5))
         policies = set()
         for args, kwargs, state in calls:
-            g, initial, terminals, slack = args
+            g, initial, terminals, beta, *_ = args
             policy = kwargs.get("policy", additive._insert_path)
             policies.add(policy.__name__)
             edges, added, insertions = greedy_reference(
-                g, initial, terminals, slack, policy)
+                g, initial, terminals, beta, policy)
             assert state == GreedyState(edges, added, insertions)
         assert policies == {"_insert_path", "prefix_suffix_policy"}
         assert sum(state.insertions for *_, state in calls) > 0
@@ -264,7 +264,7 @@ class TestGreedyAgainstReference:
             inst = scaled_universe(g, bb)
             initial = build_h0_eps(inst, bb.s_prime) | bb.h.edges
             searched.clear()
-            state = greedy_complete(g, initial, terms, lambda p: 0)
+            state = greedy_complete(g, initial, terms, Beta("relative", 0))
             total += state.insertions
             assert len(searched) <= len(terms) - 1
             assert len(searched) == len(set(searched))

@@ -73,6 +73,18 @@ class TestRunExperiment:
             assert row.lightness == row.n / 2
             assert row.edges == row.n * (row.n - 1) // 2
 
+    @pytest.mark.parametrize("field", [
+        {"epsilon": True}, {"seeds": [True, False]}, {"seeds": [0, True]},
+        {"c": True}, {"c": False},
+    ])
+    def test_boolean_knobs_rejected(self, field):
+        # JSON true/false are Python ints: epsilon true would run eps = 1,
+        # and a True seed would reach the CSV as a seed parse_csv rejects.
+        config = {"instances": [{"kind": "unit-clique", "n": 4}],
+                  "algorithms": ["eps"], **field}
+        with pytest.raises(ConfigError):
+            run_experiment(config)
+
     def test_multilevel_requires_levels(self):
         config = {"instances": [{"kind": "unit-clique", "n": 5}],
                   "algorithms": ["multilevel-e"]}
@@ -295,6 +307,16 @@ class TestCli:
         meta = json.loads(capsys.readouterr().out)["meta"]
         assert meta["fallback"] is False
         assert meta["sample_size"] == meta["v_h"]
+
+    @pytest.mark.parametrize("terminals", ["5", "null", "{}", '"abc"'])
+    def test_non_array_terminals_exit_code_two(self, tmp_path, capsys,
+                                               terminals):
+        inst_file = tmp_path / "inst.json"
+        inst_file.write_text('{"n": 3, "edges": [[0, 1, 1], [1, 2, 1]], '
+                             f'"terminals": {terminals}}}')
+        rc = main(["spanner", "--input", str(inst_file), "--algo", "eps"])
+        assert rc == 2
+        assert "terminals" in capsys.readouterr().err
 
     @pytest.mark.parametrize("doc", [
         '{"n": 3, "edges": [[0, 1.5, 1], [1, 2, 1]], "terminals": [0, 2]}',

@@ -316,6 +316,16 @@ class TestInstanceJson:
             with pytest.raises(ParseError):
                 load_instance(doc, exact=exact)
 
+    @pytest.mark.parametrize("terminals", ["5", "null", "{}", '"abc"'])
+    def test_terminals_must_be_an_array(self, terminals):
+        doc = ('{"n": 3, "edges": [[0, 1, 1], [1, 2, 1]], "terminals": '
+               + terminals + "}")
+        for exact in (False, True):
+            with pytest.raises(ParseError, match="terminals"):
+                load_instance(doc, exact=exact)
+        g, terminals, _ = load_instance(doc.replace(terminals + "}", "[]}"))
+        assert terminals == frozenset()
+
     def test_integer_ids_and_levels_still_load(self):
         doc = ('{"n": 3, "edges": [[0, 1, 1], [1, 2, 1]], "terminals": [0, 2],'
                ' "levels": {"0": 2, "2": 1}}')

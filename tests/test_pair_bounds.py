@@ -1,8 +1,8 @@
 """PairBounds, the one spanner-condition check behind the backbone scan,
-certification, the repair pass and the oracles, pinned against the naive
-references in helpers and against metamorphic and differential relations;
-and TreeDistances, the tree walks the backbone's scan over R reads,
-pinned against Dijkstra on the same tree.
+the greedy completion, certification, the repair pass and the oracles,
+pinned against the naive references in helpers and against metamorphic
+and differential relations; and TreeDistances, the tree walks the
+backbone's scan over R reads, pinned against Dijkstra on the same tree.
 """
 
 import math
@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 from helpers import (
     all_shortest_paths,
     floyd_warshall,
+    greedy_reference,
     rand_connected_graph,
     rand_tree,
     record_seeded_searches,
@@ -25,7 +26,13 @@ from helpers import (
     tie_heavy,
 )
 from lightspan import sampled
-from lightspan.additive import EpsilonSplit, eps_spanner, four_eps_spanner
+from lightspan.additive import (
+    EpsilonSplit,
+    _insert_path,
+    eps_spanner,
+    four_eps_spanner,
+    greedy_complete,
+)
 from lightspan.generators import GeneratorSpec, generate
 from lightspan.graph import (
     Beta,
@@ -122,7 +129,8 @@ FLOAT_BETAS = (Beta("relative", 0.5), Beta("relative", 0), Beta("relative", 0.1)
 
 def assert_rows_match_reference(g, ts, edges):
     """The packed rows give the reference's (pair, d_h, ok) sequence and
-    allowances, for every beta and tolerance the regime admits."""
+    allowances, and holds gives each ok, for every beta and tolerance the
+    regime admits."""
     table = build_path_table(g, ts)
     betas = EXACT_BETAS if g.is_exact else FLOAT_BETAS
     for beta in betas:
@@ -133,6 +141,8 @@ def assert_rows_match_reference(g, ts, edges):
             bounds = PairBounds(table, beta, g.w_max, rel_tol)
             got = list(bounds.check(sub))
             assert [repr(x) for x in got] == [repr(x) for x in expected], beta
+            assert ([bounds.holds(sub, u, v) for (u, v), _, _ in got]
+                    == [ok for _, _, ok in got]), beta
             assert ([repr(x) for x in bounds.allowed.items()]
                     == [repr(x) for x in allowed.items()]), beta
 
@@ -155,6 +165,27 @@ class TestPackedRowsAgainstReference:
                 for edges in (all_pairs(g), tree,
                               [e for e in all_pairs(g) if rng.random() < 0.6]):
                     assert_rows_match_reference(g, ts, edges)
+
+
+class TestGreedyOnPairBounds:
+    @settings(max_examples=100, deadline=None)
+    @given(tie_heavy(), st.randoms(use_true_random=False))
+    def test_greedy_matches_the_host_unit_reference(self, case, rnd):
+        # The greedy skips a pair when PairBounds.holds says so; the
+        # reference compares a Bellman-Ford d_H with d_G + Beta.slack.
+        g, ts = case
+        initial = [e for e in all_pairs(g) if rnd.random() < 0.4]
+        for beta in (EXACT_BETAS if g.is_exact else FLOAT_BETAS):
+            state = greedy_complete(g, initial, ts, beta)
+            assert ((state.edges, state.added, state.insertions)
+                    == greedy_reference(g, initial, ts, beta, _insert_path)), beta
+
+    def test_greedy_takes_no_tolerance(self):
+        # d_H = 0.1 + 0.2 exceeds d_G = 0.3 by one ulp: the 1e-9 margin
+        # of certification would pass the pair, the greedy inserts (0, 2).
+        g = Graph.from_edges(3, [(0, 1, 0.1), (1, 2, 0.2), (0, 2, 0.3)])
+        state = greedy_complete(g, [(0, 1), (1, 2)], [0, 2], Beta("relative", 0))
+        assert state.added == {(0, 2)}
 
 
 class TestTreeDistances:

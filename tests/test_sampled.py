@@ -147,8 +147,7 @@ class TestWmaxSpanner:
             pytest.skip("instance too heavy for the degenerate case")
         sp = wmax_spanner(g, terms, SampleConfig(SPLIT, seed=5, ell=ell))
         initial = build_h0_eps(inst, bb.s_prime) | bb.h.edges
-        state = greedy_complete(
-            g, initial, terms, lambda p: WMAX_BETA.value * g.w_max)
+        state = greedy_complete(g, initial, terms, WMAX_BETA)
         expected = state.edges
         # the sampled sub-spanner may add more; the greedy core must agree
         assert expected <= sp.edges
