@@ -33,6 +33,7 @@ from .graph import (
     Weight,
     build_path_table,
     canonical,
+    certify_tolerance,
     shortest_paths,
 )
 from .oracle import subset_lightness
@@ -303,10 +304,12 @@ _BUDGET_SCALE = 1 << 20
 
 
 def neighborhood_budget(inst: ScaledInstance, terminal_count: int) -> Weight:
-    """The d = |V_H|^(4/3) / |S|^(2/3) budget, clamped to [1, max incident sum].
+    """The d = |V_H|^(4/3) / |S|^(2/3) budget, floored at 1.
 
     In exact mode the cube root is taken deterministically at a fixed
-    dyadic precision so the budget is platform-independent.
+    dyadic precision so the budget is platform-independent.  A budget
+    above a terminal's incident weight sum takes its whole neighbourhood,
+    so d needs no cap.
     """
     v = inst.v_h
     s2 = terminal_count ** 2
@@ -315,19 +318,14 @@ def neighborhood_budget(inst: ScaledInstance, terminal_count: int) -> Weight:
                              _BUDGET_SCALE)
     else:
         d = v ** (4 / 3) / terminal_count ** (2 / 3)
-    cap: Weight = 0
-    for nbrs in inst.g_s.adjacency:
-        inc = sum((w for _, w in nbrs), 0)
-        if inc > cap:
-            cap = inc
-    return min(max(1, d), cap)
+    return max(1, d)
 
 
 def _certify(g: Graph, beta: Beta, bb: Backbone, sub: SubgraphAdjacency,
              meta: dict, light: bool) -> Spanner:
     """Check every terminal pair on sub, the caller's subgraph of g, and
     return the spanner of its edges, with its subset lightness if light."""
-    bounds = PairBounds(bb.path_table, beta, g.w_max, 0.0 if g.is_exact else 1e-9)
+    bounds = PairBounds(bb.path_table, beta, g.w_max, certify_tolerance(g))
     for (u, v), d_h, ok in bounds.check(sub):
         if not ok:
             raise SpannerConstructionError(

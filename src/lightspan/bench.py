@@ -11,10 +11,9 @@ import json
 import math
 import time
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .additive import EpsilonSplit, eps_spanner, four_eps_spanner
-from .graph import Beta
+from .graph import Beta, certify_tolerance, run_value
 from .generators import GeneratorSpec, generate
 from .multilevel import MultiLevelInstance, four_approx_baseline, solve_multilevel
 from .oracle import verify_spanner
@@ -110,11 +109,14 @@ def _check_config(config: dict) -> None:
     # type(), not isinstance: JSON true and false are ints to isinstance.
     if not isinstance(seeds, list) or not all(type(s) is int for s in seeds):
         raise ConfigError("config.seeds must be a list of integers")
-    eps = config.get("epsilon", 0.5)
-    if not (type(eps) in (int, float) and eps > 0):
-        raise ConfigError("config.epsilon must be a positive number")
-    if isinstance(config.get("c"), bool):
-        raise ConfigError("config.c must be a number, not a boolean")
+    if type(config.get("exact", False)) is not bool:
+        raise ConfigError("config.exact must be a boolean")
+    for key, default in (("epsilon", 0.5), ("c", 2.0)):
+        if type(config.get(key, default)) not in (int, float):
+            raise ConfigError(f"config.{key} must be a number")
+    p = config.get("p", "e")
+    if p != "e" and type(p) not in (int, float):
+        raise ConfigError('config.p must be "e" or a number')
 
 
 def _spec_from(entry: dict, exact: bool) -> GeneratorSpec:
@@ -132,12 +134,6 @@ def _spec_from(entry: dict, exact: bool) -> GeneratorSpec:
         raise ConfigError(f"bad instance spec {entry}: {exc}") from exc
 
 
-def _split_for(eps, exact: bool) -> EpsilonSplit:
-    if exact:
-        return EpsilonSplit.of(Fraction(str(eps)))
-    return EpsilonSplit.of(float(eps))
-
-
 def run_experiment(config: dict) -> list[ResultRow]:
     """One certified row per (instance, algorithm, seed) cell.
 
@@ -145,14 +141,12 @@ def run_experiment(config: dict) -> list[ResultRow]:
     check; emitted tables therefore always carry ok=true.
     """
     _check_config(config)
-    exact = bool(config.get("exact", False))
-    eps = config.get("epsilon", 0.5)
-    split = _split_for(eps, exact)
+    exact = config.get("exact", False)
+    split = EpsilonSplit.of(run_value(config.get("epsilon", 0.5), exact))
     seeds = config.get("seeds", [0])
-    c = float(config.get("c", 2.0))
-    p_raw = config.get("p", "e")
-    p_base = math.e if p_raw == "e" else float(p_raw)
-    rel_tol = 0.0 if exact else 1e-9
+    c = config.get("c", 2.0)
+    p = config.get("p", "e")
+    p_base = math.e if p == "e" else p
 
     rows: list[ResultRow] = []
     for entry in config["instances"]:
@@ -161,12 +155,13 @@ def run_experiment(config: dict) -> list[ResultRow]:
         for algo in config.get("algorithms", []):
             for seed in seeds:
                 rows.append(_run_cell(spec.label, g, terminals, levels, algo,
-                                      seed, split, c, p_base, rel_tol))
+                                      seed, split, c, p_base))
     return rows
 
 
-def _run_cell(label, g, terminals, levels, algo, seed, split, c, p_base,
-              rel_tol) -> ResultRow:
+def _run_cell(label, g, terminals, levels, algo, seed, split, c,
+              p_base) -> ResultRow:
+    rel_tol = certify_tolerance(g)
     t0 = time.perf_counter()
     extra: dict = {}
     if algo in ("eps", "four-eps", "wmax"):

@@ -20,26 +20,33 @@ from .bench import (
     run_experiment,
 )
 from .generators import GeneratorSpec, generate
-from .graph import Beta, GraphError, dump_instance, load_instance
+from .graph import (
+    Beta,
+    GraphError,
+    certify_tolerance,
+    dump_instance,
+    load_instance,
+    run_value,
+)
 from .multilevel import MultiLevelInstance, four_approx_baseline, solve_multilevel
 from .oracle import verify_spanner
 from .sampled import SampleConfig, wmax_spanner
 
 
-def _shared_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--epsilon", type=float, default=0.5)
-    sub.add_argument("--beta-mode", choices=("relative", "wmax"),
-                     default="relative")
-    sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--format", choices=("csv", "json"), default="json")
-    sub.add_argument("--exact-arithmetic", action="store_true",
-                     help="run with rational weights (tolerance-free checks)")
+_FLAGS = {
+    "--epsilon": dict(type=float, default=0.5),
+    "--beta-mode": dict(choices=("relative", "wmax"), default="relative"),
+    "--seed": dict(type=int, default=0),
+    "--format": dict(choices=("csv", "json"), default="json"),
+    "--exact-arithmetic": dict(action="store_true", help="run with rational "
+                               "weights (tolerance-free checks)"),
+}
 
 
-def _split(args) -> EpsilonSplit:
-    if args.exact_arithmetic:
-        return EpsilonSplit.of(Fraction(str(args.epsilon)))
-    return EpsilonSplit.of(args.epsilon)
+def _add_flags(sub: argparse.ArgumentParser, *names: str) -> None:
+    """The shared flags a command reads; any other is a usage error."""
+    for name in names:
+        sub.add_argument(name, **_FLAGS[name])
 
 
 def _read(path: str) -> str:
@@ -85,7 +92,7 @@ def _spanner_summary(sp, fmt: str) -> str:
 
 def _cmd_spanner(args) -> int:
     g, terminals, _levels = _load_instance_arg(args)
-    split = _split(args)
+    split = EpsilonSplit.of(run_value(args.epsilon, args.exact_arithmetic))
     if args.algo == "eps":
         sp = eps_spanner(g, terminals, split)
     elif args.algo == "four-eps":
@@ -102,7 +109,7 @@ def _cmd_multilevel(args) -> int:
     g, _terminals, levels = _load_instance_arg(args)
     if not levels:
         raise GraphError("instance document has no 'levels' map")
-    split = _split(args)
+    split = EpsilonSplit.of(run_value(args.epsilon, args.exact_arithmetic))
     condition = Beta(args.beta_mode, split.eps)
     inst = MultiLevelInstance(g, levels, max(levels.values()), condition)
     if args.baseline:
@@ -129,11 +136,8 @@ def _cmd_verify(args) -> int:
             continue
         u, v = line.replace(",", " ").split()[:2]
         edges.append((int(u), int(v)))
-    value = (Fraction(str(args.epsilon)) if args.exact_arithmetic
-             else args.epsilon)
-    beta = Beta(args.beta_mode, value)
-    rel_tol = 0.0 if args.exact_arithmetic else 1e-9
-    report = verify_spanner(g, terminals, edges, beta, rel_tol)
+    beta = Beta(args.beta_mode, run_value(args.epsilon, args.exact_arithmetic))
+    report = verify_spanner(g, terminals, edges, beta, certify_tolerance(g))
     print(json.dumps(report.to_json(), indent=2))
     return 0 if report.ok else 1
 
@@ -157,7 +161,7 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     gen = subs.add_parser("generate", help="emit a JSON instance")
-    _shared_flags(gen)
+    _add_flags(gen, "--seed", "--exact-arithmetic")
     gen.add_argument("--kind", required=True,
                      choices=("erdos-renyi", "geometric", "grid",
                               "unit-clique", "partition-gadget"))
@@ -173,7 +177,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.set_defaults(func=_cmd_generate)
 
     spn = subs.add_parser("spanner", help="build a certified spanner")
-    _shared_flags(spn)
+    _add_flags(spn, "--epsilon", "--seed", "--format", "--exact-arithmetic")
     spn.add_argument("--input", required=True, help="instance JSON file or -")
     spn.add_argument("--algo", choices=("eps", "four-eps", "wmax"),
                      default="eps")
@@ -183,7 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
     spn.set_defaults(func=_cmd_spanner)
 
     mlv = subs.add_parser("multilevel", help="solve a multi-level instance")
-    _shared_flags(mlv)
+    _add_flags(mlv, "--epsilon", "--beta-mode", "--seed", "--exact-arithmetic")
     mlv.add_argument("--input", required=True)
     mlv.add_argument("--p", default="e", help="'e' or a number > 1")
     mlv.add_argument("--baseline", action="store_true",
@@ -191,14 +195,14 @@ def build_parser() -> argparse.ArgumentParser:
     mlv.set_defaults(func=_cmd_multilevel)
 
     ver = subs.add_parser("verify", help="check a spanner edge list")
-    _shared_flags(ver)
+    _add_flags(ver, "--epsilon", "--beta-mode", "--exact-arithmetic")
     ver.add_argument("--input", required=True)
     ver.add_argument("--edges", required=True,
                      help="file of 'u v' or 'u,v' spanner edges, or -")
     ver.set_defaults(func=_cmd_verify)
 
     ben = subs.add_parser("bench", help="run an experiment config")
-    _shared_flags(ben)
+    _add_flags(ben, "--format")
     ben.add_argument("--config", required=True)
     ben.add_argument("--out", default=None)
     ben.set_defaults(func=_cmd_bench)

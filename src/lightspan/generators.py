@@ -105,7 +105,8 @@ def _try_grid(rng: random.Random, spec: GeneratorSpec):
 
 
 def _unit_clique(spec: GeneratorSpec):
-    edges = [(u, v, 1) for u in range(spec.n) for v in range(u + 1, spec.n)]
+    one: Weight = 1 if spec.exact else 1.0
+    edges = [(u, v, one) for u in range(spec.n) for v in range(u + 1, spec.n)]
     return spec.n, edges
 
 

@@ -73,6 +73,12 @@ def is_exact_weight(w: Weight) -> bool:
     return isinstance(w, (int, Fraction)) and not isinstance(w, bool)
 
 
+def run_value(x: float, exact: bool) -> Weight:
+    """A user's number, such as an eps, in a run's arithmetic: the
+    rational of its decimal spelling when exact, else a float."""
+    return Fraction(str(x)) if exact else float(x)
+
+
 @dataclass(frozen=True)
 class Beta:
     """An additive spanner condition: d_H <= d_G + slack.
@@ -220,6 +226,11 @@ class Graph:
         return len(seen) == self.n
 
 
+def certify_tolerance(g: Graph) -> float:
+    """The relative tolerance of a certification on g: 0 if exact, else 1e-9."""
+    return 0.0 if g.is_exact else 1e-9
+
+
 def _pack(w: Weight, denom: int) -> int:
     """An exact weight as an integer over the common denominator."""
     return w.numerator * (denom // w.denominator)
@@ -261,9 +272,6 @@ class ShortestPaths:
         self._parent = parent
         self._maxw = maxw
         self._denom = denom
-
-    def reachable(self, v: int) -> bool:
-        return self._dist[v] is not None
 
     def distance(self, v: int) -> Weight:
         return _unpack(self._dist[v], self._denom)
@@ -632,7 +640,7 @@ class PairBounds:
 
     rel_tol = 0 is the exact check, and the only one a rational table
     accepts (ValueError otherwise); binary64 callers may pass a small
-    nonnegative relative tolerance such as 1e-9.
+    nonnegative relative tolerance such as `certify_tolerance(g)`.
     """
 
     @staticmethod

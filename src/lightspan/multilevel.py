@@ -103,8 +103,8 @@ def round_levels(levels: dict[int, int], p: float, q: float
     set is cumulative (every terminal rounded to that value or higher),
     which preserves the nesting of the original level sets.
     """
-    if not p > 1:
-        raise ValueError("p must exceed 1")
+    if not 1 < p < math.inf:
+        raise ValueError("p must exceed 1 and be finite")
     if not 0 < q <= 1:
         raise ValueError("q must lie in (0, 1]")
     rounded: dict[int, tuple[Weight, int]] = {

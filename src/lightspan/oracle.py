@@ -83,7 +83,7 @@ def verify_spanner(g: Graph, terminals: Iterable[int], edges: Iterable[Pair],
 
     rel_tol = 0 gives the exact check, the only one rational mode takes
     (ValueError otherwise); binary64 callers pass a small nonnegative
-    relative tolerance such as 1e-9.
+    relative tolerance such as `certify_tolerance(g)`.
     """
     ts = sorted(set(terminals))
     for t in ts:

@@ -36,6 +36,7 @@ from .graph import (
     SubgraphAdjacency,
     Weight,
     _unpack,
+    certify_tolerance,
 )
 from .steiner import Backbone, build_backbone
 from .transform import ScaledInstance, scaled_universe
@@ -264,7 +265,7 @@ def wmax_spanner(g: Graph, terminals: Iterable[int], cfg: SampleConfig,
     # Repair pass: check every pair, inserting the fixed path of any
     # violator (sorted order, deterministic).  The greedy's live
     # distances absorb each insertion, and certification reads them.
-    bounds = PairBounds(bb.path_table, beta, g.w_max, 0.0 if g.is_exact else 1e-9)
+    bounds = PairBounds(bb.path_table, beta, g.w_max, certify_tolerance(g))
     repaired: list[Pair] = []
     for pair, _, ok in bounds.check(sub):
         if not ok:

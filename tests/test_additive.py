@@ -140,6 +140,23 @@ class TestBuildH0Budget:
                 if breaking is not None and float(breaking) <= sqrt_d:
                     assert len(accepted) >= math.floor(sqrt_d)
 
+    def test_uncapped_budget_keeps_h0(self):
+        # Capping d at the largest incident weight sum of g_s never
+        # changes H0: past the cap every neighbourhood is taken whole.
+        capped = 0
+        for kind in ("grid", "erdos-renyi"):
+            for seed in range(3):
+                g, terms, _ = generate(GeneratorSpec(kind, 40, seed=seed))
+                bb = build_backbone(g, terms, Beta("relative", 4 + HALF.eps))
+                inst = scaled_universe(g, bb)
+                d = neighborhood_budget(inst, len(terms))
+                cap = max(sum((w for _, w in nbrs), 0)
+                          for nbrs in inst.g_s.adjacency)
+                capped += d > cap
+                assert (build_h0_budget(inst, terms, d)
+                        == build_h0_budget(inst, terms, min(d, cap)))
+        assert capped  # the cap bound on some instance
+
 
 class TestGreedyComplete:
     def test_satisfied_initial_adds_nothing(self):

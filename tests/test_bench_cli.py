@@ -1,5 +1,8 @@
 import io
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -13,7 +16,9 @@ from lightspan.bench import (
     trend_config,
     trend_curve,
 )
-from lightspan.cli import main
+from lightspan.cli import build_parser, main
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 class TestRunExperiment:
@@ -84,6 +89,31 @@ class TestRunExperiment:
                   "algorithms": ["eps"], **field}
         with pytest.raises(ConfigError):
             run_experiment(config)
+
+    @pytest.mark.parametrize("field", [
+        {"c": None}, {"p": None}, {"c": "2"}, {"exact": "no"}, {"exact": 1},
+    ])
+    def test_mistyped_knobs_rejected(self, tmp_path, capsys, field):
+        # Each is refused, not coerced: float() would crash on null
+        # (exit 1) or read "2" as 2.0, and bool() would take "no" as true.
+        config = {"instances": [{"kind": "unit-clique", "n": 4}],
+                  "algorithms": ["wmax"], **field}
+        with pytest.raises(ConfigError):
+            run_experiment(config)
+        cfg_file = tmp_path / "config.json"
+        cfg_file.write_text(json.dumps(config))
+        assert main(["bench", "--config", str(cfg_file)]) == 2
+        assert "config." in capsys.readouterr().err
+
+    def test_binary64_unit_clique(self, tmp_path, capsys):
+        # The certification tolerance follows the graph, which is binary64.
+        config = {"instances": [{"kind": "unit-clique", "n": 5}],
+                  "algorithms": ["eps", "four-eps", "wmax"]}
+        cfg_file = tmp_path / "config.json"
+        cfg_file.write_text(json.dumps(config))
+        assert main(["bench", "--config", str(cfg_file)]) == 0
+        rows = json.loads(capsys.readouterr().out)
+        assert len(rows) == 3 and all(r["ok"] for r in rows)
 
     def test_multilevel_requires_levels(self):
         config = {"instances": [{"kind": "unit-clique", "n": 5}],
@@ -331,3 +361,47 @@ class TestCli:
                        *flags])
             assert rc == 2
         assert "integer" in capsys.readouterr().err
+
+    def test_multilevel_infinite_p_exit_code_two(self, tmp_path, capsys):
+        # p = inf would round every level to inf and print Infinity,
+        # which is not JSON.
+        rc = main(["generate", "--kind", "erdos-renyi", "--n", "12",
+                   "--seed", "5", "--levels-k", "2"])
+        assert rc == 0
+        inst_file = tmp_path / "inst.json"
+        inst_file.write_text(capsys.readouterr().out)
+        rc = main(["multilevel", "--input", str(inst_file), "--p", "inf"])
+        assert rc == 2
+        assert "finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,flag", [
+        ("generate", "--epsilon"), ("generate", "--beta-mode"),
+        ("generate", "--format"), ("spanner", "--beta-mode"),
+        ("multilevel", "--format"), ("verify", "--seed"),
+        ("verify", "--format"), ("bench", "--epsilon"),
+        ("bench", "--beta-mode"), ("bench", "--seed"),
+        ("bench", "--exact-arithmetic"),
+    ])
+    def test_unread_shared_flag_is_a_usage_error(self, capsys, command, flag):
+        required = {"generate": ["--kind", "grid", "--n", "4"],
+                    "spanner": ["--input", "-"],
+                    "multilevel": ["--input", "-"],
+                    "verify": ["--input", "-", "--edges", "-"],
+                    "bench": ["--config", "-"]}[command]
+        value = {"--epsilon": ["0.5"], "--beta-mode": ["wmax"],
+                 "--format": ["csv"], "--seed": ["1"],
+                 "--exact-arithmetic": []}[flag]
+        assert main([command, *required, flag, *value]) == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_readme_command_lines_parse(self):
+        block = re.search(r"## Command line\n\n```sh\n(.*?)```",
+                          README.read_text(encoding="utf-8"), re.S).group(1)
+        lines = [ln for ln in block.splitlines() if ln.startswith("lightspan ")]
+        assert len(lines) >= 7
+        parser = build_parser()
+        for line in lines:
+            words = shlex.split(line)
+            cut = next((i for i, w in enumerate(words) if w[0] in "<>|"),
+                       len(words))
+            parser.parse_args(words[1:cut])  # SystemExit on a usage error

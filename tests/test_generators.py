@@ -13,6 +13,11 @@ class TestUnitClique:
         assert terminals == frozenset(range(6))
         assert levels is None
 
+    def test_binary64_weights(self):
+        g, _, _ = generate(GeneratorSpec("unit-clique", 4, exact=False))
+        assert all(type(w) is float and w == 1 for _, _, w in g.edges)
+        assert not g.is_exact
+
 
 class TestPartitionGadget:
     def test_counts_and_weights(self):

@@ -54,6 +54,8 @@ class TestRoundLevels:
             round_levels({0: 1}, 1.0, 0.5)
         with pytest.raises(ValueError):
             round_levels({0: 1}, 2.0, 0.0)
+        with pytest.raises(ValueError):
+            round_levels({0: 1}, math.inf, 0.5)
 
 
 class TestInstanceValidation:
