@@ -137,13 +137,9 @@ class GreedyState:
 
 def build_h0_eps(inst: ScaledInstance, s_prime: Iterable[int]) -> frozenset[Pair]:
     """For each S' vertex, its lightest incident scaled edge when < 1 unit."""
-    adj = inst.g_s.adjacency
     out: set[Pair] = set()
     for v in sorted(set(s_prime)):
-        best: tuple[Weight, int] | None = None
-        for nbr, w in adj[v]:
-            if best is None or (w, nbr) < best:
-                best = (w, nbr)
+        best = min(inst.incident(v), default=None)
         if best is not None and best[0] < 1:
             out.add(canonical(v, best[1]))
     return frozenset(out)
@@ -159,17 +155,15 @@ def build_h0_budget(inst: ScaledInstance, terminals: Iterable[int],
     """
     if not budget > 0:
         raise ValueError("budget must be positive")
-    adj = inst.g_s.adjacency
-    surviving = inst.g_prime_s.weight_by_pair
     out: set[Pair] = set()
     for u in sorted(set(terminals)):
         running: Weight = 0
-        for w, nbr in sorted((w, nbr) for nbr, w in adj[u]):
+        for w, nbr in sorted(inst.incident(u)):
             if running + w > budget:
                 break
             running = running + w
             pair = canonical(u, nbr)
-            if pair in surviving:
+            if inst.spliced(pair, w):
                 out.add(pair)
     return frozenset(out)
 
@@ -326,10 +320,11 @@ def _certify(g: Graph, beta: Beta, bb: Backbone, sub: SubgraphAdjacency,
     """Check every terminal pair on sub, the caller's subgraph of g, and
     return the spanner of its edges, with its subset lightness if light."""
     bounds = PairBounds(bb.path_table, beta, g.w_max, certify_tolerance(g))
-    for (u, v), d_h, ok in bounds.check(sub):
-        if not ok:
-            raise SpannerConstructionError(
-                f"pair ({u},{v}): d_H={d_h} exceeds {bounds.allowed[(u, v)]}")
+    bad = bounds.violations(sub)
+    if bad:
+        u, v = bad[0]
+        raise SpannerConstructionError(f"pair ({u},{v}): d_H={sub.distance(u, v)}"
+                                       f" exceeds {bounds.allowed[(u, v)]}")
     edges = sub.edges
     weight = sum((g.weight_of(u, v) for u, v in edges), 0)
     ratio = None

@@ -112,11 +112,19 @@ def _check_config(config: dict) -> None:
     if type(config.get("exact", False)) is not bool:
         raise ConfigError("config.exact must be a boolean")
     for key, default in (("epsilon", 0.5), ("c", 2.0)):
-        if type(config.get(key, default)) not in (int, float):
-            raise ConfigError(f"config.{key} must be a number")
+        if not _finite_number(config.get(key, default)):
+            raise ConfigError(f"config.{key} must be a finite number")
     p = config.get("p", "e")
-    if p != "e" and type(p) not in (int, float):
-        raise ConfigError('config.p must be "e" or a number')
+    if p != "e" and not _finite_number(p):
+        raise ConfigError('config.p must be "e" or a finite number')
+
+
+def _finite_number(x) -> bool:
+    """A JSON int or float that converts to a finite float."""
+    try:
+        return type(x) in (int, float) and math.isfinite(x)
+    except OverflowError:  # an int too large for a float
+        return False
 
 
 def _spec_from(entry: dict, exact: bool) -> GeneratorSpec:

@@ -709,6 +709,20 @@ class PairBounds:
         """The ok that check(sub) yields for the pair (u, v), u < v."""
         return self._ok(sub.distances(u)[v], self._rows[u][v])
 
+    def violations(self, sub) -> list[Pair]:
+        """The pairs whose ok check(sub) yields False, in its order; with
+        no tolerance, a loop over the packed values with no generator."""
+        if self.rel_tol:
+            return [p for p, _, ok in self.check(sub) if not ok]
+        out: list[Pair] = []
+        for u, row in self._rows.items():
+            live = sub.distances(u)
+            for v, a in row.items():
+                d = live[v]
+                if (a != INF) if d is None else d > a:
+                    out.append((u, v))
+        return out
+
     def check(self, sub) -> Iterator[tuple[Pair, Weight, bool]]:
         """Yield (pair, d_H, ok) for every pair in sorted order, d_H in
         host units.

@@ -196,8 +196,8 @@ def rounding_cost_ratio(p: float, trials: int, seed: int = 0
     p^(q-s+1); the expectation over uniform q is (p-1)/ln p regardless
     of s.
     """
-    if not p > 1:
-        raise ValueError("p must exceed 1")
+    if not 1 < p < math.inf:
+        raise ValueError("p must exceed 1 and be finite")
     rng = random.Random(seed)
     vals = []
     for _ in range(trials):

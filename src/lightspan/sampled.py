@@ -17,7 +17,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .additive import (
     EpsilonSplit,
@@ -112,8 +112,9 @@ def _sample_vertices(backbone: Backbone, size: int, seed: int) -> list[int]:
     return sorted(rng.sample(pool, min(size, len(pool))))
 
 
-def threshold_search(factor: float, s_count: int, hi: float,
-                     v_prime) -> float | None:
+def threshold_search(factor: float, s_count: int, hi: float, v_prime,
+                     floor: Callable[[float], int] = lambda ell: 1,
+                     ceil: float = math.inf) -> float | None:
     """Solve ell = sqrt(factor * v_prime(ell)) / s_count over (0, hi].
 
     v_prime is a nonincreasing integer-valued function of ell, so the
@@ -121,24 +122,39 @@ def threshold_search(factor: float, s_count: int, hi: float,
     sign change can be bisected; at most 40 halvings, early exit when
     successive midpoints agree within 1% relatively.  None signals that
     no fixed point lies in range.
+
+    Each probe obeys floor(ell) <= v_prime(ell) <= ceil.  With factor > 0
+    the right-hand side is monotone in v under IEEE rounding (a product,
+    sqrt and a quotient by positive numbers all round monotonically), so
+    a test the bounds decide skips v_prime and still gives its verdict:
+    the search visits the same midpoints and returns the same ell, even
+    for a v_prime that is not monotone.
     """
 
-    def rhs(ell: float) -> float:
-        return math.sqrt(factor * v_prime(ell)) / s_count
+    def rhs(v: float) -> float:
+        return math.sqrt(factor * v) / s_count
+
+    def above(ell: float) -> bool:
+        """rhs(v_prime(ell)) > ell, from the bounds when they decide it."""
+        if rhs(floor(ell)) > ell:
+            return True
+        return rhs(ceil) > ell and rhs(v_prime(ell)) > ell
 
     lo = hi / 2 ** 30
-    if v_prime(lo) == v_prime(hi):
+    v_hi = v_prime(hi)
+    # v_prime(lo) >= floor(lo): it cannot equal a smaller v_prime(hi).
+    if v_hi >= floor(lo) and v_prime(lo) == v_hi:
         # Sample-insensitive instance: the equation is closed-form.
-        return min(hi, rhs(hi))
-    if rhs(hi) >= hi:
+        return min(hi, rhs(v_hi))
+    if rhs(v_hi) >= hi:
         return hi
-    if rhs(lo) <= lo:
+    if not above(lo):
         return None
     a, b = lo, hi
     prev: float | None = None
     for _ in range(40):
         mid = (a + b) / 2
-        if rhs(mid) > mid:
+        if above(mid):
             a = mid
         else:
             b = mid
@@ -183,11 +199,13 @@ def choose_ell(g: Graph, terminals: Iterable[int], cfg: SampleConfig,
                 cache[size] = len(sub_bb.h.vertices)
         return cache[size]
 
-    ell = threshold_search(factor, len(ts), float(vh), v_prime)
+    # A sample lies inside its backbone's S', which lies inside V(H).
+    ell = threshold_search(factor, len(ts), float(vh), v_prime,
+                           lambda ell: _sample_size(cfg, g.n, vh, ell), g.n)
     if ell is None or not ell > 0:
         return None
     inst = inst or scaled_universe(g, bb)
-    if ell < min(w for *_, w in inst.g_prime_s.edges):
+    if ell < inst.lightest_spliced():
         return None
     return ell
 

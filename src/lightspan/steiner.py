@@ -368,7 +368,7 @@ def build_backbone(g: Graph, terminals: Iterable[int], beta: Beta) -> Backbone:
     r = approx_steiner(g, ts)
 
     bounds = PairBounds(table, beta, g.w_max)
-    unsat = [p for p, _, ok in bounds.check(TreeDistances(g, r.edges)) if not ok]
+    unsat = bounds.violations(TreeDistances(g, r.edges))
 
     s_prime_f = tset | table.vertices_on(unsat)
 

@@ -6,8 +6,9 @@ can never lie on a terminal-pair shortest path), H's scaled edges are
 subdivided into unit-or-lighter pieces, and the pieces are spliced into
 the scaled graph.  A provenance map carries every spliced edge back to
 the original edge of the host.  The builders choose their seed edges
-H0 here, by the paper's rules in scaled units; the greedy completion
-and certification then run on the host graph (see `additive`).
+H0 by the paper's rules in scaled units, read off the host edges, so a
+build materialises none of these graphs; the greedy completion and
+certification then run on the host graph (see `additive`).
 """
 
 from __future__ import annotations
@@ -27,12 +28,21 @@ def _mk_graph(n: int, edges: Iterable[tuple[int, int, Weight]]) -> Graph:
     return Graph(n, tuple(canon))
 
 
+_STAGES = ("g_s", "h_s", "heavy_removed", "h_prime", "subdivision_of",
+           "g_prime_s", "provenance")
+
+
 @dataclass(frozen=True)
 class ScaledInstance:
     """Progressively built scaled universe; immutable at every stage.
 
     Stages fill in: g_s and h_s (scale), heavy_removed (drop), h_prime
     and subdivision_of (subdivide), g_prime_s and provenance (splice).
+    The universe of `scaled_universe` holds only base, backbone and
+    sigma, and runs all four stages on the first read of any of them.
+    `incident`, `spliced` and `lightest_spliced` apply the stages' rules
+    to host edges, with the product w * sigma of `scale_instance`, so
+    binary64 rounds as in the built graphs.
     """
 
     base: Graph
@@ -40,11 +50,20 @@ class ScaledInstance:
     sigma: Weight
     g_s: Graph
     h_s: Graph
-    heavy_removed: frozenset[Pair] = frozenset()
-    h_prime: Graph | None = None
-    subdivision_of: dict[Pair, Pair] | None = field(default=None, compare=False)
-    g_prime_s: Graph | None = None
-    provenance: dict[Pair, Pair] | None = field(default=None, compare=False)
+    heavy_removed: frozenset[Pair]
+    h_prime: Graph | None
+    subdivision_of: dict[Pair, Pair] | None = field(compare=False)
+    g_prime_s: Graph | None
+    provenance: dict[Pair, Pair] | None = field(compare=False)
+
+    def __getattr__(self, name: str):
+        # Reached only for a stage that a lazy universe has not built.
+        if name not in _STAGES:
+            raise AttributeError(name)
+        built = splice(subdivide_tree(drop_heavy_edges(
+            scale_instance(self.base, self.backbone))))
+        self.__dict__.update((stage, getattr(built, stage)) for stage in _STAGES)
+        return self.__dict__[name]
 
     @property
     def v_h(self) -> int:
@@ -54,23 +73,46 @@ class ScaledInstance:
     def h_prime_pairs(self) -> frozenset[Pair]:
         return frozenset(canonical(u, v) for u, v, _ in self.h_prime.edges)
 
+    def incident(self, v: int) -> list[tuple[Weight, int]]:
+        """(scaled weight, neighbour) of each edge of g_s at v."""
+        sigma, v_h, tree = self.sigma, self.v_h, self.backbone.h.edges
+        return [(ws, nbr) for nbr, w in self.base.adjacency[v]
+                if (ws := w * sigma) <= v_h or canonical(v, nbr) in tree]
 
-def scale_instance(g: Graph, backbone: Backbone) -> ScaledInstance:
-    """Multiply all edge weights by sigma = |V_H| / weight(H)."""
+    def spliced(self, pair: Pair, scaled: Weight) -> bool:
+        """Whether the g_s edge pair of that scaled weight is in g'_s:
+        subdivide_tree replaces a tree edge heavier than one unit."""
+        return pair not in self.backbone.h.edges or math.ceil(scaled) <= 1
+
+    def lightest_spliced(self) -> Weight:
+        """The minimum edge weight of g'_s: over the scaled non-tree edges
+        g_s keeps and the pieces w / ceil(w) of the scaled tree edges."""
+        sigma, v_h, tree = self.sigma, self.v_h, self.backbone.h.edges
+        scaled = ((canonical(u, v), w * sigma) for u, v, w in self.base.edges)
+        return min(ws / math.ceil(ws) if pair in tree else ws
+                   for pair, ws in scaled if ws <= v_h or pair in tree)
+
+
+def _sigma(g: Graph, backbone: Backbone) -> Weight:
+    """sigma = |V_H| / weight(H), exact on exact graphs."""
     weight_h = backbone.h.weight
     if not weight_h > 0:
         raise ValueError("backbone has zero weight; need at least two terminals")
     n_vh = len(backbone.h.vertices)
     if g.is_exact:
-        sigma = Fraction(n_vh) / Fraction(weight_h)
-    else:
-        sigma = n_vh / weight_h
+        return Fraction(n_vh) / Fraction(weight_h)
+    return n_vh / weight_h
+
+
+def scale_instance(g: Graph, backbone: Backbone) -> ScaledInstance:
+    """Multiply all edge weights by sigma = |V_H| / weight(H)."""
+    sigma = _sigma(g, backbone)
     g_s = _mk_graph(g.n, ((u, v, w * sigma) for u, v, w in g.edges))
     h_pairs = backbone.h.edges
     h_s = _mk_graph(g.n, ((u, v, w * sigma) for u, v, w in g.edges
                           if canonical(u, v) in h_pairs))
-    return ScaledInstance(base=g, backbone=backbone, sigma=sigma,
-                          g_s=g_s, h_s=h_s)
+    return ScaledInstance(g, backbone, sigma, g_s, h_s, frozenset(),
+                          None, None, None, None)
 
 
 def drop_heavy_edges(inst: ScaledInstance) -> ScaledInstance:
@@ -162,5 +204,10 @@ def map_back(inst: ScaledInstance, edges: Iterable[Pair]) -> frozenset[Pair]:
 
 
 def scaled_universe(g: Graph, backbone: Backbone) -> ScaledInstance:
-    """Run the full transform pipeline: scale, drop, subdivide, splice."""
-    return splice(subdivide_tree(drop_heavy_edges(scale_instance(g, backbone))))
+    """The universe of scale, drop, subdivide and splice, returned with
+    sigma only: its first stage read runs the whole pipeline."""
+    inst = object.__new__(ScaledInstance)
+    for name, value in (("base", g), ("backbone", backbone),
+                        ("sigma", _sigma(g, backbone))):
+        object.__setattr__(inst, name, value)
+    return inst

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -406,3 +407,61 @@ def reference_pair_bounds(table, beta, w_max, sub, rel_tol=0.0):
             ok = d_h <= a
         out.append((pair, d_h, ok))
     return allowed, out
+
+
+def reference_threshold_search(factor, s_count, hi, v_prime):
+    """The bound-free bisection `sampled.threshold_search` replaced: every
+    test calls v_prime, and the closed-form test evaluates v_prime(lo)."""
+
+    def rhs(ell):
+        return math.sqrt(factor * v_prime(ell)) / s_count
+
+    lo = hi / 2 ** 30
+    if v_prime(lo) == v_prime(hi):
+        return min(hi, rhs(hi))
+    if rhs(hi) >= hi:
+        return hi
+    if rhs(lo) <= lo:
+        return None
+    a, b = lo, hi
+    prev = None
+    for _ in range(40):
+        mid = (a + b) / 2
+        if rhs(mid) > mid:
+            a = mid
+        else:
+            b = mid
+        if prev is not None and abs(mid - prev) < 0.01 * prev:
+            break
+        prev = mid
+    return (a + b) / 2
+
+
+def reference_h0_eps(inst, s_prime):
+    """H0 of the +eps*W spanner read from the materialised g_s."""
+    adj = inst.g_s.adjacency
+    out = set()
+    for v in sorted(set(s_prime)):
+        best = None
+        for nbr, w in adj[v]:
+            if best is None or (w, nbr) < best:
+                best = (w, nbr)
+        if best is not None and best[0] < 1:
+            out.add(canonical(v, best[1]))
+    return frozenset(out)
+
+
+def reference_h0_budget(inst, terminals, budget):
+    """H0 of the +(4+eps)*W spanner read from the materialised g_s and g'_s."""
+    adj = inst.g_s.adjacency
+    surviving = inst.g_prime_s.weight_by_pair
+    out = set()
+    for u in sorted(set(terminals)):
+        running = 0
+        for w, nbr in sorted((w, nbr) for nbr, w in adj[u]):
+            if running + w > budget:
+                break
+            running = running + w
+            if canonical(u, nbr) in surviving:
+                out.add(canonical(u, nbr))
+    return frozenset(out)

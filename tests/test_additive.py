@@ -1,18 +1,23 @@
 import itertools
 import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
 
 from helpers import (
     greedy_reference,
     rand_connected_graph,
     rand_tree,
     record_seeded_searches,
+    reference_h0_budget,
+    reference_h0_eps,
     subgraph_dist,
     tenths_graph,
+    tie_heavy,
 )
-from lightspan import additive, oracle, sampled, steiner
+from lightspan import additive, oracle, sampled, steiner, transform
 from lightspan.additive import (
     EpsilonSplit,
     GreedyState,
@@ -24,15 +29,28 @@ from lightspan.additive import (
     neighborhood_budget,
 )
 from lightspan.generators import GeneratorSpec, generate
-from lightspan.graph import Beta, Graph, build_path_table, canonical
+from lightspan.graph import (
+    Beta,
+    Graph,
+    SubgraphAdjacency,
+    build_path_table,
+    canonical,
+)
 from lightspan.multilevel import (
     MultiLevelInstance,
     four_approx_baseline,
     solve_multilevel,
 )
 from lightspan.sampled import SampleConfig, wmax_spanner
-from lightspan.steiner import build_backbone
-from lightspan.transform import ScaledInstance, scaled_universe
+from lightspan.steiner import SteinerTree, build_backbone
+from lightspan.transform import (
+    ScaledInstance,
+    drop_heavy_edges,
+    scale_instance,
+    scaled_universe,
+    splice,
+    subdivide_tree,
+)
 
 HALF = EpsilonSplit.of(Fraction(1, 2))
 
@@ -43,11 +61,17 @@ def unit_clique(n):
 
 
 def synthetic_instance(n, edges):
-    """A hand-weighted scaled instance: g_s = g'_s, no tree edges."""
+    """A hand-weighted scaled instance: g_s = g'_s, no tree edges.
+
+    sigma is 1 and the backbone stub's tree spans all n vertices with no
+    edge, so |V_H| = n; no edge here weighs more, so none is dropped.
+    """
     g = Graph(n, tuple(sorted((canonical(u, v) + (w,) for u, v, w in edges),
                               key=lambda e: (e[0], e[1]))))
-    return ScaledInstance(base=g, backbone=None, sigma=1, g_s=g,
-                          h_s=Graph(n, ()), h_prime=Graph(n, ()),
+    stub = SimpleNamespace(h=SteinerTree(frozenset(range(n)), frozenset(), 0))
+    return ScaledInstance(base=g, backbone=stub, sigma=1, g_s=g,
+                          h_s=Graph(n, ()), heavy_removed=frozenset(),
+                          h_prime=Graph(n, ()),
                           subdivision_of={}, g_prime_s=g,
                           provenance={canonical(u, v): canonical(u, v)
                                       for u, v, _ in edges})
@@ -156,6 +180,84 @@ class TestBuildH0Budget:
                 assert (build_h0_budget(inst, terms, d)
                         == build_h0_budget(inst, terms, min(d, cap)))
         assert capped  # the cap bound on some instance
+
+
+def assert_host_h0_matches_universe(g, terms):
+    """H0 from host adjacency equals H0 from a materialised universe, bit
+    for bit, under both one-level conditions and at budgets that stop
+    early, at d, and past every heavy edge; so do the scaled incident
+    edges and the lightest g'_s weight."""
+    eps = Fraction(1, 2) if g.is_exact else 0.5
+    for beta in (Beta("relative", eps), Beta("relative", 4 + eps)):
+        bb = build_backbone(g, terms, beta)
+        lazy = scaled_universe(g, bb)
+        built = splice(subdivide_tree(drop_heavy_edges(scale_instance(g, bb))))
+        assert (build_h0_eps(lazy, bb.s_prime)
+                == reference_h0_eps(built, bb.s_prime))
+        d = neighborhood_budget(lazy, len(terms))
+        for budget in (Fraction(1, 2), d, 3 * lazy.v_h):
+            assert (build_h0_budget(lazy, terms, budget)
+                    == reference_h0_budget(built, terms, budget))
+        for v in range(g.n):
+            assert (repr(sorted(lazy.incident(v)))
+                    == repr(sorted((w, nbr) for nbr, w in built.g_s.adjacency[v])))
+        assert (repr(lazy.lightest_spliced())
+                == repr(min(w for *_, w in built.g_prime_s.edges)))
+
+
+class TestH0InHostUnits:
+    def test_generated_exact_and_binary64(self):
+        for kind in ("erdos-renyi", "geometric", "grid"):
+            for exact in (True, False):
+                for seed in range(3):
+                    g, terms, _ = generate(GeneratorSpec(
+                        kind, n=40, seed=seed, exact=exact))
+                    assert_host_h0_matches_universe(g, terms)
+
+    def test_heavy_edges_dropped(self):
+        # (0, 3) scales far above |V_H| and leaves g_s; at a budget past
+        # |V_H| it would otherwise enter H0.
+        for w in (1000, 1000.0):
+            one = type(w)(1)
+            g = Graph.from_edges(4, [(0, 1, one), (1, 2, one), (2, 3, one),
+                                     (0, 3, w)])
+            assert_host_h0_matches_universe(g, [0, 3])
+            bb = build_backbone(g, [0, 3], Beta("relative", 4))
+            assert (0, 3) not in build_h0_budget(scaled_universe(g, bb),
+                                                 [0, 3], 100)
+
+    @settings(max_examples=60, deadline=None)
+    @given(tie_heavy())
+    def test_tie_heavy(self, case):
+        # Binary64 products of different weights can tie here.
+        assert_host_h0_matches_universe(*case)
+
+
+class TestScaledUniverseOnRead:
+    def test_untraced_builds_materialise_no_universe(self, monkeypatch):
+        built = count_calls(monkeypatch, "scale_instance", transform)
+        g, terms, _ = generate(GeneratorSpec("erdos-renyi", n=30, seed=2,
+                                             exact=False))
+        builds = [b for b, *_ in report_builds(monkeypatch)] + [
+            lambda: wmax_spanner(g, terms, SampleConfig(EpsilonSplit.of(0.5))),
+            lambda: solve_multilevel(small_levels_instance())]
+        for build in builds:
+            build()
+        assert built == []
+
+    def test_first_read_builds_every_stage_once(self, monkeypatch):
+        g = rand_connected_graph(12, 16, 20)
+        bb = build_backbone(g, [0, 5, 10, 15], Beta("relative", HALF.eps))
+        eager = splice(subdivide_tree(drop_heavy_edges(scale_instance(g, bb))))
+        built = count_calls(monkeypatch, "scale_instance", transform)
+        lazy = scaled_universe(g, bb)
+        assert (lazy.sigma, lazy.v_h) == (eager.sigma, eager.v_h)
+        assert built == []
+        assert lazy.g_prime_s == eager.g_prime_s and built == ["scale_instance"]
+        assert lazy == eager and lazy.provenance == eager.provenance
+        assert built == ["scale_instance"]
+        with pytest.raises(AttributeError):
+            lazy.no_such_stage
 
 
 class TestGreedyComplete:
@@ -584,6 +686,18 @@ class TestBinary64Mode:
             sp4 = four_eps_spanner(g, terms, split)
             assert verify_spanner(g, terms, sp4.edges,
                                   Beta("relative", 4.5), 1e-9).ok
+
+
+class TestCertifyReportsTheFirstViolation:
+    def test_exact_and_binary64(self):
+        # The empty subgraph breaks every pair; the message names the
+        # first in pair order, with its d_H and allowance.
+        for g in (rand_connected_graph(8, 10, 12), tenths_graph(8, 10, 12)):
+            beta = Beta("relative", HALF.eps if g.is_exact else 0.5)
+            bb = build_backbone(g, [2, 5, 9], beta)
+            with pytest.raises(additive.SpannerConstructionError,
+                               match=r"pair \(2,5\): d_H=inf exceeds "):
+                additive._certify(g, beta, bb, SubgraphAdjacency(g), {}, False)
 
 
 class TestDegenerate:

@@ -105,6 +105,26 @@ class TestRunExperiment:
         assert main(["bench", "--config", str(cfg_file)]) == 2
         assert "config." in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field,algo,instance", [
+        ({"c": 10 ** 400}, "wmax", {"kind": "unit-clique", "n": 4}),
+        ({"p": 10 ** 400}, "multilevel-e",
+         {"kind": "erdos-renyi", "n": 12, "levels_k": 2}),
+        ({"p": -10 ** 400}, "multilevel-e",
+         {"kind": "erdos-renyi", "n": 12, "levels_k": 2}),
+        ({"epsilon": 10 ** 400}, "eps", {"kind": "unit-clique", "n": 4}),
+    ])
+    def test_numbers_beyond_binary64_rejected(self, tmp_path, capsys, field,
+                                              algo, instance):
+        # A 401-digit integer passes every range check, then overflows
+        # converting to float inside the build (exit 1 with a traceback).
+        config = {"instances": [instance], "algorithms": [algo], **field}
+        with pytest.raises(ConfigError, match="finite"):
+            run_experiment(config)
+        cfg_file = tmp_path / "config.json"
+        cfg_file.write_text(json.dumps(config))
+        assert main(["bench", "--config", str(cfg_file)]) == 2
+        assert "finite number" in capsys.readouterr().err
+
     def test_binary64_unit_clique(self, tmp_path, capsys):
         # The certification tolerance follows the graph, which is binary64.
         config = {"instances": [{"kind": "unit-clique", "n": 5}],

@@ -159,6 +159,12 @@ class TestRoundingRatio:
         for p in (1.5, 2, 2.5, 3, 4, 6):
             assert f(p) >= f(math.e) - 1e-12
 
+    @pytest.mark.parametrize("p", [1.0, 0.5, math.inf, math.nan])
+    def test_rounding_cost_ratio_requires_finite_p_above_one(self, p):
+        # p = inf used to die inside statistics.stdev with AttributeError.
+        with pytest.raises(ValueError):
+            rounding_cost_ratio(p, 5)
+
     def test_monte_carlo_within_three_stderr(self):
         for p in (2.0, math.e, 4.0):
             est = rounding_cost_ratio(p, trials=20000, seed=13)

@@ -129,8 +129,8 @@ FLOAT_BETAS = (Beta("relative", 0.5), Beta("relative", 0), Beta("relative", 0.1)
 
 def assert_rows_match_reference(g, ts, edges):
     """The packed rows give the reference's (pair, d_h, ok) sequence and
-    allowances, and holds gives each ok, for every beta and tolerance the
-    regime admits."""
+    allowances, holds gives each ok and violations the failing pairs in
+    order, for every beta and tolerance the regime admits."""
     table = build_path_table(g, ts)
     betas = EXACT_BETAS if g.is_exact else FLOAT_BETAS
     for beta in betas:
@@ -143,6 +143,8 @@ def assert_rows_match_reference(g, ts, edges):
             assert [repr(x) for x in got] == [repr(x) for x in expected], beta
             assert ([bounds.holds(sub, u, v) for (u, v), _, _ in got]
                     == [ok for _, _, ok in got]), beta
+            assert (bounds.violations(sub)
+                    == [pair for pair, _, ok in expected if not ok]), beta
             assert ([repr(x) for x in bounds.allowed.items()]
                     == [repr(x) for x in allowed.items()]), beta
 

@@ -2,9 +2,17 @@ import math
 from collections import Counter
 from fractions import Fraction
 
-import pytest
+import random
 
-from helpers import rand_connected_graph, rand_tree, record_seeded_searches
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from helpers import (
+    rand_connected_graph,
+    rand_tree,
+    record_seeded_searches,
+    reference_threshold_search,
+)
 from lightspan.additive import (
     EpsilonSplit,
     build_h0_eps,
@@ -98,6 +106,111 @@ class TestThresholdSearch:
 
         got = threshold_search(1e-6, 10 ** 6, 100.0, v_step)
         assert got is None
+
+
+def probe_function(kind, seed, top, scale):
+    """(floor, v_prime) over ell with floor(ell) <= v_prime(ell) <= top.
+
+    "monotone" mimics choose_ell: floor is a capped sample size
+    ceil(scale / ell) and v_prime a larger nonincreasing step function;
+    "arbitrary" draws both per ell from a seeded hash, so v_prime need
+    not be monotone at all.
+    """
+    if kind == "monotone":
+        def floor(ell):
+            return max(1, min(top, math.ceil(scale / ell)))
+
+        def v_prime(ell):
+            return max(floor(ell), min(top, math.ceil(3 * scale / ell)))
+    else:
+        def floor(ell):
+            return random.Random(f"{seed}:floor:{ell!r}").randint(1, top)
+
+        def v_prime(ell):
+            return random.Random(f"{seed}:v:{ell!r}").randint(floor(ell), top)
+    return floor, v_prime
+
+
+def log_uniform(lo, hi):
+    """Floats 10**x for x drawn from [lo, hi]."""
+    return st.floats(lo, hi).map(lambda x: 10.0 ** x)
+
+
+class TestProbeBounds:
+    """Bounds decide a probe only as evaluating it would."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(log_uniform(-12, 6), st.integers(1, 400), log_uniform(-0.3, 5),
+           st.integers(1, 500), log_uniform(-2, 5), st.integers(0, 2 ** 32),
+           st.sampled_from(["monotone", "arbitrary"]), st.booleans())
+    def test_bounds_never_change_ell(self, factor, s_count, hi, top, scale,
+                                     seed, kind, finite_ceil):
+        floor, v_prime = probe_function(kind, seed, top, scale)
+        ceil = top if finite_ceil else math.inf
+        probes = {"reference": [], "bounded": []}
+
+        def recorded(name):
+            def call(ell):
+                probes[name].append(ell)
+                return v_prime(ell)
+            return call
+
+        expected = reference_threshold_search(factor, s_count, hi,
+                                              recorded("reference"))
+        got = threshold_search(factor, s_count, hi, recorded("bounded"),
+                               floor, ceil)
+        assert got == expected
+        assert len(probes["bounded"]) <= len(probes["reference"])
+
+        # v_prime runs at hi, at lo only for a closed-form test the bounds
+        # leave open, and elsewhere only where they cannot decide the test.
+        def rhs(v):
+            return math.sqrt(factor * v) / s_count
+
+        lo = hi / 2 ** 30
+        for ell in probes["bounded"]:
+            open_test = not rhs(floor(ell)) > ell and rhs(ceil) > ell
+            assert (ell == hi or open_test
+                    or (ell == lo and v_prime(hi) >= floor(lo))), ell
+
+    def test_default_bounds_keep_the_four_argument_form(self):
+        for kind in ("monotone", "arbitrary"):
+            for seed in range(20):
+                _, v_prime = probe_function(kind, seed, 50, 40.0)
+                assert (threshold_search(300.0, 7, 60.0, v_prime)
+                        == reference_threshold_search(300.0, 7, 60.0, v_prime))
+
+    def test_choose_ell_builds_fewer_backbones(self, monkeypatch):
+        # On generated wmax instances the bounded search returns the
+        # reference bisection's ell and never builds more probe backbones.
+        split = EpsilonSplit.of(0.5)
+        built = Counter()
+        for kind in ("erdos-renyi", "geometric", "grid"):
+            for seed in range(3):
+                g, terms, _ = generate(GeneratorSpec(
+                    kind, n=60, seed=seed, terminal_fraction=0.2, exact=False))
+                inst = scaled_universe(g, build_backbone(
+                    g, terms, Beta("wmax", 4.5)))
+                cfg = SampleConfig(split, seed=seed)
+                ells = {}
+                for side in ("bounded", "reference"):
+                    with monkeypatch.context() as mp:
+                        def counted(*args, side=side):
+                            built[side] += 1
+                            return build_backbone(*args)
+
+                        mp.setattr(sampled_mod, "build_backbone", counted)
+                        if side == "reference":
+                            mp.setattr(sampled_mod, "threshold_search",
+                                       lambda f, s, hi, vp, *bounds:
+                                       reference_threshold_search(f, s, hi, vp))
+                        before = built[side]
+                        ells[side] = choose_ell(g, terms, cfg, inst)
+                        built[side, kind, seed] = built[side] - before
+                assert ells["bounded"] == ells["reference"]
+                assert (built["bounded", kind, seed]
+                        <= built["reference", kind, seed])
+        assert built["bounded"] < built["reference"]
 
 
 class TestChooseEll:
