@@ -1,5 +1,6 @@
 import io
 import json
+import math
 import re
 import shlex
 from pathlib import Path
@@ -112,6 +113,9 @@ class TestRunExperiment:
         ({"p": -10 ** 400}, "multilevel-e",
          {"kind": "erdos-renyi", "n": 12, "levels_k": 2}),
         ({"epsilon": 10 ** 400}, "eps", {"kind": "unit-clique", "n": 4}),
+        ({"c": math.inf}, "wmax", {"kind": "unit-clique", "n": 4}),
+        ({"p": math.nan}, "multilevel-e",
+         {"kind": "erdos-renyi", "n": 12, "levels_k": 2}),
     ])
     def test_numbers_beyond_binary64_rejected(self, tmp_path, capsys, field,
                                               algo, instance):

@@ -87,8 +87,11 @@ def test_workloads_still_require_these_layers():
             assert "sampled.choose_ell" in exercised
 
 
-@pytest.mark.parametrize("name,build,layers", builds(),
-                         ids=[b[0] for b in builds()])
+BUILDS = builds()
+
+
+@pytest.mark.parametrize("name,build,layers", BUILDS,
+                         ids=[name for name, *_ in BUILDS])
 def test_builder_records_required_layers(name, build, layers):
     t = traced(build)
     calls = t.call_counts()
