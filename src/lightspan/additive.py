@@ -139,8 +139,8 @@ def build_h0_eps(inst: ScaledInstance, s_prime: Iterable[int]) -> frozenset[Pair
     """For each S' vertex, its lightest incident scaled edge when < 1 unit."""
     out: set[Pair] = set()
     for v in sorted(set(s_prime)):
-        best = min(inst.incident(v), default=None)
-        if best is not None and best[0] < 1:
+        best = min(inst.incident_units(v), default=None)
+        if best is not None and best[0] < inst.unit:
             out.add(canonical(v, best[1]))
     return frozenset(out)
 
@@ -151,15 +151,17 @@ def build_h0_budget(inst: ScaledInstance, terminals: Iterable[int],
 
     Tree edges heavier than one unit consume budget but are physically
     represented by their subdivision inside H', so only edges that
-    survive the splice are returned.
+    survive the splice are returned.  Weights count `inst.unit`s; on
+    exact graphs they are integers, and the budget is floored to match.
     """
     if not budget > 0:
         raise ValueError("budget must be positive")
+    limit = math.floor(budget * inst.unit) if inst.base.is_exact else budget
     out: set[Pair] = set()
     for u in sorted(set(terminals)):
         running: Weight = 0
-        for w, nbr in sorted(inst.incident(u)):
-            if running + w > budget:
+        for w, nbr in sorted(inst.incident_units(u)):
+            if running + w > limit:
                 break
             running = running + w
             pair = canonical(u, nbr)

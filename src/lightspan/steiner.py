@@ -17,6 +17,13 @@ reads R's distances from one walk of R per source
 the unique path in order from the source, so the distances, and P, are
 the same bit for bit.
 
+The exact solver first contracts lightest edges between terminals
+(Duin & Volgenant, Networks 19, 1989).  Let e = (x, y) be a lightest
+edge at terminal x, y a terminal: an optimal tree avoiding e has a first
+edge f on its x-y path with w(f) >= w(e), and swapping f for e gives an
+optimal tree, so OPT(G, S) = w(e) + OPT(G/e, S/e).  The weight is always
+the optimum; where optimal trees tie, the tree may differ.
+
 Of `graph`'s two search engines, the Voronoi regions and fixed paths read
 parent pointers from `shortest_paths_adj`; the Dreyfus-Wagner rows need
 only distances, from `_relax`.
@@ -254,33 +261,55 @@ def approx_steiner(g: Graph, terminals: Iterable[int]) -> SteinerTree:
     return _tree_of(g, tset, edges)
 
 
-def exact_steiner(g: Graph, terminals: Iterable[int]) -> SteinerTree:
-    """Minimum-weight Steiner tree via the Dreyfus-Wagner dynamic program.
+def _contract_terminal_edges(g: Graph, ts: list[int]):
+    """Contract each lightest edge leaving a terminal group whose other
+    end is a terminal group: one scan in packed (w, u, v) order merges
+    two groups when one is an unblocked terminal group and the other a
+    terminal group, and else blocks both; a merge with a blocked group is
+    blocked.  An unblocked group has met no edge leaving it, so its merge
+    edge is a lightest.  Returns the contracted host edges, the graph of
+    the groups (the lightest host edge per pair), its terminals, and the
+    host edge of each of its edges; g itself when none is contracted.
+    """
+    _, adj = g._packed
+    edges = sorted((w, u, v) for u, nbrs in enumerate(adj) for v, w in nbrs if u < v)
+    uf = _UnionFind(range(g.n))
+    terminal, unblocked = set(ts), set(ts)
+    contracted: list[Pair] = []
+    for _, u, v in edges:
+        a, b = uf.find(u), uf.find(v)
+        if a == b:
+            continue
+        if a in terminal and b in terminal and (a in unblocked or b in unblocked):
+            uf.union(a, b)  # a stays the root
+            unblocked.discard(b if b in unblocked else a)
+            contracted.append((u, v))
+        else:
+            unblocked -= {a, b}
+        if not unblocked:
+            break
+    if not contracted:
+        return [], g, ts, {}
+    label = {r: i for i, r in enumerate(dict.fromkeys(map(uf.find, range(g.n))))}
+    host: dict[Pair, Pair] = {}
+    for _, u, v in edges:
+        host.setdefault(canonical(label[uf.find(u)], label[uf.find(v)]), (u, v))
+    reduced = Graph(len(label), tuple((a, b, g.weight_of(*e)) for (a, b), e
+                                      in sorted(host.items()) if a != b))
+    return contracted, reduced, sorted({label[uf.find(t)] for t in ts}), host
 
-    Exponential in the number of terminals (capped at 12); used as the
-    oracle behind lightness denominators and approximation-ratio tests.
 
-    Row `mask` holds per vertex v the packed weight of a cheapest tree
+def _dreyfus_wagner(g: Graph, ts: list[int]) -> tuple[set[Pair], Fraction]:
+    """The Dreyfus-Wagner program on sorted terminals: the edges it
+    rebuilds and the optimum weight.  Row `mask` holds per vertex v the packed weight of a cheapest tree
     spanning v and the terminals in `mask`: a singleton's memoised host
     search, else the elementwise minimum of its split merges, relaxed by
     `_relax`.  The tree is rebuilt by integer equality: from (mask, v) to
     a neighbour u with row[u] + w == row[v], else to a split whose halves
     sum to row[v]; a singleton follows its search's parents.
     """
-    if not g.is_exact:
-        raise NonExactArithmeticError(
-            "exact Steiner trees require rational edge weights")
-    ts = _check_terminals(g, terminals)
-    tset = frozenset(ts)
-    if len(ts) > EXACT_STEINER_MAX_TERMINALS:
-        raise TooManyTerminalsError(
-            f"{len(ts)} terminals exceed the exact-solver cap "
-            f"{EXACT_STEINER_MAX_TERMINALS}")
     if len(ts) == 1:
-        return SteinerTree(tset, frozenset(), 0)
-    if _is_tree_graph(g):
-        return _steiner_subtree_of_tree(g, ts)
-
+        return set(), Fraction(0)
     denom, adj = g._packed
     root = ts[-1]
     singles = [shortest_paths(g, q) for q in ts[:-1]]
@@ -342,12 +371,35 @@ def exact_steiner(g: Graph, terminals: Iterable[int]) -> SteinerTree:
         else:
             raise SteinerReconstructionError(f"no split of {mask} at {v} "
                                              f"weighs {c}")
+    return edges, Fraction(rows[full][root], denom)
 
+
+def exact_steiner(g: Graph, terminals: Iterable[int]) -> SteinerTree:
+    """Minimum-weight Steiner tree: `_dreyfus_wagner` on the graph left by
+    `_contract_terminal_edges`, lifted to host edges.  Exponential in the
+    terminals, at most 12 before any contraction."""
+    if not g.is_exact:
+        raise NonExactArithmeticError(
+            "exact Steiner trees require rational edge weights")
+    ts = _check_terminals(g, terminals)
+    tset = frozenset(ts)
+    if len(ts) > EXACT_STEINER_MAX_TERMINALS:
+        raise TooManyTerminalsError(
+            f"{len(ts)} terminals exceed the exact-solver cap "
+            f"{EXACT_STEINER_MAX_TERMINALS}")
+    if len(ts) == 1:
+        return SteinerTree(tset, frozenset(), 0)
+    if _is_tree_graph(g):
+        return _steiner_subtree_of_tree(g, ts)
+
+    contracted, reduced, reduced_ts, host = _contract_terminal_edges(g, ts)
+    edges, optimum = _dreyfus_wagner(reduced, reduced_ts)
+    edges = {host.get(e, e) for e in edges}.union(contracted)
     # Ties in the DP can reconstruct a subgraph rather than a tree; an MST
     # plus pruning restores treeness without changing the optimal weight.
     mst = _kruskal((g.weight_of(u, v), u, v) for u, v in edges)
     tree = _tree_of(g, tset, prune_to_terminals(mst, tset))
-    best = Fraction(rows[full][root], denom)
+    best = sum((g.weight_of(u, v) for u, v in contracted), optimum)
     if tree.weight != best:
         raise SteinerReconstructionError(
             f"reconstructed tree weighs {tree.weight}, optimum is {best}")

@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable
 
 from .graph import Graph, Pair, UnknownEdgeError, Weight, canonical
@@ -42,7 +43,8 @@ class ScaledInstance:
     sigma, and runs all four stages on the first read of any of them.
     `incident`, `spliced` and `lightest_spliced` apply the stages' rules
     to host edges, with the product w * sigma of `scale_instance`, so
-    binary64 rounds as in the built graphs.
+    binary64 rounds as in the built graphs; on exact graphs
+    `incident_units` gives the same edges in integer units.
     """
 
     base: Graph
@@ -75,14 +77,28 @@ class ScaledInstance:
 
     def incident(self, v: int) -> list[tuple[Weight, int]]:
         """(scaled weight, neighbour) of each edge of g_s at v."""
-        sigma, v_h, tree = self.sigma, self.v_h, self.backbone.h.edges
-        return [(ws, nbr) for nbr, w in self.base.adjacency[v]
-                if (ws := w * sigma) <= v_h or canonical(v, nbr) in tree]
+        unit = self.unit
+        return [(Fraction(ws, unit) if self.base.is_exact else ws, nbr)
+                for ws, nbr in self.incident_units(v)]
+
+    @cached_property
+    def unit(self) -> int:
+        """One scaled unit in `incident_units`: denom * b' on exact graphs,
+        where sigma = a / b', so each packed w_p * a is an integer; else 1."""
+        denom = self.base._packed[0]
+        return 1 if denom is None else denom * self.sigma.denominator
+
+    def incident_units(self, v: int) -> list[tuple[Weight, int]]:
+        """`incident(v)`, each weight times `unit`, in the same order."""
+        a = self.sigma.numerator if self.base.is_exact else self.sigma
+        cap, tree = self.v_h * self.unit, self.backbone.h.edges
+        return [(ws, nbr) for nbr, w in self.base._packed[1][v]
+                if (ws := w * a) <= cap or canonical(v, nbr) in tree]
 
     def spliced(self, pair: Pair, scaled: Weight) -> bool:
-        """Whether the g_s edge pair of that scaled weight is in g'_s:
-        subdivide_tree replaces a tree edge heavier than one unit."""
-        return pair not in self.backbone.h.edges or math.ceil(scaled) <= 1
+        """Whether the g_s edge pair of that weight, in `unit`s, is in
+        g'_s: subdivide_tree replaces a tree edge heavier than one unit."""
+        return pair not in self.backbone.h.edges or scaled <= self.unit
 
     def lightest_spliced(self) -> Weight:
         """The minimum edge weight of g'_s: over the scaled non-tree edges

@@ -226,6 +226,24 @@ class TestH0InHostUnits:
             assert (0, 3) not in build_h0_budget(scaled_universe(g, bb),
                                                  [0, 3], 100)
 
+    def test_exact_budget_and_splice_boundaries(self):
+        # H = 0-1-2 weighs 2 over |V_H| = 3, so sigma = 3/2 and the tree
+        # edge (0, 1) scales to exactly one unit: it survives the splice.
+        # At 0, (0, 3) scales to 1/2 and (0, 1) brings the running sum to
+        # exactly the non-integer budget 3/2, so both are taken.
+        g = Graph.from_edges(4, [(0, 1, Fraction(2, 3)), (1, 2, Fraction(4, 3)),
+                                 (0, 3, Fraction(1, 3)), (0, 2, Fraction(8, 3))])
+        bb = build_backbone(g, [0, 2], Beta("relative", 4 + HALF.eps))
+        assert bb.h.edges == {(0, 1), (1, 2)}
+        lazy = scaled_universe(g, bb)
+        assert lazy.sigma == Fraction(3, 2)
+        built = splice(subdivide_tree(drop_heavy_edges(scale_instance(g, bb))))
+        d = Fraction(3, 2)
+        h0 = build_h0_budget(lazy, [0, 2], d)
+        assert h0 == reference_h0_budget(built, [0, 2], d) == {(0, 1), (0, 3)}
+        assert build_h0_budget(lazy, [0, 2], d - Fraction(1, 10**9)) == {(0, 3)}
+        assert_host_h0_matches_universe(g, [0, 2])
+
     @settings(max_examples=60, deadline=None)
     @given(tie_heavy())
     def test_tie_heavy(self, case):

@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import rand_connected_graph, rand_tree, subgraph_dist
+from helpers import cycle_graph, rand_connected_graph, rand_tree, subgraph_dist
+from lightspan import oracle, steiner
 from lightspan.additive import EpsilonSplit, eps_spanner, four_eps_spanner
 from lightspan.graph import Beta, Graph, build_path_table, canonical
 from lightspan.multilevel import MultiLevelInstance
@@ -94,6 +95,26 @@ class TestSubsetLightness:
             bb = build_backbone(g, range(n), HALF)
             res = subset_lightness(g, bb, Fraction(n * (n - 1), 2))
             assert res.ratio == Fraction(n, 2)
+
+    def test_budget_reads_the_unreduced_s_prime(self, monkeypatch):
+        # Ten terminals in adjacent pairs on a 200-cycle: the contraction
+        # would leave 5 groups, whose program fits the budget, but the
+        # budget is tested on |S'| = 10, so the mode stays "approx".
+        g = cycle_graph(200, 1, [], exact=True)
+        ts = sorted({x for k in range(0, 100, 20) for x in (k, k + 1)})
+        bb = build_backbone(g, ts, Beta("relative", 1000))
+        assert bb.s_prime == frozenset(ts)
+        assert 3 ** (len(ts) - 1) * g.n > oracle._EXACT_LIGHTNESS_BUDGET
+        _, reduced, reduced_ts, _ = steiner._contract_terminal_edges(g, ts)
+        assert len(reduced_ts) == 5
+        assert (3 ** (len(reduced_ts) - 1) * reduced.n
+                <= oracle._EXACT_LIGHTNESS_BUDGET)
+        calls = []
+        monkeypatch.setattr(oracle, "exact_steiner",
+                            lambda *args: calls.append(args))
+        res = subset_lightness(g, bb, g.total_weight)
+        assert res.mode == "approx" and calls == []
+        assert res.steiner_weight == bb.t.weight
 
     def test_approx_mode_recorded_when_s_prime_large(self):
         g = rand_connected_graph(33, 40, 70)

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import (
+    cycle_graph,
     enumerate_steiner_optimum,
+    grid_graph,
     is_tree,
     leaves_are_terminals,
     rand_connected_graph,
@@ -14,7 +16,7 @@ from helpers import (
     subgraph_dist,
     tie_heavy,
 )
-from lightspan.graph import Beta, Graph, canonical
+from lightspan.graph import Beta, Graph, UnknownEdgeError, canonical
 from lightspan import steiner
 from lightspan.steiner import (
     EmptyTerminalSetError,
@@ -220,3 +222,141 @@ class TestBackbone:
         for u, v in bb.unsatisfied_pairs:
             d_r = subgraph_dist(g, bb.r.edges, u, v)
             assert d_r > bb.path_table.dist(u, v) + beta.value * g.w_max
+
+
+def contracted_optimum(g, ts):
+    """The optimum through the contraction: the contracted host edges
+    plus the reference optimum of the contracted graph."""
+    contracted, reduced, reduced_ts, host = steiner._contract_terminal_edges(g, ts)
+    rest = (reference_exact_steiner(reduced, reduced_ts)
+            if len(reduced_ts) > 1 else 0)
+    return sum(g.weight_of(u, v) for u, v in contracted) + rest
+
+
+def assert_optimal_tree(g, ts):
+    tree = exact_steiner(g, ts)
+    assert tree.weight == reference_exact_steiner(g, ts)
+    assert is_tree(tree.edges, ts)
+    assert leaves_are_terminals(tree.edges, ts)
+    return tree
+
+
+def record_programs(monkeypatch):
+    """Log (vertex count, terminal count) of each Dreyfus-Wagner run."""
+    runs = []
+    real = steiner._dreyfus_wagner
+
+    def recording(g, ts):
+        runs.append((g.n, len(ts)))
+        return real(g, ts)
+    monkeypatch.setattr(steiner, "_dreyfus_wagner", recording)
+    return runs
+
+
+class TestTerminalContraction:
+    """Lightest terminal-to-terminal edges are contracted before the
+    Dreyfus-Wagner program; the optimum weight never changes."""
+
+    @given(tie_heavy(exact=True, max_terminals=8))
+    @settings(max_examples=120, deadline=None)
+    def test_contraction_keeps_the_optimum_on_tie_heavy_graphs(self, case):
+        g, ts = case
+        assert contracted_optimum(g, ts) == reference_exact_steiner(g, ts)
+        assert_optimal_tree(g, ts)
+
+    def test_random_graphs_match_the_reference(self):
+        for seed in range(40):
+            n = 6 + seed % 6
+            g = rand_connected_graph(seed + 900, n, n)
+            ts = sorted(set(range(0, n, 1 + seed % 3)))[:8]
+            assert contracted_optimum(g, ts) == reference_exact_steiner(g, ts)
+            assert_optimal_tree(g, ts)
+
+    def test_chain_collapses_step_by_step(self, monkeypatch):
+        # Each merged group's lightest edge is the next chain edge; the
+        # heavier spokes to the hub 4 never win.  One terminal is left.
+        g = Graph.from_edges(5, [(0, 1, 1), (1, 2, 2), (2, 3, 3),
+                                 (0, 4, 5), (1, 4, 5), (2, 4, 5), (3, 4, 5)])
+        contracted, reduced, reduced_ts, _ = steiner._contract_terminal_edges(
+            g, [0, 1, 2, 3])
+        assert contracted == [(0, 1), (1, 2), (2, 3)]
+        assert reduced.n == 2 and reduced_ts == [0]
+        runs = record_programs(monkeypatch)
+        tree = assert_optimal_tree(g, [0, 1, 2, 3])
+        assert tree.edges == frozenset(contracted) and tree.weight == 6
+        assert runs == [(2, 1)]
+
+    def test_blocked_group_still_merges_along_its_partners_lightest_edge(self):
+        # 2's lightest edge reaches the non-terminal 3, which blocks it;
+        # (1, 2) is still the lightest edge leaving {0, 1}, so it merges,
+        # and the merged group is blocked.
+        g = Graph.from_edges(5, [(0, 1, 1), (1, 2, 2), (2, 3, Fraction(3, 2)),
+                                 (3, 4, 1), (0, 4, 4), (2, 4, 3)])
+        ts = [0, 1, 2, 4]
+        contracted, _, reduced_ts, _ = steiner._contract_terminal_edges(g, ts)
+        assert contracted == [(0, 1), (1, 2)] and len(reduced_ts) == 2
+        assert contracted_optimum(g, ts) == reference_exact_steiner(g, ts)
+        assert_optimal_tree(g, ts)
+
+    def test_every_terminal_merges_into_one_group(self, monkeypatch):
+        g = cycle_graph(9, 1, [(0, 4), (2, 7)], exact=True)
+        runs = record_programs(monkeypatch)
+        tree = assert_optimal_tree(g, range(9))
+        assert tree.weight == 8
+        assert runs == [(1, 1)]
+
+    def test_lightest_edge_to_a_non_terminal_contracts_nothing(self,
+                                                               monkeypatch):
+        # The hub 3 is lighter than any rim edge, so every terminal is
+        # blocked at once and the program runs on the host graph itself.
+        g = Graph.from_edges(4, [(0, 3, 1), (1, 3, 1), (2, 3, 1),
+                                 (0, 1, Fraction(5, 2)), (1, 2, Fraction(5, 2)),
+                                 (0, 2, Fraction(5, 2))])
+        contracted, reduced, reduced_ts, host = steiner._contract_terminal_edges(
+            g, [0, 1, 2])
+        assert contracted == [] and reduced is g
+        assert reduced_ts == [0, 1, 2] and host == {}
+        runs = record_programs(monkeypatch)
+        assert assert_optimal_tree(g, [0, 1, 2]).weight == 3
+        assert runs == [(4, 3)]
+
+    def test_ties_for_the_lightest_edge(self):
+        # Terminal 1 ties between the non-terminal 0 and the terminal 2,
+        # and the (w, u, v) order meets (0, 1) first; on a unit grid every
+        # edge ties.
+        g = Graph.from_edges(4, [(0, 1, 1), (1, 2, 1), (2, 3, 1), (0, 3, 1)])
+        for ts in ([1, 2], [1, 2, 3], [0, 2], [0, 1, 2, 3]):
+            assert contracted_optimum(g, ts) == reference_exact_steiner(g, ts)
+            assert_optimal_tree(g, ts)
+        grid = grid_graph(3, 4, [1], exact=True)
+        for ts in itertools.combinations(range(0, 12, 2), 4):
+            assert contracted_optimum(grid, ts) == reference_exact_steiner(grid, ts)
+            assert_optimal_tree(grid, list(ts))
+
+    def test_thirteen_terminals_raise_before_any_contraction(self):
+        # All 13 would merge into one group, yet the cap counts them all.
+        g = cycle_graph(13, 1, [(0, 6)], exact=True)
+        with pytest.raises(TooManyTerminalsError):
+            exact_steiner(g, range(13))
+
+    def test_disconnected_terminals_raise(self):
+        # Two components; (0, 1) and (3, 4) contract, and the two groups
+        # left still lie in different components.
+        for ts in ([0, 1, 3, 4], [0, 3]):
+            g = Graph(5, ((0, 1, 1), (0, 2, 3), (1, 2, 2), (3, 4, 1)))
+            with pytest.raises(UnknownEdgeError):
+                exact_steiner(g, ts)
+
+    def test_built_instance_runs_the_program_on_fewer_terminals(
+            self, monkeypatch):
+        from lightspan.additive import EpsilonSplit, eps_spanner
+        from lightspan.generators import GeneratorSpec, generate
+        half = EpsilonSplit.of(Fraction(1, 2))
+        g, terms, _ = generate(GeneratorSpec("erdos-renyi", n=30, seed=1,
+                                             exact=True))
+        bb = build_backbone(g, terms, Beta("relative", half.eps))
+        runs = record_programs(monkeypatch)
+        sp = eps_spanner(g, terms, half)
+        assert sp.meta["lightness_mode"] == "exact"
+        ((n, t),) = runs
+        assert t < len(bb.s_prime) and n < g.n

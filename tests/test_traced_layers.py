@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from lightspan import additive, multilevel, sampled
+from lightspan import additive, multilevel, sampled, steiner
 from lightspan.additive import EpsilonSplit
 from lightspan.generators import GeneratorSpec, generate
 from lightspan.graph import Beta
@@ -106,3 +106,17 @@ def test_traced_universe_reports_the_spliced_graph():
     bb = build_backbone(g, terms, Beta("relative", HALF.eps))
     eager = splice(subdivide_tree(drop_heavy_edges(scale_instance(g, bb))))
     assert t.samples["spliced"] == [eager.g_prime_s.n]
+
+
+def test_exact_lightness_records_one_exact_steiner_call():
+    # The contraction hands the smaller program to a private helper, so
+    # the traced entry point is entered once per exact denominator.
+    g, terms, _ = generate(GeneratorSpec("erdos-renyi", n=30, seed=1,
+                                         exact=True))
+    bb = build_backbone(g, terms, Beta("relative", HALF.eps))
+    contracted, *_ = steiner._contract_terminal_edges(g, sorted(bb.s_prime))
+    assert contracted
+    built = []
+    t = traced(lambda: built.append(additive.eps_spanner(g, terms, HALF)))
+    assert built[0].meta["lightness_mode"] == "exact"
+    assert t.call_counts()["steiner.exact_steiner"] == 1
