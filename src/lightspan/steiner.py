@@ -300,13 +300,13 @@ def _contract_terminal_edges(g: Graph, ts: list[int]):
 
 
 def _dreyfus_wagner(g: Graph, ts: list[int]) -> tuple[set[Pair], Fraction]:
-    """The Dreyfus-Wagner program on sorted terminals: the edges it
-    rebuilds and the optimum weight.  Row `mask` holds per vertex v the packed weight of a cheapest tree
-    spanning v and the terminals in `mask`: a singleton's memoised host
-    search, else the elementwise minimum of its split merges, relaxed by
-    `_relax`.  The tree is rebuilt by integer equality: from (mask, v) to
-    a neighbour u with row[u] + w == row[v], else to a split whose halves
-    sum to row[v]; a singleton follows its search's parents.
+    """The Dreyfus-Wagner program on sorted terminals: its rebuilt edges
+    and optimum.  Row `mask` holds per vertex v the packed weight of a
+    cheapest tree spanning v and the terminals in `mask`: a singleton's
+    memoised search, else the elementwise minimum of its split merges,
+    relaxed by `_relax`.  The tree is rebuilt by integer equality: from
+    (mask, v) to a neighbour u with row[u] + w == row[v], else to a split
+    whose halves sum to row[v]; a singleton follows its search's parents.
     """
     if len(ts) == 1:
         return set(), Fraction(0)
