@@ -7,12 +7,14 @@ cheap edges around every terminal, both chosen in the scaled universe
 and joined with the backbone tree.  Pairs are processed in
 nondecreasing order of the maximum edge weight on their fixed path, ties
 by shorter distance; a pair whose detour breaks the builder's Beta (by
-PairBounds, as certification checks, but with no tolerance) gets all
-missing fixed-path edges (the sampled W_max spanner reuses the loop with
-a prefix/suffix insertion policy).  The paper runs the loop on the
-spliced graph; on G it agrees up to ties (the scale is uniform, every
-backbone piece is in the initial set, and dropped heavy edges lie on no
-terminal shortest path), and certification reads its live subgraph.
+PairBounds, as certification checks, but with no tolerance) gets what
+the insertion policy, the loop's one extension point, returns: all
+missing fixed-path edges, a prefix and suffix for the sampled W_max
+spanner, or all missing edges plus set-off / improvement accounting in
+instrumented runs.  The paper runs the loop on the spliced graph; on G
+it agrees up to ties (the scale is uniform, every backbone piece is in
+the initial set, and dropped heavy edges lie on no terminal shortest
+path), and certification reads its live subgraph.
 """
 
 from __future__ import annotations
@@ -127,10 +129,11 @@ class InstrumentationReport:
 
 @dataclass(frozen=True)
 class GreedyState:
+    """greedy_complete's result; sub, the live subgraph, is not compared."""
+
     edges: frozenset[Pair]
     added: frozenset[Pair]
     insertions: int
-    instrumentation: InstrumentationReport | None = None
     sub: SubgraphAdjacency | None = field(default=None, compare=False,
                                           repr=False)
 
@@ -170,64 +173,43 @@ def build_h0_budget(inst: ScaledInstance, terminals: Iterable[int],
     return frozenset(out)
 
 
-class _Instrumentor:
-    """Tracks the set-off / improvement events around each insertion."""
+def _instrumented(policy: Callable, g: Graph, split: EpsilonSplit, table,
+                  setoffs: dict, improvements: dict, failures: list) -> Callable:
+    """policy, adding each insertion's set-off / improvement events to
+    setoffs, improvements and failures.  The code after `yield from` runs
+    once the loop has inserted every yielded edge, so it reads the
+    distances the insertion left."""
 
-    def __init__(self, g: Graph, split: EpsilonSplit, table) -> None:
-        self.split = split
-        self.table = table
-        self.g = g
-        self.setoffs: dict[tuple[int, int], int] = {}
-        self.improvements: dict[tuple[int, int], int] = {}
-        self.failures: list = []
-        self._ctx = None
-
-    def before(self, pair: Pair, path, current: SubgraphAdjacency) -> None:
+    def instrumented(pair: Pair, path: FixedPath,
+                     current: SubgraphAdjacency) -> Iterable[Pair]:
         u, v = pair
-        w = self.table.w(u, v)
-        d_cur = current.distance(u, v)
+        w = table.w(u, v)
         near = current.multi_source_distances(path.vertices)
-        witnesses = sorted(q for q, d in near.items()
-                           if d <= self.split.eps1 * w)
-        self._ctx = {
-            "pair": pair,
-            "w": w,
-            "premise": d_cur > self.table.dist(u, v) + self.split.eps * w,
-            "witnesses": witnesses,
-            # Values, not the live lists, which add_edge lowers in place.
-            "before": {(x, q): current.distance(x, q)
-                       for x in pair for q in witnesses},
-            "seton_snapshot": set(self.setoffs),
-        }
-
-    def after(self, current: SubgraphAdjacency) -> None:
-        ctx = self._ctx
-        self._ctx = None
-        u, v = ctx["pair"]
-        w = ctx["w"]
-        thr = self.split.eps2 * w / 2
-        for q in ctx["witnesses"]:
+        witnesses = sorted(q for q, d in near.items() if d <= split.eps1 * w)
+        premise = current.distance(u, v) > table.dist(u, v) + split.eps * w
+        # Values, not the live lists, which add_edge lowers in place.
+        before = {(x, q): current.distance(x, q) for x in pair for q in witnesses}
+        seton = set(setoffs)
+        yield from policy(pair, path, current)
+        thr = split.eps2 * w / 2
+        for q in witnesses:
             drops = {}
-            for x in (u, v):
-                d_b = ctx["before"][x, q]
+            for x in pair:
                 d_a = current.distance(x, q)
-                drops[x] = d_b - d_a if d_a != math.inf else 0
-                d_full = shortest_paths(self.g, x).distance(q)
-                cond1 = d_a <= d_full + 2 * self.split.eps1 * w
-                if ctx["premise"] and not cond1:
-                    self.failures.append(((u, v), q, x, "set-off bound"))
+                drops[x] = before[x, q] - d_a if d_a != math.inf else 0
+                d_full = shortest_paths(g, x).distance(q)
+                cond1 = d_a <= d_full + 2 * split.eps1 * w
+                if premise and not cond1:
+                    failures.append((pair, q, x, "set-off bound"))
                 key = (x, q)
-                if cond1 and key not in self.setoffs:
-                    self.setoffs[key] = 1
-                elif key in ctx["seton_snapshot"] and drops[x] > thr:
-                    self.improvements[key] = self.improvements.get(key, 0) + 1
-            if ctx["premise"] and not (drops[u] > thr or drops[v] > thr):
-                self.failures.append(((u, v), q, None, "improvement dichotomy"))
+                if cond1 and key not in setoffs:
+                    setoffs[key] = 1
+                elif key in seton and drops[x] > thr:
+                    improvements[key] = improvements.get(key, 0) + 1
+            if premise and not (drops[u] > thr or drops[v] > thr):
+                failures.append((pair, q, None, "improvement dichotomy"))
 
-    def report(self) -> InstrumentationReport:
-        return InstrumentationReport(self.split, dict(self.setoffs),
-                                     dict(self.improvements),
-                                     tuple(self.failures))
+    return instrumented
 
 
 def _insert_path(pair: Pair, path: FixedPath,
@@ -237,14 +219,16 @@ def _insert_path(pair: Pair, path: FixedPath,
 
 def greedy_complete(g: Graph, initial: Iterable[Pair],
                     terminals: Iterable[int], beta: Beta,
-                    instrument: EpsilonSplit | None = None,
                     policy: Callable[[Pair, FixedPath, SubgraphAdjacency],
                                      Iterable[Pair]] = _insert_path) -> GreedyState:
     """Process terminal pairs of g in nondecreasing order of fixed-path
     max edge weight (ties: shorter distance, then pair id), inserting the
     edges that policy(pair, fixed path, current subgraph) returns for
     each pair that PairBounds.holds rejects under beta: by default all
-    missing fixed-path edges, for wmax_spanner a prefix and suffix.
+    missing fixed-path edges, for wmax_spanner a prefix and suffix.  It
+    consumes each policy iterable fully, inserting each missing edge as
+    it is yielded, so a generator's code after its last yield sees them
+    all inserted (`_instrumented` relies on this).
 
     The fixed paths come from g's memoised searches, which the backbone
     ran.  The subgraph, returned as state.sub, keeps one live distance
@@ -257,24 +241,17 @@ def greedy_complete(g: Graph, initial: Iterable[Pair],
     order = sorted(table.pair_keys(), key=table.order_key)
     bounds = PairBounds(table, beta, g.w_max)
     current = SubgraphAdjacency(g, initial)  # UnknownEdgeError if foreign
-    instr = _Instrumentor(g, instrument, table) if instrument else None
     added: set[Pair] = set()
     insertions = 0
     for pair in order:
         if bounds.holds(current, *pair):
             continue
-        path = table.path(*pair)
-        if instr:
-            instr.before(pair, path, current)
-        for e in policy(pair, path, current):
+        for e in policy(pair, table.path(*pair), current):
             if e not in current:
                 current.add_edge(*e)
                 added.add(e)
         insertions += 1
-        if instr:
-            instr.after(current)
-    return GreedyState(current.edges, frozenset(added), insertions,
-                       instr.report() if instr else None, current)
+    return GreedyState(current.edges, frozenset(added), insertions, current)
 
 
 def _icbrt(n: int) -> int:
@@ -359,11 +336,17 @@ def _one_level(g: Graph, terminals: frozenset[int], beta: Beta, h0_mode: str,
         budget = neighborhood_budget(inst, len(terminals))
         h0 = build_h0_budget(inst, terminals, budget)
         meta["budget"] = float(budget)
-    state = greedy_complete(g, h0 | bb.h.edges, terminals, beta, instrument)
+    policy = _insert_path
+    if instrument:
+        setoffs, improvements, failures = {}, {}, []
+        policy = _instrumented(_insert_path, g, instrument, bb.path_table,
+                               setoffs, improvements, failures)
+    state = greedy_complete(g, h0 | bb.h.edges, terminals, beta, policy=policy)
     meta["insertions"] = state.insertions
     meta["h0_edges"] = len(h0)
-    if state.instrumentation is not None:
-        meta["instrumentation"] = state.instrumentation
+    if instrument:
+        meta["instrumentation"] = InstrumentationReport(
+            instrument, setoffs, improvements, tuple(failures))
     return _certify(g, beta, bb, state.sub, meta, light)
 
 

@@ -25,6 +25,7 @@ from .graph import (
     GraphError,
     certify_tolerance,
     dump_instance,
+    json_number,
     load_instance,
     run_value,
 )
@@ -77,9 +78,9 @@ def _spanner_summary(sp, fmt: str) -> str:
     doc = {
         "edges": sorted([list(e) for e in sp.edges]),
         "edge_count": len(sp.edges),
-        "weight": float(sp.weight),
+        "weight": json_number(sp.weight),
         "subset_lightness": None if sp.subset_lightness is None
-        else float(sp.subset_lightness),
+        else json_number(sp.subset_lightness),
         "meta": {k: v for k, v in sp.meta.items()
                  if isinstance(v, (int, float, str, bool, list, type(None)))},
     }
@@ -118,7 +119,7 @@ def _cmd_multilevel(args) -> int:
         p = math.e if args.p == "e" else float(args.p)
         sol = solve_multilevel(inst, p=p, seed=args.seed)
     doc = {
-        "cost": float(sol.cost),
+        "cost": json_number(sol.cost),
         "q": sol.q_used,
         "rounded_levels": [float(v) for v in sol.rounded_levels],
         "levels": [sorted([list(e) for e in es]) for es in sol.edge_sets],

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -45,8 +46,8 @@ class GeneratorSpec:
         if self.n < 2:
             raise GenerationError("need at least two vertices")
         lo, hi = self.weight_range
-        if not (0 < lo <= hi):
-            raise GenerationError("weight range must be positive and ordered")
+        if not (0 < lo <= hi <= sys.float_info.max):
+            raise GenerationError("weight range must be positive, ordered, finite")
         if not 0 < self.terminal_fraction <= 1:
             raise GenerationError("terminal fraction must lie in (0, 1]")
 

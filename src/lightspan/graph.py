@@ -143,6 +143,8 @@ class Graph:
             canon.append((key[0], key[1], w))
         if 0 < floats < len(canon):
             raise InvalidWeightError("the graph mixes binary64 and exact weights")
+        if floats and sum(e[2] for e in canon) == INF:  # path lengths overflow
+            raise InvalidWeightError("the binary64 weights sum to infinity")
         g = cls(n, tuple(sorted(canon, key=lambda e: (e[0], e[1]))))
         if not g.is_connected():
             raise DisconnectedError("graph is not connected")
@@ -841,6 +843,15 @@ def load_instance(text: str, exact: bool = False):
         levels = {_json_int_key(k): _json_int(v, "level")
                   for k, v in doc["levels"].items()}
     return g, terminals, levels
+
+
+def json_number(x: Weight) -> float | str:
+    """float(x) when that is finite, else str(x): "inf", or the exact int
+    or "p/q" that dump_instance writes."""
+    try:
+        return float(x) if math.isfinite(x) else str(x)
+    except OverflowError:
+        return str(x)
 
 
 def _weight_json(w: Weight, exact: bool) -> Weight | str:

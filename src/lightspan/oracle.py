@@ -24,6 +24,7 @@ from .graph import (
     Weight,
     build_path_table,
     canonical,
+    json_number,
 )
 from .steiner import (
     Backbone,
@@ -63,14 +64,14 @@ class VerificationReport:
     def to_json(self) -> dict:
         return {
             "ok": self.ok,
-            "max_excess": float(self.max_excess),
+            "max_excess": json_number(self.max_excess),
             "violations": [
                 {
                     "pair": list(v.pair),
-                    "d_g": float(v.d_g),
-                    "d_h": float(v.d_h),
-                    "allowed": float(v.allowed),
-                    "excess": float(v.excess),
+                    "d_g": json_number(v.d_g),
+                    "d_h": json_number(v.d_h),
+                    "allowed": json_number(v.allowed),
+                    "excess": json_number(v.excess),
                 }
                 for v in self.violations
             ],

@@ -253,12 +253,11 @@ def wmax_spanner(g: Graph, terminals: Iterable[int], cfg: SampleConfig,
 
     def prefix_suffix_policy(pair: Pair, path: FixedPath,
                              current: SubgraphAdjacency) -> Iterable[Pair]:
-        missing = [e for e in path.edge_pairs() if e not in current]
-        if sum((g.weight_of(*e) for e in missing), 0) < ell_g:
-            return missing
+        # A violated pair misses an edge, and one that misses less than
+        # ell_g gets overlapping sides, so every missing edge goes in.
         pre, suf, overlapped = prefix_suffix(g, path, current, ell_g)
         if overlapped:
-            return missing
+            return [e for e in path.edge_pairs() if e not in current]
         route[pair] = (path, pre, suf)
         return pre + suf
 

@@ -102,10 +102,11 @@ class ScaledInstance:
 
     def lightest_spliced(self) -> Weight:
         """The minimum edge weight of g'_s: over the scaled non-tree edges
-        g_s keeps and the pieces w / ceil(w) of the scaled tree edges."""
+        g_s keeps and the pieces w / ceil(w) of the scaled tree edges (an
+        underflowed binary64 w = 0 stays whole, as in subdivide_tree)."""
         sigma, v_h, tree = self.sigma, self.v_h, self.backbone.h.edges
         scaled = ((canonical(u, v), w * sigma) for u, v, w in self.base.edges)
-        return min(ws / math.ceil(ws) if pair in tree else ws
+        return min(ws / max(1, math.ceil(ws)) if pair in tree else ws
                    for pair, ws in scaled if ws <= v_h or pair in tree)
 
 

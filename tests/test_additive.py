@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 from fractions import Fraction
@@ -35,6 +36,7 @@ from lightspan.graph import (
     SubgraphAdjacency,
     build_path_table,
     canonical,
+    certify_tolerance,
 )
 from lightspan.multilevel import (
     MultiLevelInstance,
@@ -226,6 +228,17 @@ class TestH0InHostUnits:
             assert (0, 3) not in build_h0_budget(scaled_universe(g, bb),
                                                  [0, 3], 100)
 
+    def test_underflowed_scaled_tree_edge_stays_whole(self):
+        # sigma is about 1e-300, so the 1e-300 tree edge scales to 0.0 in
+        # binary64; it counts as one piece and wmax builds and certifies.
+        from lightspan.oracle import verify_spanner
+        g = Graph.from_edges(4, [(0, 1, 1e300), (1, 2, 1e300), (2, 3, 1e300),
+                                 (0, 3, 1e-300)])
+        assert_host_h0_matches_universe(g, range(4))
+        sp = wmax_spanner(g, range(4), SampleConfig(EpsilonSplit.of(0.5)))
+        assert verify_spanner(g, range(4), sp.edges, Beta("wmax", 4.5),
+                              certify_tolerance(g)).ok
+
     def test_exact_budget_and_splice_boundaries(self):
         # H = 0-1-2 weighs 2 over |V_H| = 3, so sigma = 3/2 and the tree
         # edge (0, 1) scales to exactly one unit: it survives the splice.
@@ -318,6 +331,30 @@ class TestGreedyComplete:
                     if subgraph_dist(g, initial, u, v) > table.dist(u, v)}
         assert violated and sorted(asked) == sorted(violated)
         assert state.insertions == len(asked)
+
+    def test_generator_policy_sees_each_yielded_edge_inserted(self):
+        # The loop inserts each edge as it is yielded, so a generator
+        # policy reads it in the subgraph when it resumes, and its code
+        # after the last yield sees every yielded edge inserted.
+        g = rand_connected_graph(17, 16, 22)
+        terms = [0, 5, 10, 15]
+        bb = build_backbone(g, terms, Beta("relative", HALF.eps))
+        inst = scaled_universe(g, bb)
+        initial = build_h0_eps(inst, bb.s_prime) | bb.h.edges
+        resumed, finished = [], []
+
+        def one_at_a_time(pair, path, current):
+            missing = [e for e in path.edge_pairs() if e not in current]
+            for e in missing:
+                yield e
+                resumed.append(e in current)
+            finished.append(all(e in current for e in missing))
+
+        state = greedy_complete(g, initial, terms, Beta("relative", 0),
+                                policy=one_at_a_time)
+        assert state.insertions == len(finished) > 0
+        assert all(finished) and all(resumed)
+        assert len(resumed) == len(state.added)
 
     def test_final_state_satisfies_all_pairs_independent_check(self):
         for seed in range(8):
@@ -681,6 +718,28 @@ class TestInstrumentation:
         assert failures == []
         # Improvement budget is an empirical report, not an assertion.
         print("observed (events, 1+budget) per run:", budgets)
+
+    @pytest.mark.parametrize("kind, setoffs, digest", [
+        ("rand", 12, "b85b93ec7deb4347"),
+        ("erdos-renyi", 57, "99be18ee077b7b42"),
+        ("geometric", 47, "877859014d583a68"),
+        ("grid", 19, "a08f8f5e46d9daf5"),
+    ])
+    def test_events_pinned(self, kind, setoffs, digest):
+        # The events of fixed instances: the accounting reads the
+        # distances after the insertion, so moving it before the policy's
+        # edges go in changes the set-offs.
+        if kind == "rand":
+            g, terms = rand_connected_graph(152, 14, 20), [0, 4, 8, 12]
+        else:
+            g, terms, _ = generate(GeneratorSpec(kind, n=40, seed=1))
+        rep = eps_spanner(g, terms, HALF, instrument=True).meta["instrumentation"]
+        assert rep.split == HALF
+        assert len(rep.setoffs) == setoffs
+        assert set(rep.setoffs.values()) == {1}
+        assert rep.improvements == {} and rep.event_failures == ()
+        keys = repr(sorted(rep.setoffs)).encode()
+        assert hashlib.sha256(keys).hexdigest()[:16] == digest
 
     def test_instrumentation_counts_are_nonnegative_ints(self):
         g = rand_connected_graph(160, 12, 18)

@@ -18,6 +18,7 @@ from lightspan.bench import (
     trend_curve,
 )
 from lightspan.cli import build_parser, main
+from lightspan.generators import GenerationError, GeneratorSpec
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -429,3 +430,71 @@ class TestCli:
             cut = next((i for i, w in enumerate(words) if w[0] in "<>|"),
                        len(words))
             parser.parse_args(words[1:cut])  # SystemExit on a usage error
+
+
+def strict_json(text):
+    """The document parsed with NaN and Infinity refused: neither is JSON."""
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
+BIG = 10 ** 400
+
+
+class TestNumbersBeyondBinary64:
+    @pytest.mark.parametrize("w", [str(BIG), '"1e400"'], ids=["int", "string"])
+    def test_exact_documents_print_exact_strings(self, tmp_path, capsys, w):
+        # float() overflows on these weights; the documents carry them
+        # exactly, as dump_instance writes them.
+        inst = tmp_path / "inst.json"
+        inst.write_text(f'{{"n": 3, "edges": [[0, 1, {w}], [1, 2, 1]], '
+                        f'"terminals": [0, 1, 2], "levels": {{"0": 1, "1": 2, "2": 1}}}}')
+        edges = tmp_path / "edges.txt"
+        edges.write_text("0 1\n1 2\n")
+        flags = ["--input", str(inst), "--exact-arithmetic"]
+        assert main(["spanner", *flags]) == 0
+        doc = strict_json(capsys.readouterr().out)
+        assert doc["weight"] == str(BIG + 1) and doc["edge_count"] == 2
+        assert main(["multilevel", *flags]) == 0
+        doc = strict_json(capsys.readouterr().out)
+        assert isinstance(doc["cost"], str) and int(doc["cost"]) > BIG
+        assert main(["verify", *flags, "--edges", str(edges)]) == 0
+        assert strict_json(capsys.readouterr().out)["ok"] is True
+
+    def test_weight_range_beyond_binary64_is_refused(self, tmp_path, capsys):
+        with pytest.raises(GenerationError):
+            GeneratorSpec("grid", n=9, weight_range=(1, BIG))
+        for flags in ([], ["--exact-arithmetic"]):
+            assert main(["generate", "--kind", "grid", "--n", "9",
+                         "--weight-max", str(BIG), *flags]) == 2
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"instances": [{"kind": "grid", "n": 9,
+                                                  "weight_range": [1, BIG]}],
+                                   "algorithms": ["eps"]}))
+        assert main(["bench", "--config", str(cfg)]) == 2
+        assert "weight range" in capsys.readouterr().err
+
+    def test_binary64_path_lengths_that_overflow_are_refused(self, tmp_path,
+                                                            capsys):
+        inst = tmp_path / "inst.json"
+        inst.write_text('{"n": 3, "edges": [[0, 1, 1e308], [1, 2, 1e308]], '
+                        '"terminals": [0, 1, 2]}')
+        edges = tmp_path / "edges.txt"
+        edges.write_text("0 1\n1 2\n")
+        assert main(["spanner", "--input", str(inst)]) == 2
+        assert main(["verify", "--input", str(inst), "--edges", str(edges)]) == 2
+        assert capsys.readouterr().err.count("sum to infinity") == 2
+
+    def test_binary64_wmax_with_an_underflowing_tree_edge(self, tmp_path,
+                                                          capsys):
+        inst = tmp_path / "inst.json"
+        inst.write_text('{"n": 4, "edges": [[0, 1, 1e300], [1, 2, 1e300], '
+                        '[2, 3, 1e300], [0, 3, 1e-300]]}')
+        assert main(["spanner", "--input", str(inst), "--algo", "wmax"]) == 0
+        doc = strict_json(capsys.readouterr().out)
+        edges = tmp_path / "edges.txt"
+        edges.write_text("".join(f"{u} {v}\n" for u, v in doc["edges"]))
+        assert main(["verify", "--input", str(inst), "--edges", str(edges),
+                     "--beta-mode", "wmax"]) == 0
+        assert strict_json(capsys.readouterr().out)["ok"] is True

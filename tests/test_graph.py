@@ -85,6 +85,15 @@ class TestLoadGraph:
             with pytest.raises(InvalidWeightError, match="mixes"):
                 Graph.from_edges(3, edges)
 
+    def test_binary64_weights_whose_sum_overflows(self):
+        # A path through both edges would have length inf.
+        with pytest.raises(InvalidWeightError, match="sum to infinity"):
+            Graph.from_edges(3, [(0, 1, 1e308), (1, 2, 1e308)])
+        assert math.isfinite(Graph.from_edges(3, [(0, 1, 8e307),
+                                                  (1, 2, 8e307)]).total_weight)
+        assert Graph.from_edges(3, [(0, 1, 10 ** 400),
+                                    (1, 2, 10 ** 400)]).is_exact
+
     def test_infinite_weight_in_edge_list(self):
         with pytest.raises(GraphError):
             load_graph("0 1 inf")

@@ -9,6 +9,7 @@ fails here, not first in a traced run.
 """
 
 import importlib.util
+import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -120,3 +121,13 @@ def test_exact_lightness_records_one_exact_steiner_call():
     t = traced(lambda: built.append(additive.eps_spanner(g, terms, HALF)))
     assert built[0].meta["lightness_mode"] == "exact"
     assert t.call_counts()["steiner.exact_steiner"] == 1
+
+
+def test_perfbench_selftest_passes():
+    # The harness checks (isolation, determinism, failure accounting and
+    # the tracer's wrapping of entry points such as greedy_complete) run
+    # in their own process, as `python3 perfbench/selftest.py` does.
+    proc = subprocess.run([sys.executable, str(PERFBENCH / "selftest.py")],
+                          cwd=PERFBENCH.parent, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
