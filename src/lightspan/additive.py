@@ -305,7 +305,7 @@ def _certify(g: Graph, beta: Beta, bb: Backbone, sub: SubgraphAdjacency,
         raise SpannerConstructionError(f"pair ({u},{v}): d_H={sub.distance(u, v)}"
                                        f" exceeds {bounds.allowed[(u, v)]}")
     edges = sub.edges
-    weight = sum((g.weight_of(u, v) for u, v in edges), 0)
+    weight = g.weight_sum(edges)
     ratio = None
     if light:
         res = subset_lightness(g, bb, weight)

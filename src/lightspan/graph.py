@@ -69,10 +69,6 @@ def canonical(u: int, v: int) -> Pair:
     return (u, v) if u < v else (v, u)
 
 
-def is_exact_weight(w: Weight) -> bool:
-    return isinstance(w, (int, Fraction)) and not isinstance(w, bool)
-
-
 def run_value(x: float, exact: bool) -> Weight:
     """A user's number, such as an eps, in a run's arithmetic: the
     rational of its decimal spelling when exact, else a float."""
@@ -168,11 +164,12 @@ class Graph:
 
     @cached_property
     def w_max(self) -> Weight:
-        return max((w for _, _, w in self.edges), default=0)
+        return (self._exact[3] if self.is_exact
+                else max((w for _, _, w in self.edges), default=0))
 
     @cached_property
     def is_exact(self) -> bool:
-        return all(is_exact_weight(w) for _, _, w in self.edges)
+        return self._exact is not None
 
     @cached_property
     def _sssp_memo(self) -> dict[int, "ShortestPaths"]:
@@ -183,25 +180,36 @@ class Graph:
         return {}
 
     @cached_property
-    def _packed(self) -> tuple[int | None, tuple[tuple[tuple[int, Weight], ...], ...]]:
-        """Adjacency with weights lifted to integers over one denominator.
-
-        Exact graphs only; float graphs keep their weights as-is
-        (denominator None).  Keeps the Dijkstra inner loop on machine
-        comparisons instead of Fraction arithmetic.
-        """
-        if not self.is_exact:
-            return None, self.adjacency
-        denom = 1
+    def _exact(self) -> tuple[int, tuple, dict[Pair, int], Weight] | None:
+        """An exact graph in one pass: the common denominator (one lcm), the
+        adjacency and weight per pair packed over it, and the heaviest weight
+        (`max`'s pick); None at the first weight not an int or a Fraction."""
+        ratios = []
         for _, _, w in self.edges:
-            if isinstance(w, Fraction):
-                denom = math.lcm(denom, w.denominator)
+            if type(w) is not int and type(w) is not Fraction:
+                return None
+            ratios.append(w.as_integer_ratio())
+        denom = math.lcm(*{d for _, d in ratios})
         adj: list[list[tuple[int, int]]] = [[] for _ in range(self.n)]
-        for u, v, w in self.edges:
-            wi = _pack(w, denom)
+        packed, top, heaviest = {}, 0, -INF
+        for (u, v, w), (p, d) in zip(self.edges, ratios):
+            wi = packed[u, v] = p * (denom // d)
             adj[u].append((v, wi))
             adj[v].append((u, wi))
-        return denom, tuple(tuple(a) for a in adj)
+            if wi > heaviest:
+                top, heaviest = w, wi
+        return denom, tuple(tuple(a) for a in adj), packed, top
+
+    @cached_property
+    def _packed(self) -> tuple[int | None, tuple[tuple[tuple[int, Weight], ...], ...]]:
+        """`_exact`'s (denominator, adjacency); (None, adjacency) on floats."""
+        return self._exact[:2] if self.is_exact else (None, self.adjacency)
+
+    def weight_sum(self, pairs: Iterable[Pair]) -> Weight:
+        """Total weight of canonical edges; one packed sum if exact."""
+        if not self.is_exact:
+            return sum((self.weight_of(u, v) for u, v in pairs), 0)
+        return _unpack(sum(map(self._exact[2].__getitem__, pairs)), self._exact[0])
 
     def weight_of(self, u: int, v: int) -> Weight:
         try:
@@ -231,11 +239,6 @@ class Graph:
 def certify_tolerance(g: Graph) -> float:
     """The relative tolerance of a certification on g: 0 if exact, else 1e-9."""
     return 0.0 if g.is_exact else 1e-9
-
-
-def _pack(w: Weight, denom: int) -> int:
-    """An exact weight as an integer over the common denominator."""
-    return w.numerator * (denom // w.denominator)
 
 
 def _unpack(d: Weight | None, denom: int | None) -> Weight:
@@ -415,8 +418,7 @@ class SubgraphAdjacency:
 
     def __init__(self, host: Graph, edges: Iterable[Pair] = ()) -> None:
         self.host = host
-        denom, _ = host._packed
-        self.denom = denom
+        self.denom = host._packed[0]
         # Indexed by host vertex, so it serves as a Dijkstra adjacency.
         self._adj: list[list[tuple[int, Weight]]] = [[] for _ in range(host.n)]
         self._edges: set[Pair] = set()
@@ -431,7 +433,7 @@ class SubgraphAdjacency:
             return
         w = self.host.weight_of(u, v)
         if self.denom is not None:
-            w = _pack(w, self.denom)
+            w = self.host._exact[2][key]
         self._edges.add(key)
         self._adj[u].append((v, w))
         self._adj[v].append((u, w))

@@ -140,8 +140,8 @@ def _expand_to_levels(groups: list[RoundedGroup],
 
 
 def _cost(g: Graph, edge_sets: Iterable[frozenset[Pair]]) -> Weight:
-    return sum((sum((g.weight_of(u, v) for u, v in es), 0)
-                for es in edge_sets), 0)
+    return (g.weight_sum(e for es in edge_sets for e in es) if g.is_exact
+            else sum((g.weight_sum(es) for es in edge_sets), 0))  # binary64 order
 
 
 def solve_multilevel(inst: MultiLevelInstance, oracle: Oracle | None = None,
@@ -249,7 +249,6 @@ def merge_bound_diagnostic(inst: MultiLevelInstance, p: float, q: float,
         if len(terms) < 2:
             continue
         if terms not in cache:
-            cache[terms] = sum((g.weight_of(u, v)
-                                for u, v in oracle(g, terms)), 0)
+            cache[terms] = g.weight_sum(oracle(g, terms))
         opt_sum = opt_sum + cache[terms]
     return MergeDiagnostic(merged_cost, opt_sum, 1 / (1 - 1 / p))

@@ -96,7 +96,8 @@ def verify_spanner(g: Graph, terminals: Iterable[int], edges: Iterable[Pair],
     table = build_path_table(g, ts)
     bounds = PairBounds(table, beta, g.w_max, rel_tol)
     violations = tuple(
-        Violation(p, table.dist(*p), d_h, bounds.allowed[p], d_h - bounds.allowed[p])
+        Violation(p, table.dist(*p), d_h, a := bounds.allowed[p],
+                  math.inf if d_h == math.inf else d_h - a)  # inf - Fraction overflows
         for p, d_h, ok in bounds.check(sub) if not ok)
     max_excess = max((v.excess for v in violations), default=0)
     return VerificationReport(not violations, violations, max_excess)

@@ -24,6 +24,17 @@ edge f on its x-y path with w(f) >= w(e), and swapping f for e gives an
 optimal tree, so OPT(G, S) = w(e) + OPT(G/e, S/e).  The weight is always
 the optimum; where optimal trees tie, the tree may differ.
 
+On four or more terminals left, a dual ascent (Wong, Math. Programming
+28, 1984) rooted at a terminal r raises the dual of W(t), the vertices
+with a zero-reduced-cost path to a terminal t, while r is not in W(t), by
+the cheapest reduced cost entering it.  The raises sum to LB <= OPT, also
+when the ascent stops after 3^(t-1) * n arc scans, the program's own work.
+U, Mehlhorn's tree with an MST over its vertices, weighs at least OPT, so
+LB = w(U) proves U.  Else a tree through a non-terminal v weighs at least
+LB + d(r, v) + d(v, S - r) in reduced-cost distances (Polzin & Vahdati
+Daneshmand, Discrete Appl. Math. 112, 2001), and the program runs without
+every v where that exceeds w(U).
+
 Of `graph`'s two search engines, the Voronoi regions and fixed paths read
 parent pointers from `shortest_paths_adj`; the Dreyfus-Wagner rows need
 only distances, from `_relax`.
@@ -40,6 +51,7 @@ from .graph import (
     Beta,
     Graph,
     GraphError,
+    INF,
     NonExactArithmeticError,
     Pair,
     PairBounds,
@@ -124,15 +136,12 @@ class _UnionFind:
         return True
 
 
-def _kruskal(edges: Iterable[tuple[Weight, int, int]]) -> set[Pair]:
-    """Minimum spanning forest, deterministic under (weight, u, v) order."""
-    out: set[Pair] = set()
-    ordered = sorted(edges)
+def _kruskal(g: Graph, edges: Iterable[Pair]) -> set[Pair]:
+    """Minimum spanning forest of canonical host edges under (weight, u, v) order."""
+    weight = g._exact[2] if g.is_exact else g.weight_by_pair
+    ordered = sorted((weight[e], *e) for e in edges)
     uf = _UnionFind({x for _, u, v in ordered for x in (u, v)})
-    for _, u, v in ordered:
-        if uf.union(u, v):
-            out.add(canonical(u, v))
-    return out
+    return {(u, v) for _, u, v in ordered if uf.union(u, v)}
 
 
 def prune_to_terminals(edges: Iterable[Pair], terminals: frozenset[int]) -> set[Pair]:
@@ -162,7 +171,7 @@ def prune_to_terminals(edges: Iterable[Pair], terminals: frozenset[int]) -> set[
 
 def _tree_of(g: Graph, terminals: frozenset[int], edges: Iterable[Pair]) -> SteinerTree:
     es = frozenset(edges)
-    return SteinerTree(terminals, es, sum((g.weight_of(u, v) for u, v in es), 0))
+    return SteinerTree(terminals, es, g.weight_sum(es))
 
 
 def _check_terminals(g: Graph, terminals: Iterable[int]) -> list[int]:
@@ -248,6 +257,11 @@ def approx_steiner(g: Graph, terminals: Iterable[int]) -> SteinerTree:
     tset = frozenset(ts)
     if len(ts) == 1:
         return SteinerTree(tset, frozenset(), 0)
+    return _tree_of(g, tset, _mehlhorn_edges(g, ts))
+
+
+def _mehlhorn_edges(g: Graph, ts: list[int]) -> set[Pair]:
+    """The edges of `approx_steiner`'s tree on sorted terminals, two or more."""
     parent, chosen = _voronoi_bridges(g, ts)
     edges: set[Pair] = set()
     on_tree = set(ts)
@@ -258,7 +272,7 @@ def approx_steiner(g: Graph, terminals: Iterable[int]) -> SteinerTree:
                 on_tree.add(x)
                 edges.add(canonical(x, parent[x]))
                 x = parent[x]
-    return _tree_of(g, tset, edges)
+    return edges
 
 
 def _contract_terminal_edges(g: Graph, ts: list[int]):
@@ -374,8 +388,67 @@ def _dreyfus_wagner(g: Graph, ts: list[int]) -> tuple[set[Pair], Fraction]:
     return edges, Fraction(rows[full][root], denom)
 
 
+def _dual_ascent(adj, ts: list[int], scans: int) -> tuple[int, list]:
+    """The dual ascent on the packed arcs, rooted at ts[0], round-robin
+    over the other terminals until `scans` arc scans are spent: LB and
+    the reduced costs as reversed arcs, (x, c) in into[y] for x -> y."""
+    rc = [[w for _, w in a] for a in adj]
+    # Per active terminal t: the marks of W(t) and the arcs into it as (the
+    # head's reduced costs, index, tail), first a zero-cost stub into t.
+    lb, active = 0, [(bytearray(len(adj)), [([0], 0, t)]) for t in ts[1:]]
+    while active and scans > 0:
+        inside, cut = active.pop(0)
+        scans -= len(cut)
+        grow = [a for a in cut if not a[0][a[1]]]
+        for _, _, x in grow:
+            if not inside[x]:
+                inside[x], r = 1, rc[x]
+                scans -= len(r)
+                for i, (u, _) in enumerate(adj[x]):
+                    if not inside[u]:
+                        (cut if r[i] else grow).append((r, i, u))
+        if not inside[ts[0]]:
+            cut[:] = [a for a in cut if not inside[a[2]]]
+            delta = min([r[i] for r, i, _ in cut])
+            for r, i, _ in cut:
+                r[i] -= delta
+            lb += delta
+            active.append((inside, cut))
+    return lb, [[(u, c) for (u, _), c in zip(a, r)] for a, r in zip(adj, rc)]
+
+
+def _bounded_program(g: Graph, ts: list[int]) -> tuple[set[Pair], Fraction]:
+    """`_dreyfus_wagner`'s edges and optimum, after the dual-ascent bound
+    on four or more terminals: U if LB proves it, else the program on the
+    vertices the reduced-cost test keeps."""
+    if len(ts) < 4:
+        return _dreyfus_wagner(g, ts)
+    denom, adj = g._packed
+    on = {x for e in _mehlhorn_edges(g, ts) for x in e}
+    upper = prune_to_terminals(_kruskal(g, [(u, v) for u, v, _ in g.edges
+                                            if u in on and v in on]), frozenset(ts))
+    w_upper = sum(map(g._exact[2].__getitem__, upper))
+    lb, into = _dual_ascent(adj, ts, 3 ** (len(ts) - 1) * g.n)
+    if lb == w_upper:
+        return upper, Fraction(w_upper, denom)
+    out: list[list[tuple[int, int]]] = [[] for _ in adj]
+    for y, arcs in enumerate(into):
+        for x, c in arcs:
+            out[x].append((y, c))
+    near = zip(_relax(out, [INF] * g.n, [(0, ts[0])]),
+               _relax(into, [INF] * g.n, [(0, t) for t in ts[1:]]))
+    kept = [v for v, (a, b) in enumerate(near) if v in ts or lb + a + b <= w_upper]
+    if len(kept) == g.n:
+        return _dreyfus_wagner(g, ts)
+    index = {v: i for i, v in enumerate(kept)}
+    rest = Graph(len(kept), tuple((index[u], index[v], w) for u, v, w in g.edges
+                                  if u in index and v in index))
+    edges, optimum = _dreyfus_wagner(rest, [index[t] for t in ts])
+    return {(kept[a], kept[b]) for a, b in edges}, optimum
+
+
 def exact_steiner(g: Graph, terminals: Iterable[int]) -> SteinerTree:
-    """Minimum-weight Steiner tree: `_dreyfus_wagner` on the graph left by
+    """Minimum-weight Steiner tree: `_bounded_program` on the graph left by
     `_contract_terminal_edges`, lifted to host edges.  Exponential in the
     terminals, at most 12 before any contraction."""
     if not g.is_exact:
@@ -393,11 +466,11 @@ def exact_steiner(g: Graph, terminals: Iterable[int]) -> SteinerTree:
         return _steiner_subtree_of_tree(g, ts)
 
     contracted, reduced, reduced_ts, host = _contract_terminal_edges(g, ts)
-    edges, optimum = _dreyfus_wagner(reduced, reduced_ts)
+    edges, optimum = _bounded_program(reduced, reduced_ts)
     edges = {host.get(e, e) for e in edges}.union(contracted)
     # Ties in the DP can reconstruct a subgraph rather than a tree; an MST
     # plus pruning restores treeness without changing the optimal weight.
-    mst = _kruskal((g.weight_of(u, v), u, v) for u, v in edges)
+    mst = _kruskal(g, edges)
     tree = _tree_of(g, tset, prune_to_terminals(mst, tset))
     best = sum((g.weight_of(u, v) for u, v in contracted), optimum)
     if tree.weight != best:
@@ -425,8 +498,7 @@ def build_backbone(g: Graph, terminals: Iterable[int], beta: Beta) -> Backbone:
     s_prime_f = tset | table.vertices_on(unsat)
 
     t_tree = approx_steiner(g, s_prime_f)
-    union_mst = _kruskal((g.weight_of(u, v), u, v)
-                         for u, v in (r.edges | t_tree.edges))
+    union_mst = _kruskal(g, r.edges | t_tree.edges)
     h = _tree_of(g, s_prime_f, prune_to_terminals(union_mst, s_prime_f))
     if h.weight > 2 * t_tree.weight:
         # With approximate trees R may outweigh T; H itself is then the

@@ -3,6 +3,7 @@ import json
 import math
 import re
 import shlex
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -19,6 +20,8 @@ from lightspan.bench import (
 )
 from lightspan.cli import build_parser, main
 from lightspan.generators import GenerationError, GeneratorSpec
+from lightspan.graph import Beta, load_instance
+from lightspan.oracle import verify_spanner
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -461,6 +464,29 @@ class TestNumbersBeyondBinary64:
         assert isinstance(doc["cost"], str) and int(doc["cost"]) > BIG
         assert main(["verify", *flags, "--edges", str(edges)]) == 0
         assert strict_json(capsys.readouterr().out)["ok"] is True
+
+    def test_verify_reports_a_disconnected_pair_as_infinite_excess(
+            self, tmp_path, capsys):
+        # d_H is inf for the pairs the edge set leaves apart; inf minus a
+        # Fraction beyond binary64 overflowed, and the excess is inf.
+        doc = (f'{{"n": 3, "edges": [[0, 1, {BIG}], [1, 2, 1]], '
+               f'"terminals": [0, 1, 2]}}')
+        g, terminals, _ = load_instance(doc, exact=True)
+        report = verify_spanner(g, terminals, [(0, 1)],
+                                Beta("relative", Fraction(1, 2)))
+        assert not report.ok and report.max_excess == math.inf
+        assert [(v.pair, v.d_h, v.excess) for v in report.violations] == [
+            ((0, 2), math.inf, math.inf), ((1, 2), math.inf, math.inf)]
+        inst = tmp_path / "inst.json"
+        inst.write_text(doc)
+        edges = tmp_path / "edges.txt"
+        edges.write_text("0 1\n")
+        assert main(["verify", "--input", str(inst), "--edges", str(edges),
+                     "--exact-arithmetic"]) == 1
+        out = strict_json(capsys.readouterr().out)
+        assert out["ok"] is False and out["max_excess"] == "inf"
+        assert [v["excess"] for v in out["violations"]] == ["inf", "inf"]
+        assert out["violations"][0]["d_g"] == str(BIG + 1)
 
     def test_weight_range_beyond_binary64_is_refused(self, tmp_path, capsys):
         with pytest.raises(GenerationError):

@@ -12,8 +12,10 @@ from helpers import (
     record_seeded_searches,
     tenths_graph,
     tie_break_choice,
+    tie_heavy,
 )
 from lightspan.generators import GeneratorSpec, generate
+from lightspan.steiner import _UnionFind, _kruskal
 from lightspan.graph import (
     Beta,
     DisconnectedError,
@@ -430,3 +432,87 @@ class TestLiveDistances:
         assert sub.distance(0, 5) == shortest_paths(g, 0).distance(5)
         assert sub.distance(5, 0) == sub.distance(0, 5)
         assert searched == [0, 5]
+
+
+@st.composite
+def exact_graphs(draw):
+    """An exact graph: tie-heavy, with int and Fraction weights mixed, or
+    with denominators far beyond binary64's precision."""
+    kind = draw(st.sampled_from(["tie-heavy", "mixed", "large-denominators"]))
+    if kind == "tie-heavy":
+        return draw(tie_heavy(exact=True))[0]
+    if kind == "mixed":
+        weight = st.one_of(st.integers(1, 30), st.fractions(
+            min_value=Fraction(1, 12), max_value=30, max_denominator=12))
+    else:
+        weight = st.builds(Fraction, st.integers(1, 10 ** 40),
+                           st.integers(10 ** 20, 10 ** 30))
+    n = draw(st.integers(2, 9))
+    pairs = {(i, i + 1) for i in range(n - 1)}
+    pairs |= {canonical(u, v) for u, v in draw(st.lists(st.tuples(
+        st.integers(0, n - 1), st.integers(0, n - 1)), max_size=12)) if u != v}
+    return Graph.from_edges(n, [(u, v, draw(weight)) for u, v in sorted(pairs)])
+
+
+def fraction_kruskal(g, pairs):
+    """The spanning forest under (Fraction weight, u, v) keys."""
+    uf = _UnionFind(range(g.n))
+    return {(u, v) for _, u, v in sorted((g.weight_of(*e), *e) for e in pairs)
+            if uf.union(u, v)}
+
+
+class TestPackedWeights:
+    """Exact graphs keep one packed form: weights as integers over one
+    common denominator, summed and sorted as integers."""
+
+    @given(exact_graphs(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_packed_sums_and_orders_equal_the_fraction_ones(self, g, data):
+        denom, adj = g._packed
+        packed = g._exact[2]
+        assert all(Fraction(packed[u, v], denom) == w for u, v, w in g.edges)
+        assert sorted((v, wi) for v, wi in adj[0]) == sorted(
+            (v, packed[canonical(0, v)]) for v, _ in g.adjacency[0])
+        pairs = data.draw(st.lists(st.sampled_from(
+            [(u, v) for u, v, _ in g.edges]), unique=True))
+        total = sum((g.weight_of(u, v) for u, v in pairs), 0)
+        assert g.weight_sum(pairs) == total
+        assert str(g.weight_sum(pairs)) == str(total)
+        assert (sorted(pairs, key=lambda e: (packed[e], e))
+                == sorted(pairs, key=lambda e: (g.weight_of(*e), e)))
+        assert _kruskal(g, pairs) == fraction_kruskal(g, pairs)
+
+    @given(exact_graphs())
+    @settings(max_examples=100, deadline=None)
+    def test_w_max_is_the_object_max_picks(self, g):
+        assert g.is_exact
+        assert g.w_max is max((w for _, _, w in g.edges), default=0)
+
+    def test_w_max_picks_the_first_of_equal_heaviest_weights(self):
+        g = Graph(3, ((0, 1, Fraction(4, 2)), (1, 2, 2), (0, 2, 1)))
+        assert g.w_max is g.edges[0][2] and type(g.w_max) is Fraction
+        g = Graph(3, ((0, 1, 2), (1, 2, Fraction(4, 2)), (0, 2, 1)))
+        assert g.w_max is g.edges[0][2] and type(g.w_max) is int
+
+    @pytest.mark.parametrize("weights", [
+        [1, 2], [Fraction(1, 3), 2], [True, 2], [2, False], [1.5, 2.5],
+        [1, 2.0], [2.0, 1], [Fraction(1, 2), 0.5], [], [3]])
+    def test_is_exact_matches_the_isinstance_rule(self, weights):
+        # Unvalidated graphs, as internal stages and the benchmark build.
+        g = Graph(len(weights) + 1,
+                  tuple((i, i + 1, w) for i, w in enumerate(weights)))
+        old = all(isinstance(w, (int, Fraction)) and not isinstance(w, bool)
+                  for w in weights)
+        assert g.is_exact is old
+        assert g.w_max is max(weights, default=0)
+
+    def test_is_exact_stops_at_the_first_float_edge(self):
+        read = []
+
+        class Edges(tuple):
+            def __iter__(self):
+                for e in tuple.__iter__(self):
+                    read.append(e)
+                    yield e
+        g = Graph(4, Edges(((0, 1, 1.0), (1, 2, 2), (2, 3, Fraction(1, 2)))))
+        assert g.is_exact is False and read == [(0, 1, 1.0)]

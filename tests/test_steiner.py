@@ -241,15 +241,16 @@ def assert_optimal_tree(g, ts):
     return tree
 
 
-def record_programs(monkeypatch):
-    """Log (vertex count, terminal count) of each Dreyfus-Wagner run."""
+def record_programs(monkeypatch, name="_bounded_program"):
+    """Log (vertex count, terminal count) of each run of the named solver:
+    by default the bounded program, which receives the contracted graph."""
     runs = []
-    real = steiner._dreyfus_wagner
+    real = getattr(steiner, name)
 
     def recording(g, ts):
         runs.append((g.n, len(ts)))
         return real(g, ts)
-    monkeypatch.setattr(steiner, "_dreyfus_wagner", recording)
+    monkeypatch.setattr(steiner, name, recording)
     return runs
 
 
@@ -360,3 +361,101 @@ class TestTerminalContraction:
         assert sp.meta["lightness_mode"] == "exact"
         ((n, t),) = runs
         assert t < len(bb.s_prime) and n < g.n
+
+
+def assert_bounded_optimum(g, ts):
+    """The ascent run to its end leaves every reduced cost nonnegative
+    and bounds the reference optimum from below, and the bounded program
+    returns that optimum; returns (LB, OPT) packed."""
+    denom, adj = g._packed
+    opt = reference_exact_steiner(g, ts)
+    lb, into = steiner._dual_ascent(adj, ts, 10 ** 5)  # ends the ascent
+    assert_dual_feasible(adj, into)
+    assert lb <= opt * denom
+    assert steiner._bounded_program(g, ts)[1] == opt
+    assert_optimal_tree(g, ts)
+    return lb, opt * denom
+
+
+def assert_dual_feasible(adj, into):
+    """Each reduced cost lies in [0, w]: no raise went past the cheapest
+    arc into its cut."""
+    weight = {(x, y): w for y, a in enumerate(adj) for x, w in a}
+    assert all(0 <= c <= weight[x, y] for y, arcs in enumerate(into)
+               for x, c in arcs)
+
+
+def route_instance(seed, n, extra):
+    return rand_connected_graph(seed, n, extra), list(range(0, n, 2))[:5]
+
+
+class TestDualAscentBound:
+    """The dual-ascent bound ahead of the Dreyfus-Wagner program: LB never
+    exceeds the optimum, and every route returns the optimum."""
+
+    @given(tie_heavy(exact=True, max_terminals=8))
+    @settings(max_examples=150, deadline=None)
+    def test_bounded_program_is_optimal_on_tie_heavy_graphs(self, case):
+        assert_bounded_optimum(*case)
+
+    def test_bounded_program_is_optimal_on_random_graphs(self):
+        tight = 0
+        for seed in range(60):
+            n = 6 + seed % 8
+            g = rand_connected_graph(seed + 700, n, n // 2 + seed % 5)
+            lb, opt = assert_bounded_optimum(g, sorted(range(0, n, 2))[:6])
+            tight += lb == opt
+        assert tight > 0
+
+    def test_a_stopped_ascent_still_gives_the_optimum(self, monkeypatch):
+        # Caps of 0 arc scans (no raise), 1 (one raise) and every k up to
+        # the full ascent's: each LB is a lower bound, LB grows with the
+        # cap, and the program on what the bound keeps is optimal.
+        real = steiner._dual_ascent
+        for seed, n, extra in ((5001, 7, 4), (5005, 11, 5), (5006, 12, 7)):
+            g, ts = route_instance(seed, n, extra)
+            contracted, reduced, rts, _ = steiner._contract_terminal_edges(g, ts)
+            denom, adj = reduced._packed
+            opt = reference_exact_steiner(reduced, rts) * denom
+            full = real(adj, rts, 10 ** 5)[0]
+            lbs = []
+            for cap in range(0, 400):
+                lb, into = real(adj, rts, cap)
+                assert_dual_feasible(adj, into)
+                lbs.append(lb)
+                monkeypatch.setattr(steiner, "_dual_ascent",
+                                    lambda adj, ts, scans: real(adj, ts, cap))
+                assert steiner._bounded_program(reduced, rts)[1] * denom == opt
+                assert_optimal_tree(g, ts)
+            assert lbs[0] == 0 < lbs[1] and lbs == sorted(lbs)
+            assert lbs[-1] == full <= opt
+
+    def test_route_program_skipped(self, monkeypatch):
+        g, ts = route_instance(5005, 11, 5)
+        outer = record_programs(monkeypatch)
+        inner = record_programs(monkeypatch, "_dreyfus_wagner")
+        assert_optimal_tree(g, ts)
+        assert outer == [(10, 4)] and inner == []
+
+    def test_route_program_on_fewer_vertices(self, monkeypatch):
+        g, ts = route_instance(5006, 12, 7)
+        outer = record_programs(monkeypatch)
+        inner = record_programs(monkeypatch, "_dreyfus_wagner")
+        assert_optimal_tree(g, ts)
+        assert outer == [(12, 5)] and inner == [(8, 5)]
+
+    def test_route_program_on_the_whole_contracted_graph(self, monkeypatch):
+        g, ts = route_instance(5001, 7, 4)
+        outer = record_programs(monkeypatch)
+        inner = record_programs(monkeypatch, "_dreyfus_wagner")
+        assert_optimal_tree(g, ts)
+        assert outer == [(7, 4)] and inner == [(7, 4)]
+
+    def test_three_terminals_run_the_program_unbounded(self, monkeypatch):
+        g = rand_connected_graph(5006, 12, 7)
+        ascents = []
+        monkeypatch.setattr(steiner, "_dual_ascent",
+                            lambda *args: ascents.append(args))
+        inner = record_programs(monkeypatch, "_dreyfus_wagner")
+        assert_optimal_tree(g, [0, 2, 4])
+        assert ascents == [] and inner == [(12, 3)]
