@@ -206,10 +206,15 @@ class Graph:
         return self._exact[:2] if self.is_exact else (None, self.adjacency)
 
     def weight_sum(self, pairs: Iterable[Pair]) -> Weight:
-        """Total weight of canonical edges; one packed sum if exact."""
-        if not self.is_exact:
-            return sum((self.weight_of(u, v) for u, v in pairs), 0)
-        return _unpack(sum(map(self._exact[2].__getitem__, pairs)), self._exact[0])
+        """Total weight of edges: one packed sum, unpacked once."""
+        return _unpack(sum((self.packed_weight_of(u, v) for u, v in pairs), 0), self._packed[0])
+
+    def packed_weight_of(self, u: int, v: int) -> Weight:
+        """`weight_of`, as an integer over `_packed`'s denominator if exact."""
+        try:
+            return (self._exact[2] if self.is_exact else self.weight_by_pair)[canonical(u, v)]
+        except KeyError:
+            raise UnknownEdgeError(f"edge ({u},{v}) not in graph") from None
 
     def weight_of(self, u: int, v: int) -> Weight:
         try:
@@ -431,9 +436,7 @@ class SubgraphAdjacency:
         key = canonical(u, v)
         if key in self._edges:
             return
-        w = self.host.weight_of(u, v)
-        if self.denom is not None:
-            w = self.host._exact[2][key]
+        w = self.host.packed_weight_of(u, v)
         self._edges.add(key)
         self._adj[u].append((v, w))
         self._adj[v].append((u, w))

@@ -140,8 +140,7 @@ def _expand_to_levels(groups: list[RoundedGroup],
 
 
 def _cost(g: Graph, edge_sets: Iterable[frozenset[Pair]]) -> Weight:
-    return (g.weight_sum(e for es in edge_sets for e in es) if g.is_exact
-            else sum((g.weight_sum(es) for es in edge_sets), 0))  # binary64 order
+    return sum((g.weight_sum(es) for es in edge_sets), 0)
 
 
 def solve_multilevel(inst: MultiLevelInstance, oracle: Oracle | None = None,

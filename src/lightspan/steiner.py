@@ -138,8 +138,7 @@ class _UnionFind:
 
 def _kruskal(g: Graph, edges: Iterable[Pair]) -> set[Pair]:
     """Minimum spanning forest of canonical host edges under (weight, u, v) order."""
-    weight = g._exact[2] if g.is_exact else g.weight_by_pair
-    ordered = sorted((weight[e], *e) for e in edges)
+    ordered = sorted((g.packed_weight_of(*e), *e) for e in edges)
     uf = _UnionFind({x for _, u, v in ordered for x in (u, v)})
     return {(u, v) for _, u, v in ordered if uf.union(u, v)}
 
@@ -427,19 +426,18 @@ def _bounded_program(g: Graph, ts: list[int]) -> tuple[set[Pair], Fraction]:
     on = {x for e in _mehlhorn_edges(g, ts) for x in e}
     upper = prune_to_terminals(_kruskal(g, [(u, v) for u, v, _ in g.edges
                                             if u in on and v in on]), frozenset(ts))
-    w_upper = sum(map(g._exact[2].__getitem__, upper))
+    w_upper = g.weight_sum(upper)
     lb, into = _dual_ascent(adj, ts, 3 ** (len(ts) - 1) * g.n)
-    if lb == w_upper:
-        return upper, Fraction(w_upper, denom)
+    if Fraction(lb, denom) == w_upper:
+        return upper, Fraction(lb, denom)
+    top = int(w_upper * denom)
     out: list[list[tuple[int, int]]] = [[] for _ in adj]
     for y, arcs in enumerate(into):
         for x, c in arcs:
             out[x].append((y, c))
     near = zip(_relax(out, [INF] * g.n, [(0, ts[0])]),
                _relax(into, [INF] * g.n, [(0, t) for t in ts[1:]]))
-    kept = [v for v, (a, b) in enumerate(near) if v in ts or lb + a + b <= w_upper]
-    if len(kept) == g.n:
-        return _dreyfus_wagner(g, ts)
+    kept = [v for v, (a, b) in enumerate(near) if v in ts or lb + a + b <= top]
     index = {v: i for i, v in enumerate(kept)}
     rest = Graph(len(kept), tuple((index[u], index[v], w) for u, v, w in g.edges
                                   if u in index and v in index))

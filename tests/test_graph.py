@@ -482,6 +482,16 @@ class TestPackedWeights:
                 == sorted(pairs, key=lambda e: (g.weight_of(*e), e)))
         assert _kruskal(g, pairs) == fraction_kruskal(g, pairs)
 
+    @pytest.mark.parametrize("w", [Fraction(3, 2), 1.5])
+    def test_pairs_in_either_order_and_refused_non_edges(self, w):
+        g = Graph(3, ((0, 1, w), (1, 2, 2 * w)))
+        assert g.weight_sum([(1, 0), (2, 1)]) == g.weight_sum([(0, 1), (1, 2)]) == 3 * w
+        assert g.packed_weight_of(1, 0) == g.packed_weight_of(0, 1)
+        with pytest.raises(UnknownEdgeError):
+            g.weight_sum([(0, 1), (2, 0)])
+        with pytest.raises(UnknownEdgeError):
+            g.packed_weight_of(2, 0)
+
     @given(exact_graphs())
     @settings(max_examples=100, deadline=None)
     def test_w_max_is_the_object_max_picks(self, g):

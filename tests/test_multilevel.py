@@ -123,6 +123,24 @@ class TestSolveMultilevel:
         b = solve_multilevel(inst, seed=21)
         assert a == b
 
+    def test_oracle_pairs_in_either_order_on_an_exact_instance(self):
+        g = rand_connected_graph(8, 12, 18)
+        inst = MultiLevelInstance(g, {0: 1, 4: 2, 9: 2}, 2, ONE)
+        assert g.is_exact
+
+        def forward(graph, terms):
+            return eps_spanner(graph, terms, EpsilonSplit.of(ONE.value)).edges
+
+        def backward(graph, terms):
+            return {(v, u) for u, v in forward(graph, terms)}
+
+        for solve in (lambda o: solve_multilevel(inst, o, seed=11),
+                      lambda o: four_approx_baseline(inst, o)):
+            assert solve(backward).cost == solve(forward).cost
+        assert (merge_bound_diagnostic(inst, 2, 1, backward)
+                == merge_bound_diagnostic(inst, 2, 1, forward))
+
+
 
 class TestFourApproxBaseline:
     def test_grid_and_rounding_for_documented_case(self):
