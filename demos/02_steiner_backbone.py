@@ -9,6 +9,7 @@ The lightness denominator therefore uses T, the Steiner tree over S plus
 all vertices on the fixed paths of the pairs R fails to serve.
 """
 
+import sys
 from fractions import Fraction
 
 from lightspan import (
@@ -37,7 +38,8 @@ print(f"  S' = S + path vertices: {len(bb.s_prime)} vertices")
 print(f"  T  (tree on S'):       weight {bb.t.weight}")
 print(f"  H  (pruned R union T): weight {bb.h.weight}, "
       f"|V_H| = {len(bb.h.vertices)}")
-assert bb.h.weight <= 2 * bb.t.weight
+if not bb.h.weight <= 2 * bb.t.weight:
+    sys.exit("BAD: weight(H) exceeds 2 weight(T)")
 
 sp = eps_spanner(g, terminals, EpsilonSplit.of(Fraction(1)))
 print(f"\n+1*W(.,.) spanner: weight {sp.weight}, {len(sp.edges)} edges")

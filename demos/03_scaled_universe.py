@@ -5,8 +5,11 @@ weighs exactly |V_H|, drop edges heavier than |V_H| (no terminal pair
 can use them), subdivide the backbone into unit-or-lighter pieces, and
 splice those pieces into the graph.  Terminal distances are untouched,
 and a provenance map restores every selected edge to the original graph.
+`scaled_universe` returns one object; each stage below is built when
+this script first reads it.  The script exits nonzero if a check fails.
 """
 
+import sys
 from fractions import Fraction
 
 from lightspan import (
@@ -24,21 +27,33 @@ g, terminals, _ = generate(GeneratorSpec("erdos-renyi", 24, seed=6,
 terminals = frozenset(sorted(terminals)[:5])
 bb = build_backbone(g, terminals, Beta("relative", Fraction(1, 2)))
 inst = scaled_universe(g, bb)
+failed = []
+
+
+def check(ok: bool, what: str) -> str:
+    """OK, or MISMATCH with what recorded as a failed check."""
+    if not ok:
+        failed.append(what)
+    return "OK" if ok else "MISMATCH"
+
 
 print(f"host graph: n = {g.n}, m = {len(g.edges)}, "
       f"terminals = {sorted(terminals)}")
 print(f"backbone: |V_H| = {inst.v_h}, weight(H) = {bb.h.weight}")
 print(f"scale factor sigma = |V_H| / weight(H) = {inst.sigma} "
       f"(~{float(inst.sigma):.4f})")
-print(f"scaled tree weight: "
-      f"{sum(w for _, _, w in inst.h_s.edges)} == |V_H| exactly")
+tree_weight = sum(w for _, _, w in inst.h_s.edges)
+print(f"scaled tree weight: {tree_weight} == |V_H| exactly  "
+      f"{check(tree_weight == inst.v_h, 'scaled tree weight')}")
 
 print(f"\nheavy edges dropped (> |V_H| = {inst.v_h}): "
       f"{sorted(inst.heavy_removed) or 'none'}")
 n_subdiv = inst.h_prime.n - g.n
 print(f"subdivision: {n_subdiv} fresh vertices "
-      f"(bound: <= weight(H_s) = {inst.v_h})")
-print(f"max piece weight: {max(w for _, _, w in inst.h_prime.edges)} <= 1")
+      f"(bound: <= weight(H_s) = {inst.v_h})  "
+      f"{check(n_subdiv <= inst.v_h, 'fresh vertex bound')}")
+heaviest = max(w for _, _, w in inst.h_prime.edges)
+print(f"max piece weight: {heaviest} <= 1  {check(heaviest <= 1, 'piece weight')}")
 print(f"spliced graph g'_s: n = {inst.g_prime_s.n}, "
       f"m = {len(inst.g_prime_s.edges)}")
 
@@ -48,10 +63,12 @@ print("\nterminal distances, original vs spliced/sigma (must agree):")
 for pair in t_g.pair_keys()[:5]:
     lhs = t_g.dist(*pair)
     rhs = t_gps.dist(*pair) / inst.sigma
-    print(f"  {pair}: {lhs} vs {rhs}  {'OK' if lhs == rhs else 'MISMATCH'}")
+    print(f"  {pair}: {lhs} vs {rhs}  {check(lhs == rhs, f'distance of {pair}')}")
 
 pieces = [p for p, orig in inst.provenance.items() if orig != p]
 print(f"\nprovenance: {len(pieces)} piece edges map back onto "
       f"{len(set(inst.provenance[p] for p in pieces))} original edges")
 print("round trip of all pieces:",
-      "OK" if map_back(inst, inst.h_prime_pairs()) == bb.h.edges else "BAD")
+      check(map_back(inst, inst.h_prime_pairs()) == bb.h.edges, "provenance round trip"))
+if failed:
+    sys.exit(f"checks failed: {', '.join(failed)}")

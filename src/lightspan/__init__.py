@@ -50,15 +50,7 @@ from .steiner import (
     build_backbone,
     exact_steiner,
 )
-from .transform import (
-    ScaledInstance,
-    drop_heavy_edges,
-    map_back,
-    scale_instance,
-    scaled_universe,
-    splice,
-    subdivide_tree,
-)
+from .transform import ScaledInstance, map_back, scaled_universe
 
 __all__ = [
     "Backbone", "Beta", "EpsilonSplit", "FixedPath", "GeneratorSpec",
@@ -67,12 +59,11 @@ __all__ = [
     "Spanner", "SpannerConstructionError", "SteinerTree",
     "VerificationReport", "approx_steiner", "build_backbone",
     "build_h0_budget", "build_h0_eps", "build_path_table", "choose_ell",
-    "drop_heavy_edges", "dump_instance", "eps_spanner", "exact_multilevel",
+    "dump_instance", "eps_spanner", "exact_multilevel",
     "exact_one_level", "exact_steiner", "fixed_shortest_path",
     "four_approx_baseline", "four_eps_spanner", "generate",
     "greedy_complete", "load_graph", "load_instance", "map_back",
     "one_level_oracle", "prefix_suffix", "round_levels",
-    "rounding_cost_ratio", "rounding_ratio_analytic", "scale_instance",
-    "scaled_universe", "solve_multilevel", "splice", "subdivide_tree",
-    "subset_lightness", "verify_spanner", "wmax_spanner",
+    "rounding_cost_ratio", "rounding_ratio_analytic", "scaled_universe",
+    "solve_multilevel", "subset_lightness", "verify_spanner", "wmax_spanner",
 ]

@@ -309,18 +309,18 @@ def shortest_paths_adj(adj, source: int, denom: int | None = None) -> ShortestPa
     of `steiner.approx_steiner`); distances alone come from `_relax`.
 
     `adj` indexes each vertex 0..len(adj)-1 to its (neighbor, weight)
-    pairs; with strictly positive weights the (distance, hops, parent)
-    label of a vertex is final when it is popped, so parent pointers need
-    no post-settlement fixups.  maxw[v] is set with every parent[v] from
-    the settled parent's own label, so it follows the final pointer.
+    pairs.  The loop is `_relax`'s: heap entries (distance, vertex), an
+    entry whose distance is no longer the vertex's is skipped, and only a
+    strictly shorter distance pushes.  An equal distance in fewer hops,
+    or in as many through a smaller predecessor id, updates the
+    (hops, parent) label in place.  With strictly positive weights every
+    predecessor on a shortest path to v is popped before v, so v's label
+    is final when v is popped, and maxw[v], set with every parent[v]
+    from that parent's own final label, follows the final pointer.
     Zero weights are allowed only on the edges out of the source (the
-    virtual source of `steiner.approx_steiner`): the source is popped
-    first, and every other label is still final when popped.
-
-    The label order is tested a field at a time, not as one tuple: a
-    shorter distance, or an equal one in fewer hops, updates and pushes;
-    an equal (distance, hops) through a smaller predecessor id moves only
-    the parent, since the heap key is unchanged.
+    virtual source of `steiner.approx_steiner`), which is popped first.
+    A binary64 sum that absorbs its weight (d + w == d) never moves an
+    equal label, so a popped label stays final there as well.
     """
     heappush, heappop = heapq.heappush, heapq.heappop
     n = len(adj)
@@ -328,20 +328,16 @@ def shortest_paths_adj(adj, source: int, denom: int | None = None) -> ShortestPa
     hops = [0] * n
     parent: list[int | None] = [None] * n
     maxw: list[Weight] = [0] * n
-    settled = bytearray(n)
     dist[source] = 0
     parent[source] = -1
-    heap: list[tuple[Weight, int, int]] = [(0, 0, source)]
+    heap: list[tuple[Weight, int]] = [(0, source)]
     while heap:
-        d, h, u = heappop(heap)
-        if settled[u]:
-            continue
-        settled[u] = 1
-        nh = h + 1
+        d, u = heappop(heap)
+        if d != dist[u]:
+            continue  # superseded by a shorter distance
+        nh = hops[u] + 1
         mu = maxw[u]
         for v, w in adj[u]:
-            if settled[v]:
-                continue
             nd = d + w
             dv = dist[v]
             if dv is None or nd < dv:
@@ -349,17 +345,11 @@ def shortest_paths_adj(adj, source: int, denom: int | None = None) -> ShortestPa
                 hops[v] = nh
                 parent[v] = u
                 maxw[v] = w if w > mu else mu
-                heappush(heap, (nd, nh, v))
-            elif nd == dv:
-                hv = hops[v]
-                if nh < hv:
-                    hops[v] = nh
-                    parent[v] = u
-                    maxw[v] = w if w > mu else mu
-                    heappush(heap, (nd, nh, v))
-                elif nh == hv and u < parent[v]:
-                    parent[v] = u
-                    maxw[v] = w if w > mu else mu
+                heappush(heap, (nd, v))
+            elif nd == dv and nd != d and (nh < hops[v] or nh == hops[v] and u < parent[v]):
+                hops[v] = nh
+                parent[v] = u
+                maxw[v] = w if w > mu else mu
     return ShortestPaths(source, dist, parent, maxw, denom)
 
 

@@ -45,14 +45,7 @@ from lightspan.multilevel import (
 )
 from lightspan.sampled import SampleConfig, wmax_spanner
 from lightspan.steiner import SteinerTree, build_backbone
-from lightspan.transform import (
-    ScaledInstance,
-    drop_heavy_edges,
-    scale_instance,
-    scaled_universe,
-    splice,
-    subdivide_tree,
-)
+from lightspan.transform import ScaledInstance, scaled_universe
 
 HALF = EpsilonSplit.of(Fraction(1, 2))
 
@@ -71,12 +64,9 @@ def synthetic_instance(n, edges):
     g = Graph(n, tuple(sorted((canonical(u, v) + (w,) for u, v, w in edges),
                               key=lambda e: (e[0], e[1]))))
     stub = SimpleNamespace(h=SteinerTree(frozenset(range(n)), frozenset(), 0))
-    return ScaledInstance(base=g, backbone=stub, sigma=1, g_s=g,
-                          h_s=Graph(n, ()), heavy_removed=frozenset(),
-                          h_prime=Graph(n, ()),
-                          subdivision_of={}, g_prime_s=g,
-                          provenance={canonical(u, v): canonical(u, v)
-                                      for u, v, _ in edges})
+    inst = ScaledInstance(base=g, backbone=stub, sigma=1)
+    assert inst.g_s == inst.g_prime_s == g
+    return inst
 
 
 class TestEpsilonSplit:
@@ -192,8 +182,7 @@ def assert_host_h0_matches_universe(g, terms):
     eps = Fraction(1, 2) if g.is_exact else 0.5
     for beta in (Beta("relative", eps), Beta("relative", 4 + eps)):
         bb = build_backbone(g, terms, beta)
-        lazy = scaled_universe(g, bb)
-        built = splice(subdivide_tree(drop_heavy_edges(scale_instance(g, bb))))
+        lazy, built = scaled_universe(g, bb), scaled_universe(g, bb)
         assert (build_h0_eps(lazy, bb.s_prime)
                 == reference_h0_eps(built, bb.s_prime))
         d = neighborhood_budget(lazy, len(terms))
@@ -201,8 +190,8 @@ def assert_host_h0_matches_universe(g, terms):
             assert (build_h0_budget(lazy, terms, budget)
                     == reference_h0_budget(built, terms, budget))
         for v in range(g.n):
-            assert (repr(sorted(lazy.incident(v)))
-                    == repr(sorted((w, nbr) for nbr, w in built.g_s.adjacency[v])))
+            assert (sorted(lazy.incident_units(v))
+                    == sorted((w * lazy.unit, nbr) for nbr, w in built.g_s.adjacency[v]))
         assert (repr(lazy.lightest_spliced())
                 == repr(min(w for *_, w in built.g_prime_s.edges)))
 
@@ -250,7 +239,7 @@ class TestH0InHostUnits:
         assert bb.h.edges == {(0, 1), (1, 2)}
         lazy = scaled_universe(g, bb)
         assert lazy.sigma == Fraction(3, 2)
-        built = splice(subdivide_tree(drop_heavy_edges(scale_instance(g, bb))))
+        built = scaled_universe(g, bb)
         d = Fraction(3, 2)
         h0 = build_h0_budget(lazy, [0, 2], d)
         assert h0 == reference_h0_budget(built, [0, 2], d) == {(0, 1), (0, 3)}
@@ -264,9 +253,13 @@ class TestH0InHostUnits:
         assert_host_h0_matches_universe(*case)
 
 
+STAGES = ("g_s", "heavy_removed", "h_s", "subdivision_of", "h_prime",
+          "provenance", "g_prime_s")
+
+
 class TestScaledUniverseOnRead:
     def test_untraced_builds_materialise_no_universe(self, monkeypatch):
-        built = count_calls(monkeypatch, "scale_instance", transform)
+        built = count_calls(monkeypatch, "_mk_graph", transform)
         g, terms, _ = generate(GeneratorSpec("erdos-renyi", n=30, seed=2,
                                              exact=False))
         builds = [b for b, *_ in report_builds(monkeypatch)] + [
@@ -277,18 +270,21 @@ class TestScaledUniverseOnRead:
         assert built == []
 
     def test_first_read_builds_every_stage_once(self, monkeypatch):
+        # g_s, h_s, h_prime and g_prime_s are the four graphs; a second
+        # read of every stage returns the same objects and builds none.
         g = rand_connected_graph(12, 16, 20)
         bb = build_backbone(g, [0, 5, 10, 15], Beta("relative", HALF.eps))
-        eager = splice(subdivide_tree(drop_heavy_edges(scale_instance(g, bb))))
-        built = count_calls(monkeypatch, "scale_instance", transform)
-        lazy = scaled_universe(g, bb)
-        assert (lazy.sigma, lazy.v_h) == (eager.sigma, eager.v_h)
-        assert built == []
-        assert lazy.g_prime_s == eager.g_prime_s and built == ["scale_instance"]
-        assert lazy == eager and lazy.provenance == eager.provenance
-        assert built == ["scale_instance"]
+        built = count_calls(monkeypatch, "_mk_graph", transform)
+        inst = scaled_universe(g, bb)
+        assert inst.sigma == Fraction(len(bb.h.vertices)) / bb.h.weight
+        assert inst.v_h == len(bb.h.vertices) and built == []
+        assert inst.g_prime_s.n > g.n and len(built) == 4
+        first = [getattr(inst, stage) for stage in STAGES]
+        assert all(getattr(inst, stage) is stage_value
+                   for stage, stage_value in zip(STAGES, first))
+        assert len(built) == 4
         with pytest.raises(AttributeError):
-            lazy.no_such_stage
+            inst.no_such_stage
 
 
 class TestGreedyComplete:

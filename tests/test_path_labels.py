@@ -199,8 +199,9 @@ class TestVoronoiSteiner:
 
 
 class TestKernelAgainstTupleCompare:
-    """shortest_paths_adj tests the (distance, hops, parent) order one
-    field at a time; it must label exactly as the tuple compare did."""
+    """shortest_paths_adj keys its heap on distance alone and moves an
+    equal-distance label in place; it must label exactly as the tuple
+    compare did."""
 
     @given(tie_heavy())
     @settings(max_examples=80, deadline=None)
@@ -223,10 +224,10 @@ class TestKernelAgainstTupleCompare:
         assert (sp._dist, sp._parent, sp._maxw) == reference_sssp(g._packed[1], 0)
 
     @pytest.mark.parametrize("exact", [True, False])
-    def test_equal_distance_in_fewer_hops_is_pushed_again(self, exact):
+    def test_equal_distance_in_fewer_hops_relabels_before_pop(self, exact):
         # 4 is labelled (4, 3 hops) via 0-1-2-4, then (4, 2 hops) via
         # 0-3-4.  Its neighbour 7 ties on (5, 3 hops) through 4 and
-        # through 6, and 4 wins on id: only if 4 was settled with 2 hops.
+        # through 6, and 4 wins on id: only if 4 was popped with 2 hops.
         g = Graph.from_edges(8, [
             (0, 1, as_weight(1, exact)), (1, 2, as_weight(1, exact)), (2, 4, as_weight(2, exact)),
             (0, 3, as_weight(3, exact)), (3, 4, as_weight(1, exact)), (4, 7, as_weight(1, exact)),

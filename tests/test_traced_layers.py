@@ -23,12 +23,7 @@ from lightspan.graph import Beta
 from lightspan.multilevel import MultiLevelInstance
 from lightspan.sampled import SampleConfig
 from lightspan.steiner import build_backbone
-from lightspan.transform import (
-    drop_heavy_edges,
-    scale_instance,
-    splice,
-    subdivide_tree,
-)
+from lightspan.transform import scaled_universe
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -101,12 +96,11 @@ def test_builder_records_required_layers(name, build, layers):
 
 def test_traced_universe_reports_the_spliced_graph():
     # The tracer reads g'_s of each universe the builder made, after its
-    # span: the lazy universe builds it then, equal to the eager one.
+    # span: the universe builds it then, equal to a fresh universe's.
     g, terms, _ = generate(GeneratorSpec("geometric", n=30, seed=2))
     t = traced(lambda: additive.eps_spanner(g, terms, HALF))
     bb = build_backbone(g, terms, Beta("relative", HALF.eps))
-    eager = splice(subdivide_tree(drop_heavy_edges(scale_instance(g, bb))))
-    assert t.samples["spliced"] == [eager.g_prime_s.n]
+    assert t.samples["spliced"] == [scaled_universe(g, bb).g_prime_s.n]
 
 
 def test_exact_lightness_records_one_exact_steiner_call():
