@@ -7,7 +7,7 @@ cheap edges around every terminal, both chosen in the scaled universe
 and joined with the backbone tree.  Pairs are processed in
 nondecreasing order of the maximum edge weight on their fixed path, ties
 by shorter distance; a pair whose detour breaks the builder's Beta (by
-PairBounds, as certification checks, but with no tolerance) gets what
+PairBounds, with no tolerance, as certification checks too) gets what
 the insertion policy, the loop's one extension point, returns: all
 missing fixed-path edges, a prefix and suffix for the sampled W_max
 spanner, or all missing edges plus set-off / improvement accounting in
@@ -35,7 +35,6 @@ from .graph import (
     Weight,
     build_path_table,
     canonical,
-    certify_tolerance,
     shortest_paths,
 )
 from .oracle import subset_lightness
@@ -186,7 +185,6 @@ def _instrumented(policy: Callable, g: Graph, split: EpsilonSplit, table,
         w = table.w(u, v)
         near = current.multi_source_distances(path.vertices)
         witnesses = sorted(q for q, d in near.items() if d <= split.eps1 * w)
-        premise = current.distance(u, v) > table.dist(u, v) + split.eps * w
         # Values, not the live lists, which add_edge lowers in place.
         before = {(x, q): current.distance(x, q) for x in pair for q in witnesses}
         seton = set(setoffs)
@@ -199,14 +197,14 @@ def _instrumented(policy: Callable, g: Graph, split: EpsilonSplit, table,
                 drops[x] = before[x, q] - d_a if d_a != math.inf else 0
                 d_full = shortest_paths(g, x).distance(q)
                 cond1 = d_a <= d_full + 2 * split.eps1 * w
-                if premise and not cond1:
+                if not cond1:
                     failures.append((pair, q, x, "set-off bound"))
                 key = (x, q)
                 if cond1 and key not in setoffs:
                     setoffs[key] = 1
                 elif key in seton and drops[x] > thr:
                     improvements[key] = improvements.get(key, 0) + 1
-            if premise and not (drops[u] > thr or drops[v] > thr):
+            if not (drops[u] > thr or drops[v] > thr):
                 failures.append((pair, q, None, "improvement dichotomy"))
 
     return instrumented
@@ -294,11 +292,12 @@ def neighborhood_budget(inst: ScaledInstance, terminal_count: int) -> Weight:
     return max(1, d)
 
 
-def _certify(g: Graph, beta: Beta, bb: Backbone, sub: SubgraphAdjacency,
-             meta: dict, light: bool) -> Spanner:
-    """Check every terminal pair on sub, the caller's subgraph of g, and
-    return the spanner of its edges, with its subset lightness if light."""
-    bounds = PairBounds(bb.path_table, beta, g.w_max, certify_tolerance(g))
+def _certify(g: Graph, bb: Backbone, sub: SubgraphAdjacency, meta: dict,
+             light: bool) -> Spanner:
+    """Check every terminal pair on sub, the caller's subgraph of g, under
+    bb.beta with no tolerance, and return the spanner of its edges, with
+    its subset lightness if light."""
+    bounds = PairBounds(bb.path_table, bb.beta, g.w_max)
     bad = bounds.violations(sub)
     if bad:
         u, v = bad[0]
@@ -310,7 +309,7 @@ def _certify(g: Graph, beta: Beta, bb: Backbone, sub: SubgraphAdjacency,
     if light:
         res = subset_lightness(g, bb, weight)
         ratio, meta = res.ratio, {**meta, "lightness_mode": res.mode}
-    return Spanner(edges, weight, ratio, meta, (g, beta, bb.path_table, sub))
+    return Spanner(edges, weight, ratio, meta, (g, bb.beta, bb.path_table, sub))
 
 
 def _one_level(g: Graph, terminals: frozenset[int], beta: Beta, h0_mode: str,
@@ -347,7 +346,7 @@ def _one_level(g: Graph, terminals: frozenset[int], beta: Beta, h0_mode: str,
     if instrument:
         meta["instrumentation"] = InstrumentationReport(
             instrument, setoffs, improvements, tuple(failures))
-    return _certify(g, beta, bb, state.sub, meta, light)
+    return _certify(g, bb, state.sub, meta, light)
 
 
 def eps_spanner(g: Graph, terminals: Iterable[int], split: EpsilonSplit,

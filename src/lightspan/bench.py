@@ -214,7 +214,7 @@ def _run_cell(label, g, terminals, levels, algo, seed, split, c,
     extra["cost"] = float(sol.cost)
     extra["q"] = sol.q_used
     e1 = sol.edge_sets[0]
-    weight = float(sum((g.weight_of(u, v) for u, v in e1), 0))
+    weight = float(g.weight_sum(e1))
     return ResultRow(label, algo, seed, g.n, len(inst.terminal_set(1)),
                      len(e1), weight, None, True, runtime, extra)
 

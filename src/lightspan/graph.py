@@ -242,7 +242,8 @@ class Graph:
 
 
 def certify_tolerance(g: Graph) -> float:
-    """The relative tolerance of a certification on g: 0 if exact, else 1e-9."""
+    """The relative tolerance of an outside check of a spanner of g (CLI
+    `verify`, `bench`): 0 if exact, else 1e-9.  Builders check exactly."""
     return 0.0 if g.is_exact else 1e-9
 
 
@@ -635,28 +636,14 @@ class PairBounds:
       d_h <= dist + x holds exactly when d_h <= dist + floor(x), so the
       rows answer as the host-unit check does, in integer comparisons.
 
-    rel_tol = 0 is the exact check, and the only one a rational table
-    accepts (ValueError otherwise); binary64 callers may pass a small
-    nonnegative relative tolerance such as `certify_tolerance(g)`.
+    The check is exact in both regimes: only `verify_spanner` forgives
+    binary64 rounding, on the pairs `violations` flags.
     """
 
-    @staticmethod
-    def check_tolerance(rel_tol: float, exact: bool) -> None:
-        """Refuse a negative rel_tol, and a nonzero one on exact weights."""
-        if rel_tol < 0:
-            raise ValueError(f"rel_tol {rel_tol} is negative")
-        if rel_tol and exact:
-            raise ValueError("exact (rational) checks take no tolerance; "
-                             f"got rel_tol {rel_tol}")
-
-    def __init__(self, table: PathTable, beta: Beta, w_max: Weight,
-                 rel_tol: float = 0.0) -> None:
+    def __init__(self, table: PathTable, beta: Beta, w_max: Weight) -> None:
         denom = table._denom
-        self.check_tolerance(rel_tol, denom is not None)
-        self.rel_tol = rel_tol
         self._table = table
         self._w_max = w_max
-        self._denom = denom
         value = beta.value
         if denom is not None and type(value) is float:
             value = Fraction(value)  # exact, as the rest of the check
@@ -694,23 +681,15 @@ class PairBounds:
         return {p: t.dist(*p) + value * (t.w(*p) if rel else w_max)
                 for p in t.pair_keys()}
 
-    def _ok(self, d: Weight | None, a: Weight) -> bool:
-        """The condition on a packed d_H (None = unreached) and allowance."""
-        if d is None:
-            return a == INF
-        if self.rel_tol:  # binary64 only: packed is host units
-            return d - a <= self.rel_tol * max(1.0, abs(a))
-        return d <= a
-
     def holds(self, sub, u: int, v: int) -> bool:
-        """The ok that check(sub) yields for the pair (u, v), u < v."""
-        return self._ok(sub.distances(u)[v], self._rows[u][v])
+        """Whether the pair (u, v), u < v, meets the condition on sub."""
+        d, a = sub.distances(u)[v], self._rows[u][v]
+        return a == INF if d is None else d <= a
 
     def violations(self, sub) -> list[Pair]:
-        """The pairs whose ok check(sub) yields False, in its order; with
-        no tolerance, a loop over the packed values with no generator."""
-        if self.rel_tol:
-            return [p for p, _, ok in self.check(sub) if not ok]
+        """The pairs failing on sub, in sorted order: one `sub.distances(u)`
+        per source (`sub` is a `SubgraphAdjacency` or a `TreeDistances`),
+        compared with its row."""
         out: list[Pair] = []
         for u, row in self._rows.items():
             live = sub.distances(u)
@@ -719,20 +698,6 @@ class PairBounds:
                 if (a != INF) if d is None else d > a:
                     out.append((u, v))
         return out
-
-    def check(self, sub) -> Iterator[tuple[Pair, Weight, bool]]:
-        """Yield (pair, d_H, ok) for every pair in sorted order, d_H in
-        host units.
-
-        `sub` is a `SubgraphAdjacency` or a `TreeDistances`: one call of
-        `sub.distances(u)` per source, whose packed list is compared
-        with the row.  A `SubgraphAdjacency` keeps that list exact when a
-        consumer inserts edges between pairs.
-        """
-        for u, row in self._rows.items():
-            live = sub.distances(u)
-            for v, a in row.items():
-                yield (u, v), _unpack(live[v], self._denom), self._ok(live[v], a)
 
 
 def _parse_weight(token: str, exact: bool) -> Weight:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from typing import Iterable
 
 from .graph import (
@@ -82,25 +83,32 @@ def verify_spanner(g: Graph, terminals: Iterable[int], edges: Iterable[Pair],
                    beta: Beta, rel_tol: float = 0.0) -> VerificationReport:
     """Check d_H(u,v) <= d_G(u,v) + slack for every terminal pair.
 
-    rel_tol = 0 gives the exact check, the only one rational mode takes
-    (ValueError otherwise); binary64 callers pass a small nonnegative
-    relative tolerance such as `certify_tolerance(g)`.
+    The one check that takes a tolerance: rel_tol = 0 is exact, and the
+    only value rational mode takes; on binary64 a finite rel_tol >= 0,
+    such as `certify_tolerance(g)`, forgives a pair PairBounds flags when
+    d_H - allowed <= rel_tol * max(1, |allowed|).  Else ValueError.
     """
     ts = sorted(set(terminals))
     for t in ts:
         g.check_vertex(t)
     sub = SubgraphAdjacency(g, edges)  # raises UnknownEdgeError on foreign edges
+    if not 0 <= rel_tol < math.inf:  # also refuses nan
+        raise ValueError(f"rel_tol {rel_tol} is not finite and nonnegative")
+    if rel_tol and g.is_exact:
+        raise ValueError("exact (rational) checks take no tolerance; "
+                         f"got rel_tol {rel_tol}")
     if len(ts) < 2:
-        PairBounds.check_tolerance(rel_tol, g.is_exact)
         return VerificationReport(True, (), 0)
     table = build_path_table(g, ts)
-    bounds = PairBounds(table, beta, g.w_max, rel_tol)
-    violations = tuple(
-        Violation(p, table.dist(*p), d_h, a := bounds.allowed[p],
-                  math.inf if d_h == math.inf else d_h - a)  # inf - Fraction overflows
-        for p, d_h, ok in bounds.check(sub) if not ok)
+    bounds = PairBounds(table, beta, g.w_max)
+    violations = []
+    for p in bounds.violations(sub):
+        d_h, a = sub.distance(*p), bounds.allowed[p]
+        excess = math.inf if d_h == math.inf else d_h - a  # inf - Fraction overflows
+        if not (rel_tol and excess <= rel_tol * max(1.0, abs(a))):
+            violations.append(Violation(p, table.dist(*p), d_h, a, excess))
     max_excess = max((v.excess for v in violations), default=0)
-    return VerificationReport(not violations, violations, max_excess)
+    return VerificationReport(not violations, tuple(violations), max_excess)
 
 
 @dataclass(frozen=True)
@@ -158,9 +166,12 @@ def _connects(n: int, edge_list: list[Pair], active: int,
     return all(uf.find(t) == root for t in terminals[1:])
 
 
-def _feasible(bounds: PairBounds, g: Graph, edges: Iterable[Pair]) -> bool:
-    """The exact spanner condition, stopping at the first failing pair."""
-    return all(ok for _, _, ok in bounds.check(SubgraphAdjacency(g, edges)))
+def _feasible(bounds: PairBounds, g: Graph, edges: Iterable[Pair],
+              ts: list[int]) -> bool:
+    """The exact spanner condition on the pairs of the sorted terminals
+    ts, stopping at the first failing pair."""
+    sub = SubgraphAdjacency(g, edges)
+    return all(bounds.holds(sub, u, v) for u, v in combinations(ts, 2))
 
 
 def exact_one_level(g: Graph, terminals: Iterable[int],
@@ -196,7 +207,7 @@ def exact_one_level(g: Graph, terminals: Iterable[int],
             return
         if idx == m:
             edges = [pairs[i] for i in range(m) if chosen_mask >> i & 1]
-            if _feasible(bounds, g, edges):
+            if _feasible(bounds, g, edges, ts):
                 best_weight = cur_weight
                 best_set = frozenset(edges)
             return
@@ -253,7 +264,7 @@ def exact_multilevel(inst) -> ExactMultiLevel:
         edge_list = [pairs[i] for i in range(m) if mask & (1 << i)]
         ts = sorted(terms)
         ok = len(ts) < 2 or (_connects(g.n, edge_list, (1 << len(edge_list)) - 1, ts)
-                             and _feasible(bounds[terms], g, edge_list))
+                             and _feasible(bounds[terms], g, edge_list, ts))
         feas_cache[key] = ok
         return ok
 

@@ -36,7 +36,6 @@ from .graph import (
     SubgraphAdjacency,
     Weight,
     _unpack,
-    certify_tolerance,
 )
 from .steiner import Backbone, build_backbone
 from .transform import ScaledInstance, scaled_universe
@@ -242,7 +241,7 @@ def wmax_spanner(g: Graph, terminals: Iterable[int], cfg: SampleConfig,
         fallback = _one_level(g, ts, Beta("relative", cfg.split.eps),
                               "incident", "eps")
         meta.update({"fallback": True, "ell": None, "repaired": []})
-        return _certify(g, beta, bb, fallback._checked[3], meta, light=True)
+        return _certify(g, bb, fallback._checked[3], meta, light=True)
     if not 0 < ell <= inst.v_h:
         raise ValueError(f"ell={ell} outside (0, |V_H|={inst.v_h}]")
     meta["fallback"] = False
@@ -258,7 +257,7 @@ def wmax_spanner(g: Graph, terminals: Iterable[int], cfg: SampleConfig,
         pre, suf, overlapped = prefix_suffix(g, path, current, ell_g)
         if overlapped:
             return [e for e in path.edge_pairs() if e not in current]
-        route[pair] = (path, pre, suf)
+        route[pair] = (pre, suf)
         return pre + suf
 
     state = greedy_complete(g, initial, ts, beta, policy=prefix_suffix_policy)
@@ -276,38 +275,38 @@ def wmax_spanner(g: Graph, terminals: Iterable[int], cfg: SampleConfig,
                             "incident", "eps", bb=cached).edges:
             sub.add_edge(*e)
 
+    bounds = PairBounds(bb.path_table, beta, g.w_max)
     if instrument and route:
-        meta["distance_chain"] = _distance_chains(g, bb, sub, route, sample, cfg)
+        meta["distance_chain"] = _distance_chains(g, bounds, sub, route, sample)
 
-    # Repair pass: check every pair, inserting the fixed path of any
-    # violator (sorted order, deterministic).  The greedy's live
-    # distances absorb each insertion, and certification reads them.
-    bounds = PairBounds(bb.path_table, beta, g.w_max, certify_tolerance(g))
+    # Repair pass: check every pair in sorted order, inserting the fixed
+    # path of any violator.  The greedy's live distances absorb each
+    # insertion before the next pair is read, and certification reads them.
     repaired: list[Pair] = []
-    for pair, _, ok in bounds.check(sub):
-        if not ok:
+    for pair in bb.path_table.pair_keys():
+        if not bounds.holds(sub, *pair):
             repaired.append(pair)
             for e in bb.path_table.path(*pair).edge_pairs():
                 sub.add_edge(*e)
     meta["repaired"] = repaired
-    return _certify(g, beta, bb, sub, meta, light=True)
+    return _certify(g, bb, sub, meta, light=True)
 
 
-def _distance_chains(g: Graph, bb: Backbone, sub: SubgraphAdjacency,
-                     route: dict[Pair, tuple], sample: list[int],
-                     cfg: SampleConfig) -> list[dict]:
+def _distance_chains(g: Graph, bounds: PairBounds, sub: SubgraphAdjacency,
+                     route: dict[Pair, tuple], sample: list[int]) -> list[dict]:
     """Reconstruct the prefix/suffix distance chain for instrumented runs.
 
     For each prefix/suffix pair whose neighborhoods were hit by sampled
     vertices (within W_max in the built spanner), the chain
-    u -> a -> r -> s -> b -> v must stay within d_G(u,v) + (4+eps)W_max.
-    sub is the built spanner before its repair pass.
+    u -> a -> r -> s -> b -> v must stay within the pair's allowance
+    d_G(u,v) + (4+eps)W_max from bounds.  sub is the built spanner
+    before its repair pass.
     """
     w_max = g.w_max
     rows = {r: [_unpack(d, sub.denom) for d in sub.distances(r)]
             for r in sample}
     out: list[dict] = []
-    for pair, (path, pre, suf) in sorted(route.items()):
+    for pair, (pre, suf) in sorted(route.items()):
         u, v = pair
         pre_verts = [x for e in pre for x in e]
         suf_verts = [x for e in suf for x in e]
@@ -328,8 +327,7 @@ def _distance_chains(g: Graph, bb: Backbone, sub: SubgraphAdjacency,
             _, b, s = best_suf
             chain = (sub.distance(u, a) + rows[r][a] + rows[r][s]
                      + rows[s][b] + sub.distance(b, v))
-            allowed = (bb.path_table.dist(u, v)
-                       + (4 + cfg.split.eps) * w_max)
+            allowed = bounds.allowed[pair]
             entry["chain"] = chain
             entry["allowed"] = allowed
             entry["ok"] = chain <= allowed

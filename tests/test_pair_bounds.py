@@ -89,7 +89,7 @@ class TestPairBounds:
         bounds = PairBounds(table, HALF, g.w_max)
         sources = record_seeded_searches(monkeypatch)
         full = SubgraphAdjacency(g, all_pairs(g))
-        assert all(ok for _, _, ok in bounds.check(full))
+        assert bounds.violations(full) == []
         assert sources == [0, 3, 7]
 
         # Inserting the fixed path of the first pair runs no new search:
@@ -98,26 +98,31 @@ class TestPairBounds:
         sources.clear()
         sub = SubgraphAdjacency(g)
         seen = {}
-        for pair, d_h, ok in bounds.check(sub):
-            seen[pair] = d_h
+        for pair in table.pair_keys():
+            ok = bounds.holds(sub, *pair)
+            seen[pair] = sub.distance(*pair)
             if pair == (0, 3):
-                assert d_h == math.inf and not ok
+                assert seen[pair] == math.inf and not ok
                 for e in table.path(0, 3).edge_pairs():
                     sub.add_edge(*e)
         assert sources == [0, 3, 7]
         assert seen[(0, 7)] == subgraph_dist(g, table.path(0, 3).edge_pairs(), 0, 7)
+        assert bounds.violations(sub) == [p for p in table.pair_keys()
+                                          if not bounds.holds(sub, *p)]
+        assert sources == [0, 3, 7]
 
     def test_relative_tolerance_margin(self):
         # d_G(0, 2) = 2 - delta on the direct edge; without it d_H = 2.
+        # PairBounds flags the pair; verify_spanner forgives 1e-12 only.
         for delta, tolerant in ((1e-12, True), (1e-6, False)):
             g = Graph.from_edges(3, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 2.0 - delta)])
             table = build_path_table(g, [0, 2])
-            sub = SubgraphAdjacency(g, [(0, 1), (1, 2)])
+            h = [(0, 1), (1, 2)]
             zero = Beta("relative", 0)
-            [(_, _, exact_ok)] = PairBounds(table, zero, g.w_max).check(sub)
-            [(_, _, tol_ok)] = PairBounds(table, zero, g.w_max, 1e-9).check(sub)
-            assert exact_ok is False
-            assert tol_ok is tolerant
+            assert PairBounds(table, zero, g.w_max).violations(
+                SubgraphAdjacency(g, h)) == [(0, 2)]
+            assert not verify_spanner(g, [0, 2], h, zero).ok
+            assert verify_spanner(g, [0, 2], h, zero, 1e-9).ok is tolerant
 
 
 EXACT_BETAS = (HALF, Beta("relative", 0), Beta("relative", Fraction(1, 3)),
@@ -128,25 +133,32 @@ FLOAT_BETAS = (Beta("relative", 0.5), Beta("relative", 0), Beta("relative", 0.1)
 
 
 def assert_rows_match_reference(g, ts, edges):
-    """The packed rows give the reference's (pair, d_h, ok) sequence and
-    allowances, holds gives each ok and violations the failing pairs in
-    order, for every beta and tolerance the regime admits."""
+    """holds gives the reference's ok for each pair, violations the
+    failing pairs in order, and allowed the reference's allowances, for
+    every beta of the regime; verify_spanner reports the reference's
+    failing pairs, with d_H and allowance, under every tolerance the
+    regime admits."""
     table = build_path_table(g, ts)
     betas = EXACT_BETAS if g.is_exact else FLOAT_BETAS
     for beta in betas:
+        sub = SubgraphAdjacency(g, edges)
+        allowed, expected = reference_pair_bounds(table, beta, g.w_max, sub)
+        bounds = PairBounds(table, beta, g.w_max)
+        assert ([bounds.holds(sub, u, v) for u, v in table.pair_keys()]
+                == [ok for _, _, ok in expected]), beta
+        assert (bounds.violations(sub)
+                == [pair for pair, _, ok in expected if not ok]), beta
+        assert ([repr(x) for x in bounds.allowed.items()]
+                == [repr(x) for x in allowed.items()]), beta
         for rel_tol in ((0.0,) if g.is_exact else (0.0, 1e-9)):
-            sub = SubgraphAdjacency(g, edges)
-            allowed, expected = reference_pair_bounds(table, beta, g.w_max,
-                                                      sub, rel_tol)
-            bounds = PairBounds(table, beta, g.w_max, rel_tol)
-            got = list(bounds.check(sub))
-            assert [repr(x) for x in got] == [repr(x) for x in expected], beta
-            assert ([bounds.holds(sub, u, v) for (u, v), _, _ in got]
-                    == [ok for _, _, ok in got]), beta
-            assert (bounds.violations(sub)
-                    == [pair for pair, _, ok in expected if not ok]), beta
-            assert ([repr(x) for x in bounds.allowed.items()]
-                    == [repr(x) for x in allowed.items()]), beta
+            _, expected = reference_pair_bounds(table, beta, g.w_max,
+                                                SubgraphAdjacency(g, edges),
+                                                rel_tol)
+            rep = verify_spanner(g, ts, edges, beta, rel_tol)
+            assert ([repr((v.pair, v.d_h, v.allowed)) for v in rep.violations]
+                    == [repr((pair, d_h, allowed[pair]))
+                        for pair, d_h, ok in expected if not ok]), beta
+            assert rep.ok == all(ok for _, _, ok in expected), beta
 
 
 class TestPackedRowsAgainstReference:
@@ -226,35 +238,33 @@ class TestTreeDistances:
 
 
 class TestToleranceRules:
-    """Exact mode is tolerance-free: a nonzero rel_tol on a rational
-    table is refused, not applied; a negative one is refused anywhere."""
+    """PairBounds checks exactly; verify_spanner alone takes a tolerance.
+    Exact mode is tolerance-free: a nonzero rel_tol on a rational graph
+    is refused, not applied; one outside [0, inf) is refused anywhere."""
 
     # d_H(0, 2) = 2 through vertex 1, against d_G(0, 2) = 3/2.
     EXACT = [(0, 1, 1), (1, 2, 1), (0, 2, Fraction(3, 2))]
 
-    def test_exact_table_rejects_a_nonzero_tolerance(self):
+    def test_exact_check_flags_the_pair(self):
         g = Graph.from_edges(3, self.EXACT)
         table = build_path_table(g, [0, 2])
+        sub = SubgraphAdjacency(g, [(0, 1), (1, 2)])
         for beta in (Beta("relative", 0), Beta("wmax", 0)):
-            for rel_tol in (0.4, 1e-9):
-                with pytest.raises(ValueError):
-                    PairBounds(table, beta, g.w_max, rel_tol)
-        [(_, d_h, ok)] = PairBounds(table, Beta("relative", 0), g.w_max).check(
-            SubgraphAdjacency(g, [(0, 1), (1, 2)]))
-        assert (d_h, ok) == (2, False)
+            assert PairBounds(table, beta, g.w_max).violations(sub) == [(0, 2)]
+        assert sub.distance(0, 2) == 2
 
     def test_negative_tolerance_is_rejected_in_both_regimes(self):
         for edges in (self.EXACT, [(u, v, float(w)) for u, v, w in self.EXACT]):
             g = Graph.from_edges(3, edges)
-            table = build_path_table(g, [0, 2])
             with pytest.raises(ValueError):
-                PairBounds(table, HALF, g.w_max, -1e-9)
+                verify_spanner(g, [0, 2], [(0, 1), (1, 2)], HALF, -1e-9)
 
     def test_verify_spanner_refuses_a_tolerance_on_an_exact_graph(self):
         g = Graph.from_edges(3, self.EXACT)
         h, zero = [(0, 1), (1, 2)], Beta("relative", 0)
-        with pytest.raises(ValueError):
-            verify_spanner(g, [0, 2], h, zero, 0.4)
+        for rel_tol in (0.4, 1e-9):
+            with pytest.raises(ValueError):
+                verify_spanner(g, [0, 2], h, zero, rel_tol)
         rep = verify_spanner(g, [0, 2], h, zero)
         assert not rep.ok
         assert [(v.d_h, v.allowed) for v in rep.violations] == [(2, Fraction(3, 2))]
@@ -271,6 +281,20 @@ class TestToleranceRules:
         for g, rel_tol in ((exact, 0.0), (binary64, 0.0), (binary64, 1e-9)):
             rep = verify_spanner(g, terminals, [], zero, rel_tol)
             assert rep.ok and rep.violations == ()
+
+    @pytest.mark.parametrize("terminals", [[], [0], [0, 1, 2]])
+    @pytest.mark.parametrize("rel_tol", [math.nan, math.inf, -math.inf])
+    def test_verify_spanner_refuses_a_tolerance_outside_zero_to_inf(
+            self, terminals, rel_tol):
+        # A NaN margin made every pair of a correct spanner fail (each
+        # excess -1/2 here), and an infinite one forgave any reachable d_H.
+        path = [(0, 1, 1), (1, 2, 1), (0, 2, 3)]
+        half = Beta("relative", 0.5)
+        for g in (Graph.from_edges(3, path),
+                  Graph.from_edges(3, [(u, v, float(w)) for u, v, w in path])):
+            with pytest.raises(ValueError):
+                verify_spanner(g, terminals, [(0, 1), (1, 2)], half, rel_tol)
+            assert verify_spanner(g, terminals, [(0, 1), (1, 2)], half).ok
 
 
 def brute_force_violations(g, terms, edges, beta):
@@ -352,3 +376,40 @@ def test_repair_pass_inserts_fixed_paths(monkeypatch):
     for u, v in sp.meta["repaired"]:
         assert set(table.path(u, v).edge_pairs()) <= sp.edges
     assert verify_spanner(g, terms, sp.edges, beta).ok
+
+
+def test_repair_pass_reads_each_pair_after_the_earlier_repairs(monkeypatch):
+    # A fixed path inserted for one pair can serve a later one, which the
+    # pass must then leave alone: replay the pass on the subgraph it
+    # started from, with the Bellman-Ford reference, pair after pair.
+    monkeypatch.setattr(sampled, "_sample_vertices", lambda bb, size, seed: [])
+    start = []
+
+    class Recording(PairBounds):
+        def holds(self, sub, u, v):
+            if not start:
+                start.append(sub.edges)
+            return super().holds(sub, u, v)
+
+        def violations(self, sub):
+            if not start:
+                start.append(sub.edges)
+            return super().violations(sub)
+
+    monkeypatch.setattr(sampled, "PairBounds", Recording)
+    g, terms, _ = generate(GeneratorSpec(
+        "grid", n=100, seed=3, weight_range=(1, 1), terminal_fraction=0.25))
+    beta = Beta("wmax", Fraction(9, 2))
+    sp = wmax_spanner(g, terms, SampleConfig(EpsilonSplit.of(Fraction(1, 2)),
+                                             seed=1, ell=0.5))
+    table = build_path_table(g, terms)
+    edges, replayed, at_start = set(start[0]), [], []
+    for u, v in table.pair_keys():
+        allowed = table.dist(u, v) + beta.slack(table.w(u, v), g.w_max)
+        if subgraph_dist(g, start[0], u, v) > allowed:
+            at_start.append((u, v))
+        if subgraph_dist(g, edges, u, v) > allowed:
+            replayed.append((u, v))
+            edges |= set(table.path(u, v).edge_pairs())
+    assert sp.meta["repaired"] == replayed
+    assert len(replayed) < len(at_start)

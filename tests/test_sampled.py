@@ -20,7 +20,14 @@ from lightspan.additive import (
 )
 from lightspan import additive as additive_mod, sampled as sampled_mod
 from lightspan.generators import GeneratorSpec, generate
-from lightspan.graph import Beta, Graph, FixedPath, SubgraphAdjacency, canonical
+from lightspan.graph import (
+    Beta,
+    FixedPath,
+    Graph,
+    PairBounds,
+    SubgraphAdjacency,
+    canonical,
+)
 from lightspan.oracle import subset_lightness, verify_spanner
 from lightspan.sampled import (
     DistanceChainError,
@@ -326,17 +333,17 @@ class TestWmaxSpanner:
         g = Graph.from_edges(5, [(i, i + 1, 1) for i in range(4)])
         bb = build_backbone(g, [0, 4], WMAX_BETA)
         edges = {(i, i + 1) for i in range(4)}
-        route = {(0, 4): (bb.path_table.path(0, 4), [(0, 1)], [(3, 4)])}
-        cfg = SampleConfig(SPLIT)
-        [entry] = _distance_chains(g, bb, SubgraphAdjacency(g, edges), route,
-                                   [1, 3], cfg)
+        route = {(0, 4): ([(0, 1)], [(3, 4)])}
+        bounds = PairBounds(bb.path_table, WMAX_BETA, g.w_max)
+        [entry] = _distance_chains(g, bounds, SubgraphAdjacency(g, edges),
+                                   route, [1, 3])
         assert entry["hit"] and entry["ok"]
         real = SubgraphAdjacency.distance
         monkeypatch.setattr(SubgraphAdjacency, "distance",
                             lambda self, u, v: real(self, u, v) + 10)
         with pytest.raises(DistanceChainError):
-            _distance_chains(g, bb, SubgraphAdjacency(g, edges), route,
-                             [1, 3], cfg)
+            _distance_chains(g, bounds, SubgraphAdjacency(g, edges), route,
+                             [1, 3])
 
     def test_no_backbone_is_built_twice(self, monkeypatch):
         # choose_ell hands its sample backbones to the sample spanner, so

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -44,7 +45,6 @@ class TestScale:
     def test_scaling_invariance_property(self):
         # Condition satisfaction is preserved in both directions under
         # scaling, for random subgraphs and beta in {eps, 4+eps}.
-        import random
         for seed in range(10):
             g, bb = universe(seed)
             inst = scaled_universe(g, bb)
@@ -81,13 +81,28 @@ class TestDropHeavy:
 
     def test_terminal_distances_preserved_on_random_instances(self):
         # Exact weights: the distances of the scaled host before the drop
-        # are sigma times the host's.
+        # are sigma times the host's.  The plain graphs drop no edge; the
+        # same graphs with a few chords 1000 times heavier drop them all.
         for seed in range(12):
-            g, bb = universe(seed + 20)
-            inst = scaled_universe(g, bb)
-            t_after = build_path_table(inst.g_s, sorted(bb.terminals))
-            for pair in t_after.pair_keys():
-                assert t_after.dist(*pair) == inst.sigma * bb.path_table.dist(*pair)
+            g = rand_connected_graph(seed + 20, 14, 16)
+            rng = random.Random(seed)
+            chords = set()
+            while len(chords) < 3:
+                u, v = rng.sample(range(g.n), 2)
+                if canonical(u, v) not in g.weight_by_pair:
+                    chords.add(canonical(u, v))
+            heavy = Graph.from_edges(g.n, list(g.edges) + [
+                (u, v, 1000 * Fraction(rng.randint(8, 80), 8)) for u, v in chords])
+            for host, dropped in ((g, False), (heavy, True)):
+                bb = build_backbone(host, [0, 4, 8, 12], BETA)
+                inst = scaled_universe(host, bb)
+                assert bool(inst.heavy_removed) is dropped
+                if dropped:
+                    assert inst.heavy_removed == chords
+                t_after = build_path_table(inst.g_s, sorted(bb.terminals))
+                for pair in t_after.pair_keys():
+                    assert (t_after.dist(*pair)
+                            == inst.sigma * bb.path_table.dist(*pair))
 
 
 class TestSubdivide:
