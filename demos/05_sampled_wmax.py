@@ -16,7 +16,6 @@ from lightspan import (
     EpsilonSplit,
     GeneratorSpec,
     SampleConfig,
-    choose_ell,
     generate,
     verify_spanner,
     wmax_spanner,
@@ -28,13 +27,14 @@ g, terminals, _ = generate(GeneratorSpec("erdos-renyi", 60, seed=8,
 print(f"instance: n = {g.n}, m = {len(g.edges)}, |S| = {len(terminals)}, "
       f"W_max = {g.w_max}")
 
-ell = choose_ell(g, terminals, SampleConfig(split, c=2.0, seed=0))
+runs = [wmax_spanner(g, terminals, SampleConfig(split, c=2.0, seed=seed))
+        for seed in range(10)]
+ell = runs[0].meta["ell"]  # choose_ell's fixed point for seed 0
 print(f"threshold search: ell = {ell if ell is None else round(ell, 4)}")
 
 print("\nten seeded runs (c = 2):")
 repair_count = 0
-for seed in range(10):
-    sp = wmax_spanner(g, terminals, SampleConfig(split, c=2.0, seed=seed))
+for seed, sp in enumerate(runs):
     rep = verify_spanner(g, terminals, sp.edges,
                          Beta("wmax", 4 + split.eps))
     repaired = len(sp.meta["repaired"])

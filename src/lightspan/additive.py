@@ -94,7 +94,7 @@ class Spanner:
     weight: Weight
     subset_lightness: Weight | None
     meta: dict = field(compare=False)
-    # (g, beta, fixed-path table, certifying subgraph), read by pair_report.
+    # (beta, fixed-path table, certifying subgraph), read by pair_report.
     _checked: tuple | None = field(default=None, compare=False, repr=False)
 
     @cached_property
@@ -102,9 +102,9 @@ class Spanner:
         """One PairCheck per terminal pair, in host units and pair order."""
         if self._checked is None:
             return {}
-        g, beta, t, sub = self._checked
+        beta, t, sub = self._checked
         return {p: PairCheck(t.dist(*p), sub.distance(*p), t.w(*p),
-                             beta.slack(t.w(*p), g.w_max))
+                             beta.slack(t.w(*p), t.g.w_max))
                 for p in t.pair_keys()}
 
 
@@ -237,7 +237,7 @@ def greedy_complete(g: Graph, initial: Iterable[Pair],
     """
     table = build_path_table(g, sorted(set(terminals)))
     order = sorted(table.pair_keys(), key=table.order_key)
-    bounds = PairBounds(table, beta, g.w_max)
+    bounds = PairBounds(table, beta)
     current = SubgraphAdjacency(g, initial)  # UnknownEdgeError if foreign
     added: set[Pair] = set()
     insertions = 0
@@ -292,12 +292,13 @@ def neighborhood_budget(inst: ScaledInstance, terminal_count: int) -> Weight:
     return max(1, d)
 
 
-def _certify(g: Graph, bb: Backbone, sub: SubgraphAdjacency, meta: dict,
+def _certify(bb: Backbone, sub: SubgraphAdjacency, meta: dict,
              light: bool) -> Spanner:
-    """Check every terminal pair on sub, the caller's subgraph of g, under
-    bb.beta with no tolerance, and return the spanner of its edges, with
-    its subset lightness if light."""
-    bounds = PairBounds(bb.path_table, bb.beta, g.w_max)
+    """Check every terminal pair on sub, the caller's subgraph of g =
+    bb.path_table.g, under bb.beta with no tolerance, and return the
+    spanner of its edges, with its subset lightness if light."""
+    g = bb.path_table.g
+    bounds = PairBounds(bb.path_table, bb.beta)
     bad = bounds.violations(sub)
     if bad:
         u, v = bad[0]
@@ -309,7 +310,7 @@ def _certify(g: Graph, bb: Backbone, sub: SubgraphAdjacency, meta: dict,
     if light:
         res = subset_lightness(g, bb, weight)
         ratio, meta = res.ratio, {**meta, "lightness_mode": res.mode}
-    return Spanner(edges, weight, ratio, meta, (g, bb.beta, bb.path_table, sub))
+    return Spanner(edges, weight, ratio, meta, (bb.beta, bb.path_table, sub))
 
 
 def _one_level(g: Graph, terminals: frozenset[int], beta: Beta, h0_mode: str,
@@ -346,7 +347,7 @@ def _one_level(g: Graph, terminals: frozenset[int], beta: Beta, h0_mode: str,
     if instrument:
         meta["instrumentation"] = InstrumentationReport(
             instrument, setoffs, improvements, tuple(failures))
-    return _certify(g, bb, state.sub, meta, light)
+    return _certify(bb, state.sub, meta, light)
 
 
 def eps_spanner(g: Graph, terminals: Iterable[int], split: EpsilonSplit,

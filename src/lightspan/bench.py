@@ -10,7 +10,7 @@ import io
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .additive import EpsilonSplit, eps_spanner, four_eps_spanner
 from .graph import Beta, certify_tolerance, run_value
@@ -128,8 +128,7 @@ def _finite_number(x) -> bool:
 
 
 def _spec_from(entry: dict, exact: bool) -> GeneratorSpec:
-    known = {"kind", "n", "seed", "p", "radius", "weight_range",
-             "terminal_fraction", "delta", "subdivided", "levels_k", "name"}
+    known = {f.name for f in fields(GeneratorSpec)} - {"exact"}  # set per config
     bad = set(entry) - known
     if bad:
         raise ConfigError(f"unknown instance fields {sorted(bad)}")

@@ -540,19 +540,19 @@ def fixed_shortest_path(g: Graph, u: int, v: int) -> FixedPath:
 
 @dataclass(frozen=True)
 class PathTable:
-    """Fixed paths for every unordered pair of a terminal set.
+    """Fixed paths for every unordered pair of a terminal set of g.
 
     The pair (u, v), u < v, is served by the memoised search from u:
     dist and w are lookups into its distance and max-edge labels.  A
     FixedPath is built only when a caller asks for one (greedy
-    insertions, repairs, wmax routes) and is then kept.
+    insertions, repairs, wmax routes); each caller asks once per pair,
+    so none is kept.  The table holds g, whose denominator and W_max
+    `PairBounds` reads.
     """
 
     terminals: frozenset[int]
     _sources: dict[int, ShortestPaths] = field(compare=False, repr=False)
-    _denom: int | None = field(default=None, compare=False, repr=False)
-    _paths: dict[Pair, FixedPath] = field(default_factory=dict,
-                                          compare=False, repr=False)
+    g: Graph = field(compare=False, repr=False)
 
     def _label(self, u: int, v: int) -> tuple[ShortestPaths, int]:
         """The search serving the pair, and its far endpoint."""
@@ -583,12 +583,7 @@ class PathTable:
         return sp._maxw[v], sp._dist[v], pair
 
     def path(self, u: int, v: int) -> FixedPath:
-        key = canonical(u, v)
-        fp = self._paths.get(key)
-        if fp is None:
-            sp, v = self._label(*key)
-            fp = self._paths[key] = _path_from_tree(sp, v)
-        return fp
+        return _path_from_tree(*self._label(u, v))
 
     def vertices_on(self, pairs: Iterable[Pair]) -> set[int]:
         """The union of the fixed paths' vertex sets, one tree walk per
@@ -615,14 +610,14 @@ def build_path_table(g: Graph, terminals: Iterable[int]) -> PathTable:
         raise InvalidVertexError("terminal set must be nonempty")
     for t in ts:
         g.check_vertex(t)
-    return PathTable(frozenset(ts), {u: shortest_paths(g, u) for u in ts[:-1]},
-                     g._packed[0])
+    return PathTable(frozenset(ts), {u: shortest_paths(g, u) for u in ts[:-1]}, g)
 
 
 class PairBounds:
     """The spanner condition d_H(u, v) <= d_G(u, v) + slack on every pair
     of a fixed-path table: the one check behind the backbone's pair scan,
     the greedy completion, certification and repair, and the oracles.
+    The table's graph g gives the denominator and W_max.
 
     Construction keeps one row per source u of the table, mapping each
     terminal v > u to its allowance, read straight from the search
@@ -640,10 +635,9 @@ class PairBounds:
     binary64 rounding, on the pairs `violations` flags.
     """
 
-    def __init__(self, table: PathTable, beta: Beta, w_max: Weight) -> None:
-        denom = table._denom
+    def __init__(self, table: PathTable, beta: Beta) -> None:
+        denom, w_max = table.g._packed[0], table.g.w_max
         self._table = table
-        self._w_max = w_max
         value = beta.value
         if denom is not None and type(value) is float:
             value = Fraction(value)  # exact, as the rest of the check
@@ -676,9 +670,8 @@ class PairBounds:
     def allowed(self) -> dict[Pair, Weight]:
         """d_G + slack per pair in host units, in pair order, for error
         messages and reports; built on first read."""
-        t, value, w_max = self._table, self._value, self._w_max
-        rel = self._relative
-        return {p: t.dist(*p) + value * (t.w(*p) if rel else w_max)
+        t, value, rel = self._table, self._value, self._relative
+        return {p: t.dist(*p) + value * (t.w(*p) if rel else t.g.w_max)
                 for p in t.pair_keys()}
 
     def holds(self, sub, u: int, v: int) -> bool:

@@ -61,7 +61,6 @@ class RoundedGroup:
     """One distinct rounded level with its cumulative terminal set."""
 
     value: Weight
-    exponent: int
     terminals: frozenset[int]
 
 
@@ -80,19 +79,15 @@ class MultiLevelSolution:
                    for i in range(len(self.edge_sets) - 1))
 
 
-def _round_one(level: int, p: float, q: float) -> tuple[Weight, int]:
+def _round_one(level: int, p: float, q: float) -> Weight:
     # Integral p and q admit an exact integer grid (needed for the exact
     # merge-bound diagnostic); otherwise the grid is binary64.
     if float(p).is_integer() and float(q).is_integer():
-        pi, qi = int(p), int(q)
-        i = 0
-        while pi ** (qi + i) < level:
-            i += 1
-        return pi ** (qi + i), i
+        p, q = int(p), int(q)
     i = 0
     while p ** (q + i) < level:
         i += 1
-    return p ** (q + i), i
+    return p ** (q + i)
 
 
 def round_levels(levels: dict[int, int], p: float, q: float
@@ -107,14 +102,10 @@ def round_levels(levels: dict[int, int], p: float, q: float
         raise ValueError("p must exceed 1 and be finite")
     if not 0 < q <= 1:
         raise ValueError("q must lie in (0, 1]")
-    rounded: dict[int, tuple[Weight, int]] = {
-        v: _round_one(lvl, p, q) for v, lvl in levels.items() if lvl >= 1
-    }
-    groups: list[RoundedGroup] = []
-    for value, exponent in sorted({rv for rv in rounded.values()}):
-        members = frozenset(v for v, (rv, _) in rounded.items() if rv >= value)
-        groups.append(RoundedGroup(value, exponent, members))
-    return groups
+    rounded = {v: _round_one(lvl, p, q) for v, lvl in levels.items() if lvl >= 1}
+    return [RoundedGroup(value, frozenset(v for v, rv in rounded.items()
+                                          if rv >= value))
+            for value in sorted(set(rounded.values()))]
 
 
 def _merge_groups(g: Graph, groups: list[RoundedGroup], oracle: Oracle

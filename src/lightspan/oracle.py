@@ -28,6 +28,7 @@ from .graph import (
     json_number,
 )
 from .steiner import (
+    EXACT_STEINER_MAX_TERMINALS,
     Backbone,
     _UnionFind,
     exact_steiner,
@@ -100,7 +101,7 @@ def verify_spanner(g: Graph, terminals: Iterable[int], edges: Iterable[Pair],
     if len(ts) < 2:
         return VerificationReport(True, (), 0)
     table = build_path_table(g, ts)
-    bounds = PairBounds(table, beta, g.w_max)
+    bounds = PairBounds(table, beta)
     violations = []
     for p in bounds.violations(sub):
         d_h, a = sub.distance(*p), bounds.allowed[p]
@@ -133,7 +134,7 @@ def subset_lightness(g: Graph, backbone: Backbone,
     if _is_tree_graph(g):
         denom = _steiner_subtree_of_tree(g, sorted(s_prime)).weight
         mode = "exact"
-    elif (g.is_exact and t <= 12
+    elif (g.is_exact and t <= EXACT_STEINER_MAX_TERMINALS
           and 3 ** max(t - 1, 0) * g.n <= _EXACT_LIGHTNESS_BUDGET):
         denom = exact_steiner(g, s_prime).weight
         mode = "exact"
@@ -191,7 +192,7 @@ def exact_one_level(g: Graph, terminals: Iterable[int],
         g.check_vertex(t)
     if len(ts) < 2:
         return frozenset()
-    bounds = PairBounds(build_path_table(g, ts), beta, g.w_max)
+    bounds = PairBounds(build_path_table(g, ts), beta)
     ordered = sorted(g.edges, key=lambda e: (e[2], e[0], e[1]), reverse=True)
     pairs = [canonical(u, v) for u, v, _ in ordered]
     weights = [w for _, _, w in ordered]
@@ -253,7 +254,7 @@ def exact_multilevel(inst) -> ExactMultiLevel:
         mask_weight[mask] = mask_weight[mask ^ low] + weights[low.bit_length() - 1]
 
     level_terms = [inst.terminal_set(i) for i in range(1, k + 1)]
-    bounds = {terms: PairBounds(build_path_table(g, terms), inst.condition, g.w_max)
+    bounds = {terms: PairBounds(build_path_table(g, terms), inst.condition)
               for terms in level_terms if len(terms) >= 2}
     feas_cache: dict[tuple[int, frozenset[int]], bool] = {}
 

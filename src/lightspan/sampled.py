@@ -163,24 +163,21 @@ def threshold_search(factor: float, s_count: int, hi: float, v_prime,
     return (a + b) / 2
 
 
-def choose_ell(g: Graph, terminals: Iterable[int], cfg: SampleConfig,
-               inst: ScaledInstance | None = None, *,
+def choose_ell(inst: ScaledInstance, cfg: SampleConfig, *,
                backbones: dict[frozenset[int], Backbone] | None = None
                ) -> float | None:
     """Approximate the fixed point ell = sqrt(c ln n |V_H| |V'_H|(ell)) / |S|.
 
-    |V'_H|(ell) is the backbone vertex count of the sample drawn at ell;
-    inst is the scaled wmax universe of (g, terminals), built if omitted.
-    Returns None (fallback to the +eps*W spanner) when the fixed point
-    cannot be bracketed or lands below every edge weight of inst.  If
-    backbones is given, each sample backbone built here is stored in it
-    under its sample, so `wmax_spanner` can reuse the one it samples.
+    inst is the scaled wmax universe: g is inst.base, S the terminals of
+    its backbone, and |V_H| = inst.v_h.  |V'_H|(ell) is the backbone
+    vertex count of the sample drawn at ell.  Returns None (fallback to
+    the +eps*W spanner) when the fixed point cannot be bracketed or lands
+    below every edge weight of inst.  If backbones is given, each sample
+    backbone built here is stored in it under its sample, so
+    `wmax_spanner` can reuse the one it samples.
     """
-    ts = frozenset(terminals)
-    bb = inst.backbone if inst else build_backbone(
-        g, ts, Beta("wmax", 4 + cfg.split.eps))
-    vh = len(bb.h.vertices)
-    if vh < 2 or len(ts) < 2:
+    g, bb, vh = inst.base, inst.backbone, inst.v_h
+    if vh < 2 or len(bb.terminals) < 2:
         return None
     factor = cfg.c * math.log(max(g.n, 2)) * vh
     cache: dict[int, int] = {}
@@ -199,12 +196,9 @@ def choose_ell(g: Graph, terminals: Iterable[int], cfg: SampleConfig,
         return cache[size]
 
     # A sample lies inside its backbone's S', which lies inside V(H).
-    ell = threshold_search(factor, len(ts), float(vh), v_prime,
+    ell = threshold_search(factor, len(bb.terminals), float(vh), v_prime,
                            lambda ell: _sample_size(cfg, g.n, vh, ell), g.n)
-    if ell is None or not ell > 0:
-        return None
-    inst = inst or scaled_universe(g, bb)
-    if ell < inst.lightest_spliced():
+    if ell is None or not ell > 0 or ell < inst.lightest_spliced():
         return None
     return ell
 
@@ -227,7 +221,7 @@ def wmax_spanner(g: Graph, terminals: Iterable[int], cfg: SampleConfig,
 
     sample_backbones: dict[frozenset[int], Backbone] = {}
     ell = cfg.ell if cfg.ell is not None else choose_ell(
-        g, ts, cfg, inst, backbones=sample_backbones)
+        inst, cfg, backbones=sample_backbones)
     meta: dict = {
         "algo": "wmax",
         "c": cfg.c,
@@ -241,7 +235,7 @@ def wmax_spanner(g: Graph, terminals: Iterable[int], cfg: SampleConfig,
         fallback = _one_level(g, ts, Beta("relative", cfg.split.eps),
                               "incident", "eps")
         meta.update({"fallback": True, "ell": None, "repaired": []})
-        return _certify(g, bb, fallback._checked[3], meta, light=True)
+        return _certify(bb, fallback._checked[2], meta, light=True)
     if not 0 < ell <= inst.v_h:
         raise ValueError(f"ell={ell} outside (0, |V_H|={inst.v_h}]")
     meta["fallback"] = False
@@ -275,7 +269,7 @@ def wmax_spanner(g: Graph, terminals: Iterable[int], cfg: SampleConfig,
                             "incident", "eps", bb=cached).edges:
             sub.add_edge(*e)
 
-    bounds = PairBounds(bb.path_table, beta, g.w_max)
+    bounds = PairBounds(bb.path_table, beta)
     if instrument and route:
         meta["distance_chain"] = _distance_chains(g, bounds, sub, route, sample)
 
@@ -289,7 +283,7 @@ def wmax_spanner(g: Graph, terminals: Iterable[int], cfg: SampleConfig,
             for e in bb.path_table.path(*pair).edge_pairs():
                 sub.add_edge(*e)
     meta["repaired"] = repaired
-    return _certify(g, bb, sub, meta, light=True)
+    return _certify(bb, sub, meta, light=True)
 
 
 def _distance_chains(g: Graph, bounds: PairBounds, sub: SubgraphAdjacency,

@@ -43,7 +43,6 @@ only distances, from `_relax`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Iterator
 
@@ -60,6 +59,7 @@ from .graph import (
     UnknownEdgeError,
     Weight,
     _relax,
+    _unpack,
     build_path_table,
     canonical,
     shortest_paths,
@@ -281,8 +281,9 @@ def _contract_terminal_edges(g: Graph, ts: list[int]):
     terminal group, and else blocks both; a merge with a blocked group is
     blocked.  An unblocked group has met no edge leaving it, so its merge
     edge is a lightest.  Returns the contracted host edges, the graph of
-    the groups (the lightest host edge per pair), its terminals, and the
-    host edge of each of its edges; g itself when none is contracted.
+    the groups (the lightest host edge per pair, weighing its packed
+    weight, so the graph's denominator is 1), its terminals, and the host
+    edge of each of its edges; g itself when none is contracted.
     """
     _, adj = g._packed
     edges = sorted((w, u, v) for u, nbrs in enumerate(adj) for v, w in nbrs if u < v)
@@ -307,23 +308,24 @@ def _contract_terminal_edges(g: Graph, ts: list[int]):
     host: dict[Pair, Pair] = {}
     for _, u, v in edges:
         host.setdefault(canonical(label[uf.find(u)], label[uf.find(v)]), (u, v))
-    reduced = Graph(len(label), tuple((a, b, g.weight_of(*e)) for (a, b), e
+    reduced = Graph(len(label), tuple((a, b, g.packed_weight_of(*e)) for (a, b), e
                                       in sorted(host.items()) if a != b))
     return contracted, reduced, sorted({label[uf.find(t)] for t in ts}), host
 
 
-def _dreyfus_wagner(g: Graph, ts: list[int]) -> tuple[set[Pair], Fraction]:
+def _dreyfus_wagner(g: Graph, ts: list[int]) -> tuple[set[Pair], int]:
     """The Dreyfus-Wagner program on sorted terminals: its rebuilt edges
-    and optimum.  Row `mask` holds per vertex v the packed weight of a
-    cheapest tree spanning v and the terminals in `mask`: a singleton's
-    memoised search, else the elementwise minimum of its split merges,
-    relaxed by `_relax`.  The tree is rebuilt by integer equality: from
-    (mask, v) to a neighbour u with row[u] + w == row[v], else to a split
-    whose halves sum to row[v]; a singleton follows its search's parents.
+    and optimum, packed over g's denominator.  Row `mask` holds per
+    vertex v the packed weight of a cheapest tree spanning v and the
+    terminals in `mask`: a singleton's memoised search, else the
+    elementwise minimum of its split merges, relaxed by `_relax`.  The
+    tree is rebuilt by integer equality: from (mask, v) to a neighbour u
+    with row[u] + w == row[v], else to a split whose halves sum to
+    row[v]; a singleton follows its search's parents.
     """
     if len(ts) == 1:
-        return set(), Fraction(0)
-    denom, adj = g._packed
+        return set(), 0
+    _, adj = g._packed
     root = ts[-1]
     singles = [shortest_paths(g, q) for q in ts[:-1]]
     full = (1 << len(singles)) - 1
@@ -384,7 +386,7 @@ def _dreyfus_wagner(g: Graph, ts: list[int]) -> tuple[set[Pair], Fraction]:
         else:
             raise SteinerReconstructionError(f"no split of {mask} at {v} "
                                              f"weighs {c}")
-    return edges, Fraction(rows[full][root], denom)
+    return edges, rows[full][root]
 
 
 def _dual_ascent(adj, ts: list[int], scans: int) -> tuple[int, list]:
@@ -416,21 +418,20 @@ def _dual_ascent(adj, ts: list[int], scans: int) -> tuple[int, list]:
     return lb, [[(u, c) for (u, _), c in zip(a, r)] for a, r in zip(adj, rc)]
 
 
-def _bounded_program(g: Graph, ts: list[int]) -> tuple[set[Pair], Fraction]:
-    """`_dreyfus_wagner`'s edges and optimum, after the dual-ascent bound
-    on four or more terminals: U if LB proves it, else the program on the
-    vertices the reduced-cost test keeps."""
+def _bounded_program(g: Graph, ts: list[int]) -> tuple[set[Pair], int]:
+    """`_dreyfus_wagner`'s edges and packed optimum, after the dual-ascent
+    bound on four or more terminals: U if LB proves it, else the program
+    on the vertices the reduced-cost test keeps, in g's packed weights."""
     if len(ts) < 4:
         return _dreyfus_wagner(g, ts)
-    denom, adj = g._packed
+    _, adj = g._packed
     on = {x for e in _mehlhorn_edges(g, ts) for x in e}
     upper = prune_to_terminals(_kruskal(g, [(u, v) for u, v, _ in g.edges
                                             if u in on and v in on]), frozenset(ts))
-    w_upper = g.weight_sum(upper)
+    top = sum(g.packed_weight_of(*e) for e in upper)
     lb, into = _dual_ascent(adj, ts, 3 ** (len(ts) - 1) * g.n)
-    if Fraction(lb, denom) == w_upper:
-        return upper, Fraction(lb, denom)
-    top = int(w_upper * denom)
+    if lb == top:
+        return upper, lb
     out: list[list[tuple[int, int]]] = [[] for _ in adj]
     for y, arcs in enumerate(into):
         for x, c in arcs:
@@ -439,8 +440,8 @@ def _bounded_program(g: Graph, ts: list[int]) -> tuple[set[Pair], Fraction]:
                _relax(into, [INF] * g.n, [(0, t) for t in ts[1:]]))
     kept = [v for v, (a, b) in enumerate(near) if v in ts or lb + a + b <= top]
     index = {v: i for i, v in enumerate(kept)}
-    rest = Graph(len(kept), tuple((index[u], index[v], w) for u, v, w in g.edges
-                                  if u in index and v in index))
+    rest = Graph(len(kept), tuple((index[u], index[v], g.packed_weight_of(u, v))
+                                  for u, v, _ in g.edges if u in index and v in index))
     edges, optimum = _dreyfus_wagner(rest, [index[t] for t in ts])
     return {(kept[a], kept[b]) for a, b in edges}, optimum
 
@@ -448,7 +449,9 @@ def _bounded_program(g: Graph, ts: list[int]) -> tuple[set[Pair], Fraction]:
 def exact_steiner(g: Graph, terminals: Iterable[int]) -> SteinerTree:
     """Minimum-weight Steiner tree: `_bounded_program` on the graph left by
     `_contract_terminal_edges`, lifted to host edges.  Exponential in the
-    terminals, at most 12 before any contraction."""
+    terminals, at most 12 before any contraction.  The program runs in
+    g's packed integers, and its optimum is unpacked once.  A tree host
+    takes the same route to its one minimal subtree."""
     if not g.is_exact:
         raise NonExactArithmeticError(
             "exact Steiner trees require rational edge weights")
@@ -460,9 +463,6 @@ def exact_steiner(g: Graph, terminals: Iterable[int]) -> SteinerTree:
             f"{EXACT_STEINER_MAX_TERMINALS}")
     if len(ts) == 1:
         return SteinerTree(tset, frozenset(), 0)
-    if _is_tree_graph(g):
-        return _steiner_subtree_of_tree(g, ts)
-
     contracted, reduced, reduced_ts, host = _contract_terminal_edges(g, ts)
     edges, optimum = _bounded_program(reduced, reduced_ts)
     edges = {host.get(e, e) for e in edges}.union(contracted)
@@ -470,7 +470,8 @@ def exact_steiner(g: Graph, terminals: Iterable[int]) -> SteinerTree:
     # plus pruning restores treeness without changing the optimal weight.
     mst = _kruskal(g, edges)
     tree = _tree_of(g, tset, prune_to_terminals(mst, tset))
-    best = sum((g.weight_of(u, v) for u, v in contracted), optimum)
+    best = _unpack(sum((g.packed_weight_of(*e) for e in contracted), optimum),
+                   g._packed[0])
     if tree.weight != best:
         raise SteinerReconstructionError(
             f"reconstructed tree weighs {tree.weight}, optimum is {best}")
@@ -490,7 +491,7 @@ def build_backbone(g: Graph, terminals: Iterable[int], beta: Beta) -> Backbone:
     table = build_path_table(g, ts)
     r = approx_steiner(g, ts)
 
-    bounds = PairBounds(table, beta, g.w_max)
+    bounds = PairBounds(table, beta)
     unsat = bounds.violations(TreeDistances(g, r.edges))
 
     s_prime_f = tset | table.vertices_on(unsat)

@@ -49,6 +49,14 @@ def tenths_graph(seed: int, n: int, extra_edges: int) -> Graph:
     return Graph.from_edges(n, [(u, v, int(w * 8) / 10) for u, v, w in g.edges])
 
 
+def odd_edge(g: Graph, k: int) -> Graph:
+    """g with its edge k 1/3 heavier: on an exact g of eighths that edge
+    alone carries the factor 3 of the denominator, so a graph of other
+    edges packs its weights over another one."""
+    return Graph.from_edges(g.n, [(u, v, w + Fraction(1, 3) if i == k else w)
+                                  for i, (u, v, w) in enumerate(g.edges)])
+
+
 def rand_tree(seed: int, n: int, exact: bool = True,
               unit: bool = False) -> Graph:
     rng = random.Random(seed)

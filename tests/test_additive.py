@@ -770,7 +770,7 @@ class TestCertifyReportsTheFirstViolation:
             bb = build_backbone(g, [2, 5, 9], beta)
             with pytest.raises(additive.SpannerConstructionError,
                                match=r"pair \(2,5\): d_H=inf exceeds "):
-                additive._certify(g, bb, SubgraphAdjacency(g), {}, False)
+                additive._certify(bb, SubgraphAdjacency(g), {}, False)
 
 
 class TestDegenerate:

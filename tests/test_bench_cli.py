@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import math
@@ -142,6 +143,31 @@ class TestRunExperiment:
         assert main(["bench", "--config", str(cfg_file)]) == 0
         rows = json.loads(capsys.readouterr().out)
         assert len(rows) == 3 and all(r["ok"] for r in rows)
+
+    @pytest.mark.parametrize("key", ["mystery", "exact"])
+    def test_unknown_or_exact_instance_key_refused(self, tmp_path, capsys,
+                                                   key):
+        # The whole config sets `exact`; an instance entry may not.
+        config = {"instances": [{"kind": "grid", "n": 9, key: True}],
+                  "algorithms": ["eps"]}
+        with pytest.raises(ConfigError, match="unknown instance fields"):
+            run_experiment(config)
+        cfg_file = tmp_path / "config.json"
+        cfg_file.write_text(json.dumps(config))
+        assert main(["bench", "--config", str(cfg_file)]) == 2
+        assert repr(key) in capsys.readouterr().err
+
+    def test_every_other_spec_field_accepted(self):
+        values = {"kind": "grid", "n": 9, "seed": 3, "p": 0.5, "radius": 0.5,
+                  "weight_range": [1, 4], "terminal_fraction": 0.5,
+                  "delta": 0.25, "subdivided": True, "levels_k": 2,
+                  "name": "grid-9"}
+        assert set(values) == ({f.name for f in dataclasses.fields(GeneratorSpec)}
+                               - {"exact"})
+        for entry in [{"kind": "grid", "n": 9, k: v} for k, v in values.items()
+                      ] + [values]:
+            rows = run_experiment({"instances": [entry], "algorithms": ["eps"]})
+            assert len(rows) == 1 and rows[0].ok
 
     def test_multilevel_requires_levels(self):
         config = {"instances": [{"kind": "unit-clique", "n": 5}],

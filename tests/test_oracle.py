@@ -4,7 +4,13 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import cycle_graph, rand_connected_graph, rand_tree, subgraph_dist
+from helpers import (
+    cycle_graph,
+    grid_graph,
+    rand_connected_graph,
+    rand_tree,
+    subgraph_dist,
+)
 from lightspan import oracle, steiner
 from lightspan.additive import EpsilonSplit, eps_spanner, four_eps_spanner
 from lightspan.graph import Beta, Graph, build_path_table, canonical
@@ -114,6 +120,23 @@ class TestSubsetLightness:
                             lambda *args: calls.append(args))
         res = subset_lightness(g, bb, g.total_weight)
         assert res.mode == "approx" and calls == []
+        assert res.steiner_weight == bb.t.weight
+
+    def test_solver_cap_is_read_not_restated(self, monkeypatch):
+        # A 4x4 grid with |S'| = 10 fits the work budget; under a solver
+        # cap of 3, lowered wherever the cap is read, the denominator
+        # falls back to the approximate tree instead of raising.
+        g = grid_graph(4, 4, [1, 2, 3], exact=True)
+        ts = [0, 2, 3, 5, 6, 9, 10, 12, 13, 15]
+        bb = build_backbone(g, ts, Beta("relative", 1000))
+        assert bb.s_prime == frozenset(ts)
+        assert 3 ** (len(ts) - 1) * g.n <= oracle._EXACT_LIGHTNESS_BUDGET
+        assert subset_lightness(g, bb, g.total_weight).mode == "exact"
+        for mod in (steiner, oracle):
+            monkeypatch.setattr(mod, "EXACT_STEINER_MAX_TERMINALS", 3,
+                                raising=False)
+        res = subset_lightness(g, bb, g.total_weight)
+        assert res.mode == "approx"
         assert res.steiner_weight == bb.t.weight
 
     def test_approx_mode_recorded_when_s_prime_large(self):

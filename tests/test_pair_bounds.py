@@ -77,7 +77,7 @@ class TestPairBounds:
         g = rand_connected_graph(5, 12, 16)
         table = build_path_table(g, [11, 0, 7, 3])
         for beta in (HALF, Beta("wmax", 2)):
-            bounds = PairBounds(table, beta, g.w_max)
+            bounds = PairBounds(table, beta)
             assert list(bounds.allowed) == table.pair_keys()
             for (u, v), allowed in bounds.allowed.items():
                 assert allowed == (table.dist(u, v)
@@ -86,7 +86,7 @@ class TestPairBounds:
     def test_one_search_per_source_even_when_edges_are_added(self, monkeypatch):
         g = rand_connected_graph(6, 12, 16)
         table = build_path_table(g, [0, 3, 7, 11])
-        bounds = PairBounds(table, HALF, g.w_max)
+        bounds = PairBounds(table, HALF)
         sources = record_seeded_searches(monkeypatch)
         full = SubgraphAdjacency(g, all_pairs(g))
         assert bounds.violations(full) == []
@@ -119,7 +119,7 @@ class TestPairBounds:
             table = build_path_table(g, [0, 2])
             h = [(0, 1), (1, 2)]
             zero = Beta("relative", 0)
-            assert PairBounds(table, zero, g.w_max).violations(
+            assert PairBounds(table, zero).violations(
                 SubgraphAdjacency(g, h)) == [(0, 2)]
             assert not verify_spanner(g, [0, 2], h, zero).ok
             assert verify_spanner(g, [0, 2], h, zero, 1e-9).ok is tolerant
@@ -143,7 +143,7 @@ def assert_rows_match_reference(g, ts, edges):
     for beta in betas:
         sub = SubgraphAdjacency(g, edges)
         allowed, expected = reference_pair_bounds(table, beta, g.w_max, sub)
-        bounds = PairBounds(table, beta, g.w_max)
+        bounds = PairBounds(table, beta)
         assert ([bounds.holds(sub, u, v) for u, v in table.pair_keys()]
                 == [ok for _, _, ok in expected]), beta
         assert (bounds.violations(sub)
@@ -250,7 +250,7 @@ class TestToleranceRules:
         table = build_path_table(g, [0, 2])
         sub = SubgraphAdjacency(g, [(0, 1), (1, 2)])
         for beta in (Beta("relative", 0), Beta("wmax", 0)):
-            assert PairBounds(table, beta, g.w_max).violations(sub) == [(0, 2)]
+            assert PairBounds(table, beta).violations(sub) == [(0, 2)]
         assert sub.distance(0, 2) == 2
 
     def test_negative_tolerance_is_rejected_in_both_regimes(self):

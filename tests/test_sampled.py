@@ -210,11 +210,18 @@ class TestProbeBounds:
                             mp.setattr(sampled_mod, "threshold_search",
                                        lambda f, s, hi, vp, *bounds:
                                        reference_threshold_search(f, s, hi, vp))
-                        ells[side] = choose_ell(g, terms, cfg, inst)
+                        ells[side] = choose_ell(inst, cfg)
                 assert ells["bounded"] == ells["reference"]
                 assert built["bounded"] <= built["reference"]
                 totals.update(built)
         assert totals["bounded"] < totals["reference"]
+
+
+def wmax_universe(g, terminals, split=SPLIT):
+    """The scaled universe of the +(4+eps)*W_max backbone: what
+    wmax_spanner hands to choose_ell."""
+    return scaled_universe(g, build_backbone(g, terminals,
+                                             Beta("wmax", 4 + split.eps)))
 
 
 class TestChooseEll:
@@ -222,24 +229,39 @@ class TestChooseEll:
         g = rand_connected_graph(5, 30, 45)
         s = frozenset({0, 6, 12, 18, 24})
         cfg = SampleConfig(SPLIT, c=2.0, seed=9)
-        assert choose_ell(g, s, cfg) == choose_ell(g, s, cfg)
+        assert choose_ell(wmax_universe(g, s), cfg) == choose_ell(
+            wmax_universe(g, s), cfg)
 
-    def test_given_instance_matches_own(self):
-        # wmax_spanner passes its scaled universe; the result must equal
-        # the one choose_ell gets when it builds the universe itself.
-        for seed in range(4):
-            g = rand_connected_graph(seed + 70, 24, 36)
-            s = frozenset({0, 5, 10, 15, 20})
-            cfg = SampleConfig(SPLIT, c=2.0, seed=seed)
-            inst = scaled_universe(g, build_backbone(g, s, WMAX_BETA))
-            assert choose_ell(g, s, cfg, inst) == choose_ell(g, s, cfg)
+    def test_wmax_spanner_uses_the_public_ell(self):
+        # The builder's ell is the one choose_ell gives on the universe
+        # of the W_max backbone, on random and generated instances in
+        # both weight regimes; the last case of each falls back (None).
+        cases = []
+        for exact in (True, False):
+            split = SPLIT if exact else EpsilonSplit.of(0.5)
+            for seed in range(3):
+                g = rand_connected_graph(seed + 70, 24, 36, exact=exact)
+                cases.append((g, frozenset({0, 5, 10, 15, 20}),
+                              SampleConfig(split, seed=seed)))
+            for kind in ("erdos-renyi", "geometric", "grid"):
+                g, terms, _ = generate(GeneratorSpec(
+                    kind, n=40, seed=2, terminal_fraction=0.2, exact=exact))
+                cases.append((g, terms, SampleConfig(split, seed=1)))
+            cases.append((rand_connected_graph(6, 24, 40, exact=exact),
+                          frozenset(range(24)), SampleConfig(split, c=0.01)))
+        ells = []
+        for g, terms, cfg in cases:
+            ell = wmax_spanner(g, terms, cfg).meta["ell"]
+            assert ell == choose_ell(wmax_universe(g, terms, cfg.split), cfg)
+            ells.append(ell)
+        assert ells[-1] is None and ells.count(None) == 2
 
     def test_fallback_when_terminals_overwhelm(self):
         # |S| so large the fixed point dives below every edge weight.
         g = rand_connected_graph(6, 24, 40)
         s = frozenset(range(24))
         cfg = SampleConfig(SPLIT, c=0.01, seed=1)
-        assert choose_ell(g, s, cfg) is None
+        assert choose_ell(wmax_universe(g, s), cfg) is None
 
 
 class TestWmaxSpanner:
@@ -334,7 +356,7 @@ class TestWmaxSpanner:
         bb = build_backbone(g, [0, 4], WMAX_BETA)
         edges = {(i, i + 1) for i in range(4)}
         route = {(0, 4): ([(0, 1)], [(3, 4)])}
-        bounds = PairBounds(bb.path_table, WMAX_BETA, g.w_max)
+        bounds = PairBounds(bb.path_table, WMAX_BETA)
         [entry] = _distance_chains(g, bounds, SubgraphAdjacency(g, edges),
                                    route, [1, 3])
         assert entry["hit"] and entry["ok"]

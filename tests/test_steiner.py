@@ -10,6 +10,7 @@ from helpers import (
     grid_graph,
     is_tree,
     leaves_are_terminals,
+    odd_edge,
     rand_connected_graph,
     rand_tree,
     reference_exact_steiner,
@@ -136,6 +137,17 @@ class TestExactSteiner:
         with pytest.raises(TooManyTerminalsError):
             exact_steiner(g, range(13))
 
+    def test_tree_host_gives_the_minimal_subtree(self):
+        # A tree host takes the general route; its pruned tree is the
+        # one subtree spanning the terminals.
+        for seed in range(12):
+            g = rand_tree(seed + 500, 14)
+            ts = sorted({0, 3, 7, 13, 1 + seed % 12, 2 + seed % 11})
+            tree = exact_steiner(g, ts)
+            assert tree.edges == prune_to_terminals(
+                [canonical(u, v) for u, v, _ in g.edges], frozenset(ts))
+            assert tree.weight == reference_exact_steiner(g, ts)
+
     def test_steiner_points_used(self):
         # star: terminals on the rim, hub is a Steiner point
         g = Graph.from_edges(4, [(0, 3, 1), (1, 3, 1), (2, 3, 1),
@@ -226,11 +238,13 @@ class TestBackbone:
 
 def contracted_optimum(g, ts):
     """The optimum through the contraction: the contracted host edges
-    plus the reference optimum of the contracted graph."""
+    plus the reference optimum of the contracted graph, whose weights
+    are g's packed weights (g itself when nothing is contracted)."""
     contracted, reduced, reduced_ts, host = steiner._contract_terminal_edges(g, ts)
-    rest = (reference_exact_steiner(reduced, reduced_ts)
+    rest = (reference_exact_steiner(reduced, reduced_ts) * reduced._packed[0]
             if len(reduced_ts) > 1 else 0)
-    return sum(g.weight_of(u, v) for u, v in contracted) + rest
+    packed = sum(g.packed_weight_of(u, v) for u, v in contracted) + rest
+    return Fraction(packed, g._packed[0])
 
 
 def assert_optimal_tree(g, ts):
@@ -266,12 +280,15 @@ class TestTerminalContraction:
         assert_optimal_tree(g, ts)
 
     def test_random_graphs_match_the_reference(self):
+        # Each graph also runs with one edge 1/3 heavier, whose contracted
+        # graph can pack over another denominator than the host.
         for seed in range(40):
             n = 6 + seed % 6
             g = rand_connected_graph(seed + 900, n, n)
             ts = sorted(set(range(0, n, 1 + seed % 3)))[:8]
-            assert contracted_optimum(g, ts) == reference_exact_steiner(g, ts)
-            assert_optimal_tree(g, ts)
+            for h in (g, odd_edge(g, seed % len(g.edges))):
+                assert contracted_optimum(h, ts) == reference_exact_steiner(h, ts)
+                assert_optimal_tree(h, ts)
 
     def test_chain_collapses_step_by_step(self, monkeypatch):
         # Each merged group's lightest edge is the next chain edge; the
@@ -372,7 +389,7 @@ def assert_bounded_optimum(g, ts):
     lb, into = steiner._dual_ascent(adj, ts, 10 ** 5)  # ends the ascent
     assert_dual_feasible(adj, into)
     assert lb <= opt * denom
-    assert steiner._bounded_program(g, ts)[1] == opt
+    assert steiner._bounded_program(g, ts)[1] == opt * denom
     assert_optimal_tree(g, ts)
     return lb, opt * denom
 
@@ -425,10 +442,18 @@ class TestDualAscentBound:
                 lbs.append(lb)
                 monkeypatch.setattr(steiner, "_dual_ascent",
                                     lambda adj, ts, scans: real(adj, ts, cap))
-                assert steiner._bounded_program(reduced, rts)[1] * denom == opt
+                assert steiner._bounded_program(reduced, rts)[1] == opt
                 assert_optimal_tree(g, ts)
             assert lbs[0] == 0 < lbs[1] and lbs == sorted(lbs)
             assert lbs[-1] == full <= opt
+
+    def test_pruned_graph_counts_in_host_units(self):
+        # Each edge in turn alone carries the factor 3 of the host's
+        # denominator; where the bound prunes it away, the program on
+        # the kept vertices still returns the host's packed optimum.
+        g, ts = route_instance(5006, 12, 7)
+        for k in range(len(g.edges)):
+            assert_bounded_optimum(odd_edge(g, k), ts)
 
     def test_route_program_skipped(self, monkeypatch):
         g, ts = route_instance(5005, 11, 5)
