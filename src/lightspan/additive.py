@@ -308,7 +308,7 @@ def _certify(bb: Backbone, sub: SubgraphAdjacency, meta: dict,
     weight = g.weight_sum(edges)
     ratio = None
     if light:
-        res = subset_lightness(g, bb, weight)
+        res = subset_lightness(bb, weight)
         ratio, meta = res.ratio, {**meta, "lightness_mode": res.mode}
     return Spanner(edges, weight, ratio, meta, (bb.beta, bb.path_table, sub))
 

@@ -4,7 +4,8 @@ All randomness flows through integer-seeded random.Random instances so
 identical specs reproduce identical graphs; retry attempts derive their
 seed arithmetically (never via hashing, which is process-randomized).
 Weights are quantized to eighths (geometric distances to 1/1024) so the
-exact and binary64 regimes describe the same instance.
+exact and binary64 regimes describe the same instance; a generated graph
+holds one weight object per distinct value.
 """
 
 from __future__ import annotations
@@ -56,52 +57,59 @@ class GeneratorSpec:
         return self.name or f"{self.kind}-n{self.n}-s{self.seed}"
 
 
-def _weight(rng: random.Random, spec: GeneratorSpec) -> Weight:
+def _shared(memo: dict[int, Weight], k: int, scale: int, exact: bool) -> Weight:
+    """k / scale, one object per k: memo lives for one draw, and is keyed
+    by the int k because hashing a Fraction costs far more."""
+    w = memo.get(k)
+    if w is None:
+        w = memo[k] = Fraction(k, scale) if exact else k / scale
+    return w
+
+
+def _weight(rng: random.Random, spec: GeneratorSpec, memo: dict[int, Weight]) -> Weight:
     lo, hi = spec.weight_range
-    k = rng.randint(8 * lo, 8 * hi)
-    return Fraction(k, 8) if spec.exact else k / 8
+    return _shared(memo, rng.randint(8 * lo, 8 * hi), 8, spec.exact)
 
 
-def _quantized_distance(d: float, exact: bool) -> Weight:
-    k = max(1, round(1024 * d))
-    return Fraction(k, 1024) if exact else k / 1024
+def _quantized_distance(d: float, exact: bool, memo: dict[int, Weight]) -> Weight:
+    return _shared(memo, max(1, round(1024 * d)), 1024, exact)
 
 
 def _try_erdos_renyi(rng: random.Random, spec: GeneratorSpec):
     # default density safely above the ln(n)/n connectivity threshold
     p = spec.p if spec.p is not None else min(1.0, 1.7 * math.log(spec.n) / spec.n)
-    edges = []
+    edges, memo = [], {}
     for u in range(spec.n):
         for v in range(u + 1, spec.n):
             if rng.random() < p:
-                edges.append((u, v, _weight(rng, spec)))
+                edges.append((u, v, _weight(rng, spec, memo)))
     return spec.n, edges
 
 
 def _try_geometric(rng: random.Random, spec: GeneratorSpec):
     r = spec.radius if spec.radius is not None else 1.8 / math.sqrt(spec.n)
     pts = [(rng.random(), rng.random()) for _ in range(spec.n)]
-    edges = []
+    edges, memo = [], {}
     for u in range(spec.n):
         for v in range(u + 1, spec.n):
             d = math.hypot(pts[u][0] - pts[v][0], pts[u][1] - pts[v][1])
             if d <= r:
-                edges.append((u, v, _quantized_distance(d, spec.exact)))
+                edges.append((u, v, _quantized_distance(d, spec.exact, memo)))
     return spec.n, edges
 
 
 def _try_grid(rng: random.Random, spec: GeneratorSpec):
     rows = max(1, math.isqrt(spec.n))
     cols = math.ceil(spec.n / rows)
-    edges = []
+    edges, memo = [], {}
     for vid in range(spec.n):
         r, c = divmod(vid, cols)
         right = vid + 1
         down = vid + cols
         if c + 1 < cols and right < spec.n:
-            edges.append((vid, right, _weight(rng, spec)))
+            edges.append((vid, right, _weight(rng, spec, memo)))
         if down < spec.n:
-            edges.append((vid, down, _weight(rng, spec)))
+            edges.append((vid, down, _weight(rng, spec, memo)))
     return spec.n, edges
 
 
@@ -127,9 +135,11 @@ def _partition_gadget(spec: GeneratorSpec):
         return total, edges, total
     mid = total
     out = []
+    half_two, half_inner = two / 2, inner / 2
     for u, v, w in edges:
-        out.append((u, mid, w / 2))
-        out.append((mid, v, w / 2))
+        half = half_two if w is two else half_inner
+        out.append((u, mid, half))
+        out.append((mid, v, half))
         mid += 1
     return mid, out, total
 

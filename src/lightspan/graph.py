@@ -115,6 +115,8 @@ class Graph:
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[EdgeTuple]) -> "Graph":
         """Validated constructor enforcing all graph invariants."""
+        if n < 0:
+            raise InvalidVertexError(f"vertex count {n} is negative")
         seen: set[Pair] = set()
         canon: list[EdgeTuple] = []
         floats = 0
@@ -141,6 +143,8 @@ class Graph:
             raise InvalidWeightError("the graph mixes binary64 and exact weights")
         if floats and sum(e[2] for e in canon) == INF:  # path lengths overflow
             raise InvalidWeightError("the binary64 weights sum to infinity")
+        if len(canon) < n - 1:  # refused before any per-vertex list exists
+            raise DisconnectedError(f"{len(canon)} edges cannot connect {n} vertices")
         g = cls(n, tuple(sorted(canon, key=lambda e: (e[0], e[1]))))
         if not g.is_connected():
             raise DisconnectedError("graph is not connected")
@@ -148,6 +152,8 @@ class Graph:
 
     @cached_property
     def adjacency(self) -> tuple[tuple[tuple[int, Weight], ...], ...]:
+        """Weighted neighbour lists, built on first read: binary64 builds
+        read them through `_packed`, exact builds never do."""
         adj: list[list[tuple[int, Weight]]] = [[] for _ in range(self.n)]
         for u, v, w in self.edges:
             adj[u].append((v, w))
@@ -227,14 +233,18 @@ class Graph:
             raise InvalidVertexError(f"vertex {u} outside 0..{self.n - 1}")
 
     def is_connected(self) -> bool:
+        """A walk from vertex 0 over neighbour lists that are dropped
+        afterwards, so validation caches no `adjacency`."""
         if self.n == 0:
             return True
+        nbrs: list[list[int]] = [[] for _ in range(self.n)]
+        for u, v, _ in self.edges:
+            nbrs[u].append(v)
+            nbrs[v].append(u)
         seen = {0}
         stack = [0]
-        adj = self.adjacency
         while stack:
-            u = stack.pop()
-            for v, _ in adj[u]:
+            for v in nbrs[stack.pop()]:
                 if v not in seen:
                     seen.add(v)
                     stack.append(v)
@@ -637,7 +647,7 @@ class PairBounds:
 
     def __init__(self, table: PathTable, beta: Beta) -> None:
         denom, w_max = table.g._packed[0], table.g.w_max
-        self._table = table
+        self.table = table
         value = beta.value
         if denom is not None and type(value) is float:
             value = Fraction(value)  # exact, as the rest of the check
@@ -670,7 +680,7 @@ class PairBounds:
     def allowed(self) -> dict[Pair, Weight]:
         """d_G + slack per pair in host units, in pair order, for error
         messages and reports; built on first read."""
-        t, value, rel = self._table, self._value, self._relative
+        t, value, rel = self.table, self._value, self._relative
         return {p: t.dist(*p) + value * (t.w(*p) if rel else t.g.w_max)
                 for p in t.pair_keys()}
 

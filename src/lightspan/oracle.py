@@ -121,15 +121,14 @@ class LightnessResult:
     steiner_weight: Weight
 
 
-def subset_lightness(g: Graph, backbone: Backbone,
-                     spanner_weight: Weight) -> LightnessResult:
+def subset_lightness(backbone: Backbone, spanner_weight: Weight) -> LightnessResult:
     """Spanner weight over the weight of the Steiner tree on S u S*.
 
     The denominator is exact (Dreyfus-Wagner, or the minimal subtree for
     tree hosts) whenever that is affordable, otherwise the backbone's
     2-approximate tree T with the mode recorded.
     """
-    s_prime = backbone.s_prime
+    g, s_prime = backbone.path_table.g, backbone.s_prime
     t = len(s_prime)
     if _is_tree_graph(g):
         denom = _steiner_subtree_of_tree(g, sorted(s_prime)).weight

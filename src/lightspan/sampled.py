@@ -271,7 +271,7 @@ def wmax_spanner(g: Graph, terminals: Iterable[int], cfg: SampleConfig,
 
     bounds = PairBounds(bb.path_table, beta)
     if instrument and route:
-        meta["distance_chain"] = _distance_chains(g, bounds, sub, route, sample)
+        meta["distance_chain"] = _distance_chains(bounds, sub, route, sample)
 
     # Repair pass: check every pair in sorted order, inserting the fixed
     # path of any violator.  The greedy's live distances absorb each
@@ -286,7 +286,7 @@ def wmax_spanner(g: Graph, terminals: Iterable[int], cfg: SampleConfig,
     return _certify(bb, sub, meta, light=True)
 
 
-def _distance_chains(g: Graph, bounds: PairBounds, sub: SubgraphAdjacency,
+def _distance_chains(bounds: PairBounds, sub: SubgraphAdjacency,
                      route: dict[Pair, tuple], sample: list[int]) -> list[dict]:
     """Reconstruct the prefix/suffix distance chain for instrumented runs.
 
@@ -296,6 +296,7 @@ def _distance_chains(g: Graph, bounds: PairBounds, sub: SubgraphAdjacency,
     d_G(u,v) + (4+eps)W_max from bounds.  sub is the built spanner
     before its repair pass.
     """
+    g = bounds.table.g
     w_max = g.w_max
     rows = {r: [_unpack(d, sub.denom) for d in sub.distances(r)]
             for r in sample}

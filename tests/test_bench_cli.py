@@ -392,6 +392,19 @@ class TestCli:
         assert meta["fallback"] is False
         assert meta["sample_size"] == meta["v_h"]
 
+    @pytest.mark.parametrize("doc, message", [
+        ('{"n": -1, "edges": []}', "negative"),
+        ('{"n": 1000000, "edges": [[0, 1, 1]]}', "cannot connect"),
+    ])
+    def test_impossible_vertex_counts_exit_code_two(self, tmp_path, capsys,
+                                                    doc, message):
+        # Exit 1 means a verification failure; a bad graph is exit 2.
+        inst_file = tmp_path / "inst.json"
+        inst_file.write_text(doc)
+        for flags in ([], ["--exact-arithmetic"]):
+            assert main(["spanner", "--input", str(inst_file), *flags]) == 2
+            assert message in capsys.readouterr().err
+
     @pytest.mark.parametrize("terminals", ["5", "null", "{}", '"abc"'])
     def test_non_array_terminals_exit_code_two(self, tmp_path, capsys,
                                                terminals):

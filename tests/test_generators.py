@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from lightspan.generators import GenerationError, GeneratorSpec, generate
+from lightspan.generators import KINDS, GenerationError, GeneratorSpec, generate
 
 
 class TestUnitClique:
@@ -91,3 +91,24 @@ class TestRandomFamilies:
             GeneratorSpec("grid", 5, weight_range=(0, 3))
         with pytest.raises(GenerationError):
             GeneratorSpec("grid", 5, terminal_fraction=0.0)
+
+
+class TestSharedWeights:
+    @pytest.mark.parametrize("exact", [True, False])
+    @pytest.mark.parametrize("kind, subdivided", [(kind, False) for kind in KINDS]
+                             + [("partition-gadget", True)])
+    def test_one_object_per_distinct_weight(self, kind, exact, subdivided):
+        spec = GeneratorSpec(kind, 40 if kind != "partition-gadget" else 4,
+                             seed=3, exact=exact, subdivided=subdivided)
+        g, _, _ = generate(spec)
+        weights = [w for _, _, w in g.edges]
+        assert len({id(w) for w in weights}) == len(set(weights))
+
+    @pytest.mark.parametrize("kind", ["erdos-renyi", "geometric", "grid"])
+    def test_no_weight_object_outlives_its_call(self, kind):
+        # The memo is local to one draw: a second call makes its own objects.
+        for exact in (True, False):
+            spec = GeneratorSpec(kind, 30, seed=4, exact=exact)
+            g1, g2 = generate(spec)[0], generate(spec)[0]
+            assert g1 == g2
+            assert not {id(w) for *_, w in g1.edges} & {id(w) for *_, w in g2.edges}

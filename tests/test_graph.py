@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from fractions import Fraction
@@ -14,7 +15,9 @@ from helpers import (
     tie_break_choice,
     tie_heavy,
 )
+from lightspan.additive import EpsilonSplit, eps_spanner, four_eps_spanner
 from lightspan.generators import GeneratorSpec, generate
+from lightspan.sampled import SampleConfig, wmax_spanner
 from lightspan.steiner import _UnionFind, _kruskal
 from lightspan.graph import (
     Beta,
@@ -526,3 +529,90 @@ class TestPackedWeights:
                     yield e
         g = Graph(4, Edges(((0, 1, 1.0), (1, 2, 2), (2, 3, Fraction(1, 2)))))
         assert g.is_exact is False and read == [(0, 1, 1.0)]
+
+
+class TestValidatedGraphsAreLean:
+    """A validated graph holds its edge list alone: the connectivity walk
+    caches no weighted adjacency, and only a binary64 build makes one."""
+
+    def test_every_validating_entry_leaves_only_the_edge_list(self):
+        g = rand_connected_graph(4, 12, 10)
+        doc = dump_instance(g, [0, 5])
+        text = "\n".join(f"{u} {v} {w}" for u, v, w in g.edges)
+        validated = [
+            Graph.from_edges(g.n, g.edges),
+            generate(GeneratorSpec("erdos-renyi", 30, seed=2))[0],
+            load_instance(doc, exact=True)[0],
+            load_instance(doc)[0],
+            load_graph(text, exact=True),
+            load_graph(text),
+        ]
+        for h in validated:
+            assert set(vars(h)) == {"n", "edges"}
+
+    def test_exact_builds_never_read_the_adjacency(self):
+        split = EpsilonSplit.of(Fraction(1, 2))
+        for exact in (True, False):
+            g, s, _ = generate(GeneratorSpec("grid", 36, seed=5, exact=exact))
+            eps_spanner(g, s, split if exact else EpsilonSplit.of(0.5))
+            assert ("adjacency" in vars(g)) is not exact
+        for build in (four_eps_spanner, eps_spanner):
+            g, s, _ = generate(GeneratorSpec("erdos-renyi", 30, seed=1))
+            build(g, s, split)
+            assert "adjacency" not in vars(g) and "_exact" in vars(g)
+        g, s, _ = generate(GeneratorSpec("geometric", 30, seed=2))
+        wmax_spanner(g, s, SampleConfig(split, seed=0))
+        assert "adjacency" not in vars(g)
+        tree = Graph.from_edges(5, [(i, i + 1, 1) for i in range(4)])
+        eps_spanner(tree, [0, 2, 4], split)  # the tree-host lightness check
+        assert "adjacency" not in vars(tree)
+
+    def test_connectivity_matches_union_find(self):
+        # Vertex 1 is reached from 0 only down the edge (1, 2).
+        cases = [(3, [(0, 2, 1), (1, 2, 1)])]
+        rng = random.Random(29)
+        for _ in range(300):
+            n = rng.randint(1, 9)
+            pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+            cases.append((n, [(u, v, 1) for u, v in
+                              rng.sample(pairs, rng.randint(0, len(pairs)))]))
+        for n, edges in cases:
+            uf = _UnionFind(range(n))
+            for u, v, _ in edges:
+                uf.union(u, v)
+            expected = len({uf.find(x) for x in range(n)}) == 1
+            assert Graph(n, tuple(edges)).is_connected() == expected, (n, edges)
+
+
+class TestVertexCountBoundaries:
+    def test_negative_vertex_count_is_refused(self):
+        with pytest.raises(InvalidVertexError, match="negative"):
+            Graph.from_edges(-1, [])
+        for exact in (False, True):
+            with pytest.raises(InvalidVertexError, match="negative"):
+                load_instance('{"n": -1, "edges": []}', exact=exact)
+
+    def test_zero_vertices_still_load(self):
+        g, terminals, levels = load_instance('{"n": 0, "edges": []}')
+        assert g.n == 0 and g.edges == () and g.is_connected()
+        assert terminals == frozenset() and levels is None
+
+    def test_too_few_edges_refused_before_any_vertex_list(self, monkeypatch):
+        monkeypatch.setattr(Graph, "is_connected",
+                            lambda self: pytest.fail("walked the vertices"))
+        for exact in (False, True):
+            with pytest.raises(DisconnectedError, match="1 edges cannot connect"):
+                load_instance('{"n": 1000000, "edges": [[0, 1, 1]]}', exact=exact)
+        with pytest.raises(DisconnectedError):
+            Graph.from_edges(3, [(0, 1, 1)])
+
+    @pytest.mark.parametrize("edge, error", [
+        ([0, 0, 1], SelfLoopError),
+        ([0, 1, -1], NonpositiveWeightError),
+        ([0, 1000000, 1], InvalidVertexError),
+        ([0, 1, True], InvalidWeightError),
+    ])
+    def test_per_edge_errors_come_first(self, edge, error):
+        doc = json.dumps({"n": 1000000, "edges": [edge]})
+        with pytest.raises(error):
+            load_instance(doc)

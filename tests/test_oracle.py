@@ -83,14 +83,14 @@ class TestSubsetLightness:
     def test_spanner_equal_to_steiner_tree_gives_one(self):
         g = rand_tree(9, 10)
         bb = build_backbone(g, [0, 4, 9], HALF)
-        res = subset_lightness(g, bb, bb.t.weight)
+        res = subset_lightness(bb, bb.t.weight)
         assert res.mode == "exact"
         assert res.ratio == 1
 
     def test_fifty_over_sixty(self):
         g = Graph.from_edges(3, [(0, 1, 30), (1, 2, 30)])
         bb = build_backbone(g, [0, 2], HALF)
-        res = subset_lightness(g, bb, Fraction(50))
+        res = subset_lightness(bb, Fraction(50))
         assert res.steiner_weight == 60
         assert res.ratio == Fraction(5, 6)
         assert round(float(res.ratio), 4) == 0.8333
@@ -99,7 +99,7 @@ class TestSubsetLightness:
         for n in (6, 13):
             g = unit_clique(n)
             bb = build_backbone(g, range(n), HALF)
-            res = subset_lightness(g, bb, Fraction(n * (n - 1), 2))
+            res = subset_lightness(bb, Fraction(n * (n - 1), 2))
             assert res.ratio == Fraction(n, 2)
 
     def test_budget_reads_the_unreduced_s_prime(self, monkeypatch):
@@ -118,7 +118,7 @@ class TestSubsetLightness:
         calls = []
         monkeypatch.setattr(oracle, "exact_steiner",
                             lambda *args: calls.append(args))
-        res = subset_lightness(g, bb, g.total_weight)
+        res = subset_lightness(bb, g.total_weight)
         assert res.mode == "approx" and calls == []
         assert res.steiner_weight == bb.t.weight
 
@@ -131,11 +131,11 @@ class TestSubsetLightness:
         bb = build_backbone(g, ts, Beta("relative", 1000))
         assert bb.s_prime == frozenset(ts)
         assert 3 ** (len(ts) - 1) * g.n <= oracle._EXACT_LIGHTNESS_BUDGET
-        assert subset_lightness(g, bb, g.total_weight).mode == "exact"
+        assert subset_lightness(bb, g.total_weight).mode == "exact"
         for mod in (steiner, oracle):
             monkeypatch.setattr(mod, "EXACT_STEINER_MAX_TERMINALS", 3,
                                 raising=False)
-        res = subset_lightness(g, bb, g.total_weight)
+        res = subset_lightness(bb, g.total_weight)
         assert res.mode == "approx"
         assert res.steiner_weight == bb.t.weight
 
@@ -143,7 +143,7 @@ class TestSubsetLightness:
         g = rand_connected_graph(33, 40, 70)
         bb = build_backbone(g, list(range(0, 40, 4)), HALF)
         assert len(bb.s_prime) > 12
-        res = subset_lightness(g, bb, g.total_weight)
+        res = subset_lightness(bb, g.total_weight)
         assert res.mode == "approx"
         assert res.steiner_weight == bb.t.weight
 

@@ -326,7 +326,7 @@ class TestWmaxSpanner:
         assert len(searched) <= len(terms) - 1
         eps = eps_spanner(g, terms, SPLIT)
         bb = build_backbone(g, terms, WMAX_BETA)
-        light = subset_lightness(g, bb, eps.weight)
+        light = subset_lightness(bb, eps.weight)
         assert sp.edges == eps.edges and sp.weight == eps.weight
         assert sp.subset_lightness == light.ratio
         assert list(sp.meta.items()) == [
@@ -357,14 +357,14 @@ class TestWmaxSpanner:
         edges = {(i, i + 1) for i in range(4)}
         route = {(0, 4): ([(0, 1)], [(3, 4)])}
         bounds = PairBounds(bb.path_table, WMAX_BETA)
-        [entry] = _distance_chains(g, bounds, SubgraphAdjacency(g, edges),
+        [entry] = _distance_chains(bounds, SubgraphAdjacency(g, edges),
                                    route, [1, 3])
         assert entry["hit"] and entry["ok"]
         real = SubgraphAdjacency.distance
         monkeypatch.setattr(SubgraphAdjacency, "distance",
                             lambda self, u, v: real(self, u, v) + 10)
         with pytest.raises(DistanceChainError):
-            _distance_chains(g, bounds, SubgraphAdjacency(g, edges), route,
+            _distance_chains(bounds, SubgraphAdjacency(g, edges), route,
                              [1, 3])
 
     def test_no_backbone_is_built_twice(self, monkeypatch):
