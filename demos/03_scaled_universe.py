@@ -26,7 +26,7 @@ g, terminals, _ = generate(GeneratorSpec("erdos-renyi", 24, seed=6,
                                          terminal_fraction=0.2))
 terminals = frozenset(sorted(terminals)[:5])
 bb = build_backbone(g, terminals, Beta("relative", Fraction(1, 2)))
-inst = scaled_universe(g, bb)
+inst = scaled_universe(bb)
 failed = []
 
 

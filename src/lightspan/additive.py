@@ -172,12 +172,12 @@ def build_h0_budget(inst: ScaledInstance, terminals: Iterable[int],
     return frozenset(out)
 
 
-def _instrumented(policy: Callable, g: Graph, split: EpsilonSplit, table,
+def _instrumented(policy: Callable, split: EpsilonSplit, table,
                   setoffs: dict, improvements: dict, failures: list) -> Callable:
-    """policy, adding each insertion's set-off / improvement events to
-    setoffs, improvements and failures.  The code after `yield from` runs
-    once the loop has inserted every yielded edge, so it reads the
-    distances the insertion left."""
+    """policy, adding each insertion's set-off / improvement events on
+    table's graph to setoffs, improvements and failures.  The code after
+    `yield from` runs once the loop has inserted every yielded edge, so
+    it reads the distances the insertion left."""
 
     def instrumented(pair: Pair, path: FixedPath,
                      current: SubgraphAdjacency) -> Iterable[Pair]:
@@ -195,7 +195,7 @@ def _instrumented(policy: Callable, g: Graph, split: EpsilonSplit, table,
             for x in pair:
                 d_a = current.distance(x, q)
                 drops[x] = before[x, q] - d_a if d_a != math.inf else 0
-                d_full = shortest_paths(g, x).distance(q)
+                d_full = shortest_paths(table.g, x).distance(q)
                 cond1 = d_a <= d_full + 2 * split.eps1 * w
                 if not cond1:
                     failures.append((pair, q, x, "set-off bound"))
@@ -274,21 +274,22 @@ def _icbrt(n: int) -> int:
 _BUDGET_SCALE = 1 << 20
 
 
-def neighborhood_budget(inst: ScaledInstance, terminal_count: int) -> Weight:
-    """The d = |V_H|^(4/3) / |S|^(2/3) budget, floored at 1.
+def neighborhood_budget(inst: ScaledInstance) -> Weight:
+    """The d = |V_H|^(4/3) / |S|^(2/3) budget, floored at 1, with S the
+    terminals of inst's backbone.
 
     In exact mode the cube root is taken deterministically at a fixed
     dyadic precision so the budget is platform-independent.  A budget
     above a terminal's incident weight sum takes its whole neighbourhood,
     so d needs no cap.
     """
-    v = inst.v_h
-    s2 = terminal_count ** 2
+    v, s = inst.v_h, len(inst.backbone.terminals)
+    s2 = s ** 2
     if inst.base.is_exact:
         d: Weight = Fraction(_icbrt(v ** 4 * _BUDGET_SCALE ** 3 // s2),
                              _BUDGET_SCALE)
     else:
-        d = v ** (4 / 3) / terminal_count ** (2 / 3)
+        d = v ** (4 / 3) / s ** (2 / 3)
     return max(1, d)
 
 
@@ -321,7 +322,7 @@ def _one_level(g: Graph, terminals: frozenset[int], beta: Beta, h0_mode: str,
     if len(terminals) < 2:
         return Spanner(frozenset(), 0, None, {"algo": algo, "degenerate": True})
     bb = bb or build_backbone(g, terminals, beta)
-    inst = scaled_universe(g, bb)
+    inst = scaled_universe(bb)
     meta: dict = {
         "algo": algo,
         "beta_mode": beta.mode,
@@ -333,13 +334,13 @@ def _one_level(g: Graph, terminals: frozenset[int], beta: Beta, h0_mode: str,
     if h0_mode == "incident":
         h0 = build_h0_eps(inst, bb.s_prime)
     else:
-        budget = neighborhood_budget(inst, len(terminals))
+        budget = neighborhood_budget(inst)
         h0 = build_h0_budget(inst, terminals, budget)
         meta["budget"] = float(budget)
     policy = _insert_path
     if instrument:
         setoffs, improvements, failures = {}, {}, []
-        policy = _instrumented(_insert_path, g, instrument, bb.path_table,
+        policy = _instrumented(_insert_path, instrument, bb.path_table,
                                setoffs, improvements, failures)
     state = greedy_complete(g, h0 | bb.h.edges, terminals, beta, policy=policy)
     meta["insertions"] = state.insertions

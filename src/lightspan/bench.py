@@ -10,11 +10,11 @@ import io
 import json
 import math
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 
 from .additive import EpsilonSplit, eps_spanner, four_eps_spanner
 from .graph import Beta, certify_tolerance, run_value
-from .generators import GeneratorSpec, generate
+from .generators import GeneratorSpec, _finite_number, generate
 from .multilevel import MultiLevelInstance, four_approx_baseline, solve_multilevel
 from .oracle import verify_spanner
 from .sampled import SampleConfig, wmax_spanner
@@ -86,19 +86,19 @@ def parse_csv(text: str) -> list[ResultRow]:
 
 
 def emit_json(rows: list[ResultRow]) -> str:
-    return json.dumps([{
-        "instance": r.instance, "algo": r.algo, "seed": r.seed, "n": r.n,
-        "S": r.s, "edges": r.edges, "weight": r.weight,
-        "lightness": r.lightness, "ok": r.ok, "runtime_ms": r.runtime_ms,
-        "extra": r.extra,
-    } for r in rows], indent=2)
+    """Each row's fields in order, with s named S as in the CSV header."""
+    return json.dumps([{"S" if k == "s" else k: v for k, v in asdict(r).items()}
+                       for r in rows], indent=2)
 
 
 def _check_config(config: dict) -> None:
     if not isinstance(config, dict):
         raise ConfigError("config must be a JSON object")
-    if not isinstance(config.get("instances"), list) or not config["instances"]:
+    instances = config.get("instances")
+    if not isinstance(instances, list) or not instances:
         raise ConfigError("config.instances must be a nonempty list")
+    if not all(isinstance(entry, dict) for entry in instances):
+        raise ConfigError("config.instances must hold JSON objects")
     algos = config.get("algorithms", [])
     if not isinstance(algos, list):
         raise ConfigError("config.algorithms must be a list")
@@ -119,21 +119,13 @@ def _check_config(config: dict) -> None:
         raise ConfigError('config.p must be "e" or a finite number')
 
 
-def _finite_number(x) -> bool:
-    """A JSON int or float that converts to a finite float."""
-    try:
-        return type(x) in (int, float) and math.isfinite(x)
-    except OverflowError:  # an int too large for a float
-        return False
-
-
 def _spec_from(entry: dict, exact: bool) -> GeneratorSpec:
     known = {f.name for f in fields(GeneratorSpec)} - {"exact"}  # set per config
     bad = set(entry) - known
     if bad:
         raise ConfigError(f"unknown instance fields {sorted(bad)}")
     kwargs = dict(entry)
-    if "weight_range" in kwargs:
+    if isinstance(kwargs.get("weight_range"), list):
         kwargs["weight_range"] = tuple(kwargs["weight_range"])
     try:
         return GeneratorSpec(exact=exact, **kwargs)
@@ -157,7 +149,7 @@ def run_experiment(config: dict) -> list[ResultRow]:
 
     rows: list[ResultRow] = []
     for entry in config["instances"]:
-        spec = _spec_from(dict(entry), exact)
+        spec = _spec_from(entry, exact)
         g, terminals, levels = generate(spec)
         for algo in config.get("algorithms", []):
             for seed in seeds:
@@ -181,9 +173,9 @@ def _run_cell(label, g, terminals, levels, algo, seed, split, c,
         else:
             sp = wmax_spanner(g, terminals, SampleConfig(split, c=c, seed=seed))
             beta = Beta("wmax", 4 + split.eps)
-            extra["ell"] = sp.meta.get("ell")
-            extra["fallback"] = sp.meta.get("fallback")
-            extra["repairs"] = len(sp.meta.get("repaired", ()))
+            extra["ell"] = sp.meta["ell"]
+            extra["fallback"] = sp.meta["fallback"]
+            extra["repairs"] = len(sp.meta["repaired"])
         runtime = (time.perf_counter() - t0) * 1000
         report = verify_spanner(g, terminals, sp.edges, beta, rel_tol)
         if not report.ok:

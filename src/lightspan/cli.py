@@ -81,8 +81,7 @@ def _spanner_summary(sp, fmt: str) -> str:
         "weight": json_number(sp.weight),
         "subset_lightness": None if sp.subset_lightness is None
         else json_number(sp.subset_lightness),
-        "meta": {k: v for k, v in sp.meta.items()
-                 if isinstance(v, (int, float, str, bool, list, type(None)))},
+        "meta": sp.meta,
     }
     if fmt == "json":
         return json.dumps(doc, indent=2)

@@ -11,6 +11,7 @@ holds one weight object per distinct value.
 from __future__ import annotations
 
 import math
+import numbers
 import random
 import sys
 from dataclasses import dataclass
@@ -42,19 +43,55 @@ class GeneratorSpec:
     name: str | None = None
 
     def __post_init__(self) -> None:
+        """Refuse a wrong type or range here, before any draw."""
         if self.kind not in KINDS:
             raise GenerationError(f"unknown generator kind {self.kind!r}")
+        optional = {"p", "radius", "levels_k", "name"}
+        for names, ok, what in (
+                (("n", "seed", "levels_k"), _is_int, "an integer"),
+                (("p", "radius", "terminal_fraction", "delta"), _finite_number,
+                 "a finite number"),
+                (("subdivided",), lambda x: type(x) is bool, "a boolean"),
+                (("name",), lambda x: isinstance(x, str), "a string")):
+            for name in names:
+                value = getattr(self, name)
+                if not (ok(value) or (value is None and name in optional)):
+                    raise GenerationError(f"{name} must be {what}, got {value!r}")
+        wr = self.weight_range
+        if not (type(wr) is tuple and len(wr) == 2 and all(map(_is_int, wr))):
+            raise GenerationError(f"weight_range must be two integers, got {wr!r}")
         if self.n < 2:
             raise GenerationError("need at least two vertices")
-        lo, hi = self.weight_range
+        lo, hi = wr
         if not (0 < lo <= hi <= sys.float_info.max):
             raise GenerationError("weight range must be positive, ordered, finite")
         if not 0 < self.terminal_fraction <= 1:
             raise GenerationError("terminal fraction must lie in (0, 1]")
+        if self.p is not None and not 0 <= self.p <= 1:
+            raise GenerationError(f"p must lie in [0, 1], got {self.p!r}")
+        if self.radius is not None and not self.radius > 0:
+            raise GenerationError(f"radius must be positive, got {self.radius!r}")
+        if self.levels_k is not None and self.levels_k < 1:
+            raise GenerationError(
+                f"levels_k must be at least 1, got {self.levels_k!r}")
 
     @property
     def label(self) -> str:
         return self.name or f"{self.kind}-n{self.n}-s{self.seed}"
+
+
+def _is_int(x) -> bool:
+    """An int, not a bool: JSON true is not a count or a seed."""
+    return type(x) is int
+
+
+def _finite_number(x) -> bool:
+    """A real number, not a bool, that converts to a finite float."""
+    try:
+        return (isinstance(x, numbers.Real) and not isinstance(x, bool)
+                and math.isfinite(x))
+    except OverflowError:  # an int or Fraction too large for a float
+        return False
 
 
 def _shared(memo: dict[int, Weight], k: int, scale: int, exact: bool) -> Weight:

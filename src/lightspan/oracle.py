@@ -18,7 +18,6 @@ from .graph import (
     Beta,
     Graph,
     GraphError,
-    NonExactArithmeticError,
     Pair,
     PairBounds,
     SubgraphAdjacency,
@@ -33,6 +32,7 @@ from .steiner import (
     _UnionFind,
     exact_steiner,
     _is_tree_graph,
+    _require_exact,
     _steiner_subtree_of_tree,
 )
 
@@ -147,12 +147,6 @@ def subset_lightness(backbone: Backbone, spanner_weight: Weight) -> LightnessRes
     else:
         ratio = Fraction(spanner_weight) / Fraction(denom)
     return LightnessResult(ratio, mode, denom)
-
-
-def _require_exact(g: Graph) -> None:
-    if not g.is_exact:
-        raise NonExactArithmeticError(
-            "exact oracles require rational edge weights")
 
 
 def _connects(n: int, edge_list: list[Pair], active: int,

@@ -82,26 +82,25 @@ def prefix_suffix(g: Graph, path: FixedPath, current, ell: Weight
     missing = [0 if e in current else g.weight_of(*e) for e in edges]
     if not any(missing):
         return (), (), False
-    last = len(edges) - 1
-    cum: Weight = 0
-    i = last
-    for idx, mw in enumerate(missing):
-        cum = cum + mw
-        if cum >= ell:
-            i = idx
-            break
-    cum = 0
-    j = 0
-    for idx in range(last, -1, -1):
-        cum = cum + missing[idx]
-        if cum >= ell:
-            j = idx
-            break
+    i = _reach(missing, ell)
+    j = len(edges) - 1 - _reach(missing[::-1], ell)
     return tuple(edges[:i + 1]), tuple(edges[j:]), j <= i
 
 
-def _sample_size(cfg: SampleConfig, n: int, vh: int, ell: float) -> int:
+def _reach(missing: list[Weight], ell: Weight) -> int:
+    """The first index where the running sum of missing reaches ell,
+    else the last index."""
+    cum: Weight = 0
+    for idx, mw in enumerate(missing):
+        cum = cum + mw
+        if cum >= ell:
+            return idx
+    return len(missing) - 1
+
+
+def _sample_size(cfg: SampleConfig, inst: ScaledInstance, ell: float) -> int:
     """c ln n |V_H| / ell in [1, |V_H|], capped before ceil: it may be inf."""
+    n, vh = inst.base.n, inst.v_h
     return max(1, math.ceil(min(cfg.c * math.log(max(n, 2)) * vh / ell, vh)))
 
 
@@ -164,7 +163,7 @@ def threshold_search(factor: float, s_count: int, hi: float, v_prime,
 
 
 def choose_ell(inst: ScaledInstance, cfg: SampleConfig, *,
-               backbones: dict[frozenset[int], Backbone] | None = None
+               backbones: dict[int, Backbone | None] | None = None
                ) -> float | None:
     """Approximate the fixed point ell = sqrt(c ln n |V_H| |V'_H|(ell)) / |S|.
 
@@ -172,32 +171,29 @@ def choose_ell(inst: ScaledInstance, cfg: SampleConfig, *,
     its backbone, and |V_H| = inst.v_h.  |V'_H|(ell) is the backbone
     vertex count of the sample drawn at ell.  Returns None (fallback to
     the +eps*W spanner) when the fixed point cannot be bracketed or lands
-    below every edge weight of inst.  If backbones is given, each sample
-    backbone built here is stored in it under its sample, so
-    `wmax_spanner` can reuse the one it samples.
+    below every edge weight of inst.  Each probe's sample backbone, or
+    None below two sampled vertices, is kept under its sample size in
+    backbones (a fresh dict if not given), so `wmax_spanner` can reuse
+    the one it samples.
     """
     g, bb, vh = inst.base, inst.backbone, inst.v_h
     if vh < 2 or len(bb.terminals) < 2:
         return None
     factor = cfg.c * math.log(max(g.n, 2)) * vh
-    cache: dict[int, int] = {}
+    probes = {} if backbones is None else backbones
 
     def v_prime(ell: float) -> int:
-        size = _sample_size(cfg, g.n, vh, ell)
-        if size not in cache:
+        size = _sample_size(cfg, inst, ell)
+        if size not in probes:
             sample = frozenset(_sample_vertices(bb, size, cfg.seed))
-            if len(sample) < 2:
-                cache[size] = 1
-            else:
-                sub_bb = build_backbone(g, sample, Beta("relative", cfg.split.eps))
-                if backbones is not None:
-                    backbones[sample] = sub_bb
-                cache[size] = len(sub_bb.h.vertices)
-        return cache[size]
+            probes[size] = None if len(sample) < 2 else build_backbone(
+                g, sample, Beta("relative", cfg.split.eps))
+        probe = probes[size]
+        return 1 if probe is None else len(probe.h.vertices)
 
     # A sample lies inside its backbone's S', which lies inside V(H).
     ell = threshold_search(factor, len(bb.terminals), float(vh), v_prime,
-                           lambda ell: _sample_size(cfg, g.n, vh, ell), g.n)
+                           lambda ell: _sample_size(cfg, inst, ell), g.n)
     if ell is None or not ell > 0 or ell < inst.lightest_spliced():
         return None
     return ell
@@ -216,12 +212,12 @@ def wmax_spanner(g: Graph, terminals: Iterable[int], cfg: SampleConfig,
         raise ValueError("the sampled construction needs at least two terminals")
     beta = Beta("wmax", 4 + cfg.split.eps)
     bb = build_backbone(g, ts, beta)
-    inst = scaled_universe(g, bb)
+    inst = scaled_universe(bb)
     initial = build_h0_eps(inst, bb.s_prime) | bb.h.edges
 
-    sample_backbones: dict[frozenset[int], Backbone] = {}
+    probes: dict[int, Backbone | None] = {}
     ell = cfg.ell if cfg.ell is not None else choose_ell(
-        inst, cfg, backbones=sample_backbones)
+        inst, cfg, backbones=probes)
     meta: dict = {
         "algo": "wmax",
         "c": cfg.c,
@@ -257,15 +253,15 @@ def wmax_spanner(g: Graph, terminals: Iterable[int], cfg: SampleConfig,
     state = greedy_complete(g, initial, ts, beta, policy=prefix_suffix_policy)
     sub = state.sub
 
-    sample = _sample_vertices(bb, _sample_size(cfg, g.n, inst.v_h, ell), cfg.seed)
+    size = _sample_size(cfg, inst, ell)
+    sample = _sample_vertices(bb, size, cfg.seed)
     meta["sample_size"] = len(sample)
+    cached = probes.get(size)
+    probes.clear()  # the other samples' backbones go now
     if len(sample) >= 2:
         # The +eps*W(.,.) spanner of eps_spanner, on the backbone
         # choose_ell built for this sample when it built one.
-        key = frozenset(sample)
-        cached = sample_backbones.get(key)
-        sample_backbones.clear()  # the other samples' backbones go now
-        for e in _one_level(g, key, Beta("relative", cfg.split.eps),
+        for e in _one_level(g, frozenset(sample), Beta("relative", cfg.split.eps),
                             "incident", "eps", bb=cached).edges:
             sub.add_edge(*e)
 
@@ -300,21 +296,17 @@ def _distance_chains(bounds: PairBounds, sub: SubgraphAdjacency,
     w_max = g.w_max
     rows = {r: [_unpack(d, sub.denom) for d in sub.distances(r)]
             for r in sample}
+
+    def nearest(side: tuple[Pair, ...]) -> tuple | None:
+        """The least (d, x, r) over sampled r and x on side's edges with
+        d = d_sub(r, x) <= W_max; equal tuples are identical."""
+        return min(((d, x, r) for r in rows for e in side for x in e
+                    if (d := rows[r][x]) <= w_max), default=None)
+
     out: list[dict] = []
     for pair, (pre, suf) in sorted(route.items()):
         u, v = pair
-        pre_verts = [x for e in pre for x in e]
-        suf_verts = [x for e in suf for x in e]
-        best_pre = best_suf = None
-        for r in rows:
-            for a in pre_verts:
-                d = rows[r][a]
-                if d <= w_max and (best_pre is None or (d, a, r) < best_pre):
-                    best_pre = (d, a, r)
-            for b in suf_verts:
-                d = rows[r][b]
-                if d <= w_max and (best_suf is None or (d, b, r) < best_suf):
-                    best_suf = (d, b, r)
+        best_pre, best_suf = nearest(pre), nearest(suf)
         hit = best_pre is not None and best_suf is not None
         entry = {"pair": pair, "hit": hit}
         if hit:

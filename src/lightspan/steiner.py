@@ -446,15 +446,19 @@ def _bounded_program(g: Graph, ts: list[int]) -> tuple[set[Pair], int]:
     return {(kept[a], kept[b]) for a, b in edges}, optimum
 
 
+def _require_exact(g: Graph) -> None:
+    """Refuse binary64 g: no optimality claim rests on a tolerance."""
+    if not g.is_exact:
+        raise NonExactArithmeticError("exact solvers require rational edge weights")
+
+
 def exact_steiner(g: Graph, terminals: Iterable[int]) -> SteinerTree:
     """Minimum-weight Steiner tree: `_bounded_program` on the graph left by
     `_contract_terminal_edges`, lifted to host edges.  Exponential in the
     terminals, at most 12 before any contraction.  The program runs in
     g's packed integers, and its optimum is unpacked once.  A tree host
     takes the same route to its one minimal subtree."""
-    if not g.is_exact:
-        raise NonExactArithmeticError(
-            "exact Steiner trees require rational edge weights")
+    _require_exact(g)
     ts = _check_terminals(g, terminals)
     tset = frozenset(ts)
     if len(ts) > EXACT_STEINER_MAX_TERMINALS:

@@ -148,17 +148,6 @@ class ScaledInstance:
                    for pair, ws in self._kept())
 
 
-def _sigma(g: Graph, backbone: Backbone) -> Weight:
-    """sigma = |V_H| / weight(H), exact on exact graphs."""
-    weight_h = backbone.h.weight
-    if not weight_h > 0:
-        raise ValueError("backbone has zero weight; need at least two terminals")
-    n_vh = len(backbone.h.vertices)
-    if g.is_exact:
-        return Fraction(n_vh) / Fraction(weight_h)
-    return n_vh / weight_h
-
-
 def map_back(inst: ScaledInstance, edges: Iterable[Pair]) -> frozenset[Pair]:
     """Translate g'_s edges to their originating edges of the host graph.
 
@@ -174,7 +163,13 @@ def map_back(inst: ScaledInstance, edges: Iterable[Pair]) -> frozenset[Pair]:
     return frozenset(out)
 
 
-def scaled_universe(g: Graph, backbone: Backbone) -> ScaledInstance:
-    """The scaled universe of g around backbone; only sigma is computed
-    now, each stage on its first read."""
-    return ScaledInstance(g, backbone, _sigma(g, backbone))
+def scaled_universe(backbone: Backbone) -> ScaledInstance:
+    """The scaled universe around backbone, on its host graph g =
+    backbone.path_table.g; only sigma = |V_H| / weight(H), exact on
+    exact graphs, is computed now, each stage on its first read."""
+    g, weight_h = backbone.path_table.g, backbone.h.weight
+    if not weight_h > 0:
+        raise ValueError("backbone has zero weight; need at least two terminals")
+    n_vh = len(backbone.h.vertices)
+    sigma = Fraction(n_vh) / Fraction(weight_h) if g.is_exact else n_vh / weight_h
+    return ScaledInstance(g, backbone, sigma)

@@ -107,7 +107,7 @@ def test_criterion_4_transform_distance_preservation_exact():
         g = rand_connected_graph(3000 + i, n, rng.randint(n // 2, 2 * n))
         terms = sorted(rng.sample(range(n), rng.randint(2, min(6, n))))
         bb = build_backbone(g, terms, HALF)
-        inst = scaled_universe(g, bb)
+        inst = scaled_universe(bb)
         table_g = bb.path_table
 
         # Scaling invariance: the condition holds in a random

@@ -108,7 +108,7 @@ class TestBuildH0Eps:
         for seed in range(10):
             g = rand_connected_graph(seed, 14, 18)
             bb = build_backbone(g, [0, 4, 8, 12], Beta("relative", HALF.eps))
-            inst = scaled_universe(g, bb)
+            inst = scaled_universe(bb)
             h0 = build_h0_eps(inst, bb.s_prime)
             total = sum(inst.g_s.weight_of(u, v) for u, v in h0)
             assert total <= len(bb.s_prime)
@@ -124,6 +124,12 @@ class TestBuildH0Budget:
         got = build_h0_budget(inst, [0], Fraction(1, 2))
         assert got == frozenset({(0, 1), (0, 2)})  # third would reach 0.6
 
+    @pytest.mark.parametrize("budget", [0, Fraction(-1, 2)])
+    def test_nonpositive_budget_refused(self, budget):
+        inst = synthetic_instance(4, [(0, 1, 2), (0, 2, 3), (0, 3, 4)])
+        with pytest.raises(ValueError, match="budget must be positive"):
+            build_h0_budget(inst, [0], budget)
+
     def test_large_budget_takes_everything(self):
         inst = synthetic_instance(4, [(0, 1, 2), (0, 2, 3), (0, 3, 4)])
         got = build_h0_budget(inst, [0], 100)
@@ -136,8 +142,8 @@ class TestBuildH0Budget:
             g = rand_connected_graph(seed + 40, 16, 24)
             terms = [0, 5, 10, 15]
             bb = build_backbone(g, terms, Beta("relative", HALF.eps))
-            inst = scaled_universe(g, bb)
-            d = neighborhood_budget(inst, len(terms))
+            inst = scaled_universe(bb)
+            d = neighborhood_budget(inst)
             h0 = build_h0_budget(inst, terms, d)
             sqrt_d = math.sqrt(float(d))
             for u in terms:
@@ -164,8 +170,8 @@ class TestBuildH0Budget:
             for seed in range(3):
                 g, terms, _ = generate(GeneratorSpec(kind, 40, seed=seed))
                 bb = build_backbone(g, terms, Beta("relative", 4 + HALF.eps))
-                inst = scaled_universe(g, bb)
-                d = neighborhood_budget(inst, len(terms))
+                inst = scaled_universe(bb)
+                d = neighborhood_budget(inst)
                 cap = max(sum((w for _, w in nbrs), 0)
                           for nbrs in inst.g_s.adjacency)
                 capped += d > cap
@@ -182,10 +188,10 @@ def assert_host_h0_matches_universe(g, terms):
     eps = Fraction(1, 2) if g.is_exact else 0.5
     for beta in (Beta("relative", eps), Beta("relative", 4 + eps)):
         bb = build_backbone(g, terms, beta)
-        lazy, built = scaled_universe(g, bb), scaled_universe(g, bb)
+        lazy, built = scaled_universe(bb), scaled_universe(bb)
         assert (build_h0_eps(lazy, bb.s_prime)
                 == reference_h0_eps(built, bb.s_prime))
-        d = neighborhood_budget(lazy, len(terms))
+        d = neighborhood_budget(lazy)
         for budget in (Fraction(1, 2), d, 3 * lazy.v_h):
             assert (build_h0_budget(lazy, terms, budget)
                     == reference_h0_budget(built, terms, budget))
@@ -214,7 +220,7 @@ class TestH0InHostUnits:
                                      (0, 3, w)])
             assert_host_h0_matches_universe(g, [0, 3])
             bb = build_backbone(g, [0, 3], Beta("relative", 4))
-            assert (0, 3) not in build_h0_budget(scaled_universe(g, bb),
+            assert (0, 3) not in build_h0_budget(scaled_universe(bb),
                                                  [0, 3], 100)
 
     def test_underflowed_scaled_tree_edge_stays_whole(self):
@@ -237,9 +243,9 @@ class TestH0InHostUnits:
                                  (0, 3, Fraction(1, 3)), (0, 2, Fraction(8, 3))])
         bb = build_backbone(g, [0, 2], Beta("relative", 4 + HALF.eps))
         assert bb.h.edges == {(0, 1), (1, 2)}
-        lazy = scaled_universe(g, bb)
+        lazy = scaled_universe(bb)
         assert lazy.sigma == Fraction(3, 2)
-        built = scaled_universe(g, bb)
+        built = scaled_universe(bb)
         d = Fraction(3, 2)
         h0 = build_h0_budget(lazy, [0, 2], d)
         assert h0 == reference_h0_budget(built, [0, 2], d) == {(0, 1), (0, 3)}
@@ -275,7 +281,7 @@ class TestScaledUniverseOnRead:
         g = rand_connected_graph(12, 16, 20)
         bb = build_backbone(g, [0, 5, 10, 15], Beta("relative", HALF.eps))
         built = count_calls(monkeypatch, "_mk_graph", transform)
-        inst = scaled_universe(g, bb)
+        inst = scaled_universe(bb)
         assert inst.sigma == Fraction(len(bb.h.vertices)) / bb.h.weight
         assert inst.v_h == len(bb.h.vertices) and built == []
         assert inst.g_prime_s.n > g.n and len(built) == 4
@@ -299,7 +305,7 @@ class TestGreedyComplete:
     def test_unit_k4_star_forces_every_edge(self):
         g = unit_clique(4)
         bb = build_backbone(g, range(4), Beta("relative", HALF.eps))
-        inst = scaled_universe(g, bb)
+        inst = scaled_universe(bb)
         initial = build_h0_eps(inst, bb.s_prime) | bb.h.edges
         state = greedy_complete(g, initial, range(4), Beta("relative", HALF.eps))
         assert len(state.edges) == 6  # all of K4
@@ -311,7 +317,7 @@ class TestGreedyComplete:
         g = rand_connected_graph(17, 16, 22)
         terms = [0, 5, 10, 15]
         bb = build_backbone(g, terms, Beta("relative", HALF.eps))
-        inst = scaled_universe(g, bb)
+        inst = scaled_universe(bb)
         initial = build_h0_eps(inst, bb.s_prime) | bb.h.edges
         asked = []
 
@@ -335,7 +341,7 @@ class TestGreedyComplete:
         g = rand_connected_graph(17, 16, 22)
         terms = [0, 5, 10, 15]
         bb = build_backbone(g, terms, Beta("relative", HALF.eps))
-        inst = scaled_universe(g, bb)
+        inst = scaled_universe(bb)
         initial = build_h0_eps(inst, bb.s_prime) | bb.h.edges
         resumed, finished = [], []
 
@@ -357,7 +363,7 @@ class TestGreedyComplete:
             g = rand_connected_graph(seed + 60, 20, 30)
             terms = [1, 5, 9, 13, 17]
             bb = build_backbone(g, terms, Beta("relative", HALF.eps))
-            inst = scaled_universe(g, bb)
+            inst = scaled_universe(bb)
             initial = build_h0_eps(inst, bb.s_prime) | bb.h.edges
             table = bb.path_table
 
@@ -431,7 +437,7 @@ class TestGreedyAgainstReference:
         total = 0
         for g, terms, _ in greedy_instances("unit-grid"):
             bb = build_backbone(g, terms, Beta("relative", HALF.eps))
-            inst = scaled_universe(g, bb)
+            inst = scaled_universe(bb)
             initial = build_h0_eps(inst, bb.s_prime) | bb.h.edges
             searched.clear()
             state = greedy_complete(g, initial, terms, Beta("relative", 0))
@@ -663,9 +669,9 @@ class TestFourEpsSpanner:
         # |V_H| = 8, |S| = 8 -> d = 8^(2/3+2/3) / ... = 4 exactly
         g = unit_clique(8)
         bb = build_backbone(g, range(8), Beta("relative", 4 + HALF.eps))
-        inst = scaled_universe(g, bb)
+        inst = scaled_universe(bb)
         assert inst.v_h == 8
-        assert neighborhood_budget(inst, 8) == 4
+        assert neighborhood_budget(inst) == 4
 
     def test_path_tree_spanner_is_backbone(self):
         g = Graph.from_edges(4, [(0, 1, 1), (1, 2, 1), (2, 3, 1)])
@@ -779,3 +785,4 @@ class TestDegenerate:
         sp = eps_spanner(g, [3], HALF)
         assert sp.edges == frozenset() and sp.weight == 0
         assert sp.subset_lightness is None
+        assert sp.pair_report == {}

@@ -19,6 +19,7 @@ from lightspan.bench import (
     trend_config,
     trend_curve,
 )
+from lightspan import bench as bench_mod
 from lightspan.cli import build_parser, main
 from lightspan.generators import GenerationError, GeneratorSpec
 from lightspan.graph import Beta, load_instance
@@ -169,6 +170,29 @@ class TestRunExperiment:
             rows = run_experiment({"instances": [entry], "algorithms": ["eps"]})
             assert len(rows) == 1 and rows[0].ok
 
+    @pytest.mark.parametrize("entry", [
+        {"kind": "grid", "n": 5.5}, {"kind": "grid", "n": 1e3},
+        {"kind": "grid", "n": 9, "seed": "3"},
+        {"kind": "grid", "n": 9, "seed": None},
+        {"kind": "grid", "n": 9, "seed": 1.5},
+        {"kind": "grid", "n": 9, "levels_k": "2"},
+        {"kind": "erdos-renyi", "n": 9, "p": "0.5"},
+        {"kind": "geometric", "n": 9, "radius": "0.3"},
+        {"kind": "partition-gadget", "n": 3, "delta": [1]},
+        {"kind": "grid", "n": 9, "weight_range": 3},
+        5, None,
+    ])
+    def test_mistyped_instance_entry_refused(self, tmp_path, capsys, entry):
+        # Each raised a TypeError inside the build (exit 1, which means
+        # a verification failure), or ran with a truncated seed.
+        config = {"instances": [entry], "algorithms": ["eps"]}
+        with pytest.raises(ConfigError):
+            run_experiment(config)
+        cfg_file = tmp_path / "config.json"
+        cfg_file.write_text(json.dumps(config))
+        assert main(["bench", "--config", str(cfg_file)]) == 2
+        assert len(capsys.readouterr().err.splitlines()) == 1
+
     def test_multilevel_requires_levels(self):
         config = {"instances": [{"kind": "unit-clique", "n": 5}],
                   "algorithms": ["multilevel-e"]}
@@ -254,6 +278,20 @@ class TestCli:
         report = json.loads(capsys.readouterr().out)
         assert report["ok"] is True
 
+    def test_four_eps_subcommand_verifies_at_four_plus_eps(self, tmp_path,
+                                                           capsys):
+        assert main(["generate", "--kind", "erdos-renyi", "--n", "14",
+                     "--seed", "3"]) == 0
+        inst_file = tmp_path / "inst.json"
+        inst_file.write_text(capsys.readouterr().out)
+        assert main(["spanner", "--input", str(inst_file), "--algo",
+                     "four-eps", "--epsilon", "0.5", "--format", "csv"]) == 0
+        edges_file = tmp_path / "edges.csv"
+        edges_file.write_text(capsys.readouterr().out)
+        assert main(["verify", "--input", str(inst_file), "--edges",
+                     str(edges_file), "--epsilon", "4.5"]) == 0
+        assert json.loads(capsys.readouterr().out)["ok"] is True
+
     def test_verify_detects_violations_with_exit_code_one(self, tmp_path,
                                                           capsys):
         rc = main(["generate", "--kind", "unit-clique", "--n", "5"])
@@ -310,6 +348,13 @@ class TestCli:
         rc = main(["multilevel", "--input", str(inst_file), "--epsilon",
                    "1.0", "--baseline"])
         assert rc == 0
+        capsys.readouterr()
+
+        doc = json.loads(inst_file.read_text())
+        del doc["levels"]
+        inst_file.write_text(json.dumps(doc))
+        assert main(["multilevel", "--input", str(inst_file)]) == 2
+        assert "no 'levels' map" in capsys.readouterr().err
 
     def test_bench_subcommand_csv(self, tmp_path, capsys):
         config = {
@@ -324,6 +369,30 @@ class TestCli:
         assert rc == 0
         out = capsys.readouterr().out
         assert out.startswith("instance,algo,seed")
+        out_file = tmp_path / "rows.csv"
+        rc = main(["bench", "--config", str(cfg_file), "--format", "csv",
+                   "--out", str(out_file)])
+        assert rc == 0 and capsys.readouterr().out == ""
+        # The same row, built again: only its runtime differs.
+        written, printed = (
+            [dataclasses.replace(r, runtime_ms=0) for r in parse_csv(text)]
+            for text in (out_file.read_text(), out))
+        assert len(written) == 1 and written == printed
+
+    def test_bench_verification_failure_exit_code_one(self, tmp_path, capsys,
+                                                      monkeypatch):
+        # Exit 1 is kept for a build the oracle rejects.
+        real = bench_mod.verify_spanner
+
+        def failing(*args):
+            return dataclasses.replace(real(*args), ok=False)
+
+        monkeypatch.setattr(bench_mod, "verify_spanner", failing)
+        cfg_file = tmp_path / "config.json"
+        cfg_file.write_text(json.dumps({"instances": [{"kind": "grid", "n": 6}],
+                                        "algorithms": ["eps"]}))
+        assert main(["bench", "--config", str(cfg_file)]) == 1
+        assert capsys.readouterr().err.startswith("verification failure: ")
 
     @pytest.mark.parametrize("w", ["Infinity", "true"])
     def test_verify_rejects_infinite_or_bool_weight(self, tmp_path, capsys, w):
@@ -563,3 +632,67 @@ class TestNumbersBeyondBinary64:
         assert main(["verify", "--input", str(inst), "--edges", str(edges),
                      "--beta-mode", "wmax"]) == 0
         assert strict_json(capsys.readouterr().out)["ok"] is True
+
+
+# One value of each JSON type, and per field of a bench config, a bench
+# instance entry and an instance document the types its schema accepts.
+JSON_TYPES = {"null": None, "bool": True, "int": 3, "float": 1.5,
+              "string": "x", "array": [], "object": {}}
+NUMBER = ("int", "float")
+BENCH_CONFIG = {"instances": [{"kind": "grid", "n": 4}], "algorithms": ["eps"],
+                "seeds": [0]}
+BENCH_FIELDS = {
+    ("instances",): ("array",), ("instances", 0): ("object",),
+    ("algorithms",): ("array",), ("algorithms", 0): ("string",),
+    ("seeds",): ("array",), ("seeds", 0): ("int",), ("exact",): ("bool",),
+    ("epsilon",): NUMBER, ("c",): NUMBER, ("p",): ("string", *NUMBER),
+    **{("instances", 0, name): accepted for name, accepted in {
+        "kind": ("string",), "n": ("int",), "seed": ("int",),
+        "p": ("null", *NUMBER), "radius": ("null", *NUMBER),
+        "weight_range": ("array",), "terminal_fraction": NUMBER,
+        "delta": NUMBER, "subdivided": ("bool",),
+        "levels_k": ("null", "int"), "name": ("null", "string"),
+    }.items()},
+}
+DOCUMENT = {"n": 3, "edges": [[0, 1, 1], [1, 2, 2], [0, 2, 2]],
+            "terminals": [0, 1, 2], "levels": {"0": 1, "1": 2, "2": 1}}
+DOCUMENT_FIELDS = {
+    ("n",): ("int",), ("edges",): ("array",), ("edges", 0): ("array",),
+    ("edges", 0, 0): ("int",), ("edges", 0, 2): ("string", *NUMBER),
+    ("terminals",): ("array",), ("terminals", 0): ("int",),
+    ("levels",): ("null", "object"), ("levels", "1"): ("int",),
+}
+CONTRACT_CASES = [
+    (command, path, kind)
+    for commands, fields in ((("bench",), BENCH_FIELDS),
+                             (("spanner", "multilevel", "verify"), DOCUMENT_FIELDS))
+    for command in commands
+    for path, accepted in fields.items()
+    for kind in JSON_TYPES if kind not in accepted
+]
+
+
+class TestExitCodeContract:
+    @pytest.mark.parametrize(
+        "command, path, kind", CONTRACT_CASES,
+        ids=[f"{c}-{'.'.join(map(str, p))}-{k}" for c, p, k in CONTRACT_CASES])
+    def test_refused_json_type_exits_two(self, tmp_path, capsys, command,
+                                         path, kind):
+        # A value of a type the schema refuses is bad input: exit 2 with
+        # one error line, never an escaping exception or exit 1.
+        doc = json.loads(json.dumps(BENCH_CONFIG if command == "bench"
+                                    else DOCUMENT))
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = JSON_TYPES[kind]
+        doc_file = tmp_path / "doc.json"
+        doc_file.write_text(json.dumps(doc))
+        edges_file = tmp_path / "edges.txt"
+        edges_file.write_text("0 1\n1 2\n")
+        argv = {"bench": ["--config", str(doc_file)],
+                "verify": ["--input", str(doc_file), "--edges", str(edges_file)],
+                }.get(command, ["--input", str(doc_file)])
+        assert main([command, *argv]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: "), err

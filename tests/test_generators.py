@@ -1,7 +1,9 @@
+import math
 from fractions import Fraction
 
 import pytest
 
+from lightspan import cli
 from lightspan.generators import KINDS, GenerationError, GeneratorSpec, generate
 
 
@@ -91,6 +93,68 @@ class TestRandomFamilies:
             GeneratorSpec("grid", 5, weight_range=(0, 3))
         with pytest.raises(GenerationError):
             GeneratorSpec("grid", 5, terminal_fraction=0.0)
+        with pytest.raises(GenerationError, match="two vertices"):
+            GeneratorSpec("grid", 1)
+
+
+class TestSpecBoundaries:
+    # A spec is checked whole when it is made, so a wrong type or range
+    # is a GenerationError (CLI exit 2), never a TypeError inside a draw
+    # (exit 1) or a refusal after futile draws.
+    @pytest.mark.parametrize("field, value", [
+        ("n", 5.5), ("n", 1e3), ("n", True), ("n", "9"), ("n", None),
+        ("seed", "3"), ("seed", None), ("seed", 1.5), ("seed", False),
+        ("levels_k", "2"), ("levels_k", 2.0), ("levels_k", True),
+        ("p", "0.5"), ("p", True), ("p", [0.5]),
+        ("radius", "0.3"), ("radius", [0.3]),
+        ("terminal_fraction", None), ("terminal_fraction", "0.5"),
+        ("terminal_fraction", True),
+        ("delta", [1]), ("delta", None), ("delta", "0.1"),
+        ("p", math.nan), ("radius", math.inf), ("delta", math.inf),
+        ("terminal_fraction", math.nan), ("delta", 10 ** 400),
+        ("weight_range", (1, 2.5)), ("weight_range", (1,)),
+        ("weight_range", (1, 2, 3)), ("weight_range", [1, 4]),
+        ("weight_range", (True, 4)), ("weight_range", "ab"),
+        ("weight_range", None),
+        ("subdivided", 1), ("subdivided", None), ("subdivided", "yes"),
+        ("name", 5), ("name", ["x"]),
+    ])
+    def test_mistyped_field_refused(self, field, value):
+        with pytest.raises(GenerationError, match=f"^{field} must "):
+            GeneratorSpec(**{"kind": "partition-gadget", "n": 4, field: value})
+
+    @pytest.mark.parametrize("field, value", [
+        ("p", -0.5), ("p", 1.5), ("p", -1e-300), ("radius", 0),
+        ("radius", -1.0), ("levels_k", 0), ("levels_k", -2),
+    ])
+    def test_out_of_range_refused(self, field, value):
+        with pytest.raises(GenerationError, match=f"^{field} must "):
+            GeneratorSpec("erdos-renyi", 9, **{field: value})
+
+    def test_range_edges_accepted(self):
+        for fields in ({"p": 0.0}, {"p": 1}, {"p": 1.0}, {"radius": 1e-300},
+                       {"levels_k": 1}, {"terminal_fraction": 1},
+                       {"delta": Fraction(1, 3)}, {"delta": 0}, {"seed": -4},
+                       {"name": None}, {"name": "x"}, {"subdivided": True},
+                       {"weight_range": (2, 2)}):
+            GeneratorSpec("erdos-renyi", 9, **fields)
+
+    @pytest.mark.parametrize("flags", [
+        ["--kind", "erdos-renyi", "--p", "nan"],
+        ["--kind", "erdos-renyi", "--p", "-0.5"],
+        ["--kind", "erdos-renyi", "--p", "1.5"],
+        ["--kind", "geometric", "--radius", "-1"],
+        ["--kind", "geometric", "--radius", "inf"],
+        ["--kind", "grid", "--levels-k", "0"],
+    ])
+    def test_cli_refuses_before_any_draw(self, monkeypatch, capsys, flags):
+        def no_draw(spec):
+            pytest.fail(f"{spec} reached the generator")
+
+        monkeypatch.setattr(cli, "generate", no_draw)
+        assert cli.main(["generate", "--n", "1000", *flags]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
 
 
 class TestSharedWeights:

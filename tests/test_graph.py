@@ -112,6 +112,8 @@ class TestLoadGraph:
             load_graph("a b 1")
         with pytest.raises(ParseError):
             load_graph("")
+        with pytest.raises(ParseError, match="negative vertex id"):
+            load_graph("0 1 1\n-1 0 1")
 
 
 class TestFixedShortestPath:
@@ -310,6 +312,9 @@ class TestInstanceJson:
             load_instance('{"edges": []}')
         with pytest.raises(ParseError):
             load_instance('{"n": 2, "edges": [[0, 1, 1]], "levels": "x"}')
+        for edges in ("[[0, 1]]", "5"):
+            with pytest.raises(ParseError, match="bad edge entry"):
+                load_instance(f'{{"n": 2, "edges": {edges}}}')
 
     @pytest.mark.parametrize("doc", [
         '{"n": 3, "edges": [[0, 1.5, 1], [1, 2, 1]], "terminals": [0, 2]}',
@@ -494,6 +499,8 @@ class TestPackedWeights:
             g.weight_sum([(0, 1), (2, 0)])
         with pytest.raises(UnknownEdgeError):
             g.packed_weight_of(2, 0)
+        with pytest.raises(UnknownEdgeError):
+            g.weight_of(2, 0)
 
     @given(exact_graphs())
     @settings(max_examples=100, deadline=None)

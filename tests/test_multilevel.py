@@ -69,6 +69,11 @@ class TestInstanceValidation:
         with pytest.raises(ValueError):
             MultiLevelInstance(g, {0: 5}, 2, HALF)
 
+    def test_at_least_one_level(self):
+        g = rand_connected_graph(0, 6, 6)
+        with pytest.raises(ValueError, match="k must be at least 1"):
+            MultiLevelInstance(g, {}, 0, HALF)
+
 
 class TestSolveMultilevel:
     def test_single_level_is_one_oracle_call(self):

@@ -13,11 +13,16 @@ from helpers import (
 )
 from lightspan import oracle, steiner
 from lightspan.additive import EpsilonSplit, eps_spanner, four_eps_spanner
-from lightspan.graph import Beta, Graph, build_path_table, canonical
+from lightspan.graph import (
+    Beta,
+    Graph,
+    NonExactArithmeticError,
+    build_path_table,
+    canonical,
+)
 from lightspan.multilevel import MultiLevelInstance
 from lightspan.oracle import (
     InstanceTooLargeError,
-    NonExactArithmeticError,
     exact_multilevel,
     exact_one_level,
     subset_lightness,
@@ -86,6 +91,12 @@ class TestSubsetLightness:
         res = subset_lightness(bb, bb.t.weight)
         assert res.mode == "exact"
         assert res.ratio == 1
+
+    @pytest.mark.parametrize("tree_host", [True, False])
+    def test_zero_weight_denominator_is_degenerate(self, tree_host):
+        g = rand_tree(9, 10) if tree_host else rand_connected_graph(3, 10, 8)
+        res = subset_lightness(build_backbone(g, [4], HALF), 5)
+        assert (res.ratio, res.mode, res.steiner_weight) == (None, "degenerate", 0)
 
     def test_fifty_over_sixty(self):
         g = Graph.from_edges(3, [(0, 1, 30), (1, 2, 30)])

@@ -81,6 +81,13 @@ class TestPrefixSuffix:
         assert pre == suf == ((0, 1), (1, 2), (2, 3))
         assert overlap is True
 
+    @pytest.mark.parametrize("ell", [0, Fraction(-1, 2)])
+    def test_nonpositive_ell_refused(self, ell):
+        g = path_graph([Fraction(1, 10)] * 3)
+        path = FixedPath((0, 3), Fraction(3, 10), (0, 1, 2, 3), Fraction(1, 10))
+        with pytest.raises(ValueError, match="ell must be positive"):
+            prefix_suffix(g, path, set(), ell)
+
 
 class TestThresholdSearch:
     def test_constant_vprime_closed_form(self):
@@ -195,7 +202,7 @@ class TestProbeBounds:
             for seed in range(3):
                 g, terms, _ = generate(GeneratorSpec(
                     kind, n=60, seed=seed, terminal_fraction=0.2, exact=False))
-                inst = scaled_universe(g, build_backbone(
+                inst = scaled_universe(build_backbone(
                     g, terms, Beta("wmax", 4.5)))
                 cfg = SampleConfig(split, seed=seed)
                 ells, built = {}, Counter()
@@ -220,8 +227,8 @@ class TestProbeBounds:
 def wmax_universe(g, terminals, split=SPLIT):
     """The scaled universe of the +(4+eps)*W_max backbone: what
     wmax_spanner hands to choose_ell."""
-    return scaled_universe(g, build_backbone(g, terminals,
-                                             Beta("wmax", 4 + split.eps)))
+    return scaled_universe(build_backbone(g, terminals,
+                                          Beta("wmax", 4 + split.eps)))
 
 
 class TestChooseEll:
@@ -265,6 +272,15 @@ class TestChooseEll:
 
 
 class TestWmaxSpanner:
+    def test_ell_above_backbone_vertex_count_refused(self):
+        g = rand_connected_graph(21, 16, 22)
+        terms = [0, 5, 10, 15]
+        v_h = scaled_universe(build_backbone(g, terms, WMAX_BETA)).v_h
+        sp = wmax_spanner(g, terms, SampleConfig(SPLIT, ell=float(v_h)))
+        assert sp.meta["ell"] == v_h
+        with pytest.raises(ValueError, match="outside"):
+            wmax_spanner(g, terms, SampleConfig(SPLIT, ell=v_h + 0.5))
+
     def test_unit_tree_is_backbone_only_no_repairs(self):
         g = rand_tree(11, 12, unit=True)
         terms = [0, 4, 8, 11]
@@ -279,7 +295,7 @@ class TestWmaxSpanner:
         g = rand_connected_graph(21, 16, 22)
         terms = [0, 5, 10, 15]
         bb = build_backbone(g, terms, WMAX_BETA)
-        inst = scaled_universe(g, bb)
+        inst = scaled_universe(bb)
         ell = float(inst.v_h)
         total_gps = sum(w for _, _, w in inst.g_prime_s.edges)
         if total_gps < ell:  # precondition of the equivalence
@@ -331,7 +347,7 @@ class TestWmaxSpanner:
         assert sp.subset_lightness == light.ratio
         assert list(sp.meta.items()) == [
             ("algo", "wmax"), ("c", 0.01), ("seed", 2),
-            ("v_h", scaled_universe(g, bb).v_h), ("fallback", True),
+            ("v_h", scaled_universe(bb).v_h), ("fallback", True),
             ("ell", None), ("repaired", []), ("lightness_mode", light.mode)]
 
     def test_distance_chain_instrumentation(self):

@@ -17,7 +17,13 @@ from helpers import (
     subgraph_dist,
     tie_heavy,
 )
-from lightspan.graph import Beta, Graph, UnknownEdgeError, canonical
+from lightspan.graph import (
+    Beta,
+    Graph,
+    NonExactArithmeticError,
+    UnknownEdgeError,
+    canonical,
+)
 from lightspan import steiner
 from lightspan.steiner import (
     EmptyTerminalSetError,
@@ -98,6 +104,13 @@ class TestExactSteiner:
     def test_single_terminal(self):
         g = rand_connected_graph(1, 8, 6)
         assert exact_steiner(g, [2]).weight == 0
+
+    def test_binary64_refused(self):
+        # The same refusal as the exact oracles': no optimum rests on a
+        # tolerance.
+        g = rand_connected_graph(1, 8, 6, exact=False)
+        with pytest.raises(NonExactArithmeticError, match="rational"):
+            exact_steiner(g, [0, 2, 5])
 
     def test_reconstruction_mismatch_raises(self, monkeypatch):
         g = rand_connected_graph(3, 9, 8)

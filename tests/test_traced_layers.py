@@ -100,7 +100,7 @@ def test_traced_universe_reports_the_spliced_graph():
     g, terms, _ = generate(GeneratorSpec("geometric", n=30, seed=2))
     t = traced(lambda: additive.eps_spanner(g, terms, HALF))
     bb = build_backbone(g, terms, Beta("relative", HALF.eps))
-    assert t.samples["spliced"] == [scaled_universe(g, bb).g_prime_s.n]
+    assert t.samples["spliced"] == [scaled_universe(bb).g_prime_s.n]
 
 
 def test_exact_lightness_records_one_exact_steiner_call():
