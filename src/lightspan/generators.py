@@ -10,6 +10,7 @@ holds one weight object per distinct value.
 
 from __future__ import annotations
 
+import bisect
 import math
 import numbers
 import random
@@ -115,24 +116,61 @@ def _quantized_distance(d: float, exact: bool, memo: dict[int, Weight]) -> Weigh
 def _try_erdos_renyi(rng: random.Random, spec: GeneratorSpec):
     # default density safely above the ln(n)/n connectivity threshold
     p = spec.p if spec.p is not None else min(1.0, 1.7 * math.log(spec.n) / spec.n)
-    edges, memo = [], {}
+    # One random() per pair in (u, v) order, and a weight draw after each
+    # hit, is what a seed fixes: the draws cannot be batched or reordered.
+    edges, memo, draw = [], {}, rng.random
     for u in range(spec.n):
         for v in range(u + 1, spec.n):
-            if rng.random() < p:
+            if draw() < p:
                 edges.append((u, v, _weight(rng, spec, memo)))
     return spec.n, edges
+
+
+def _close_pairs(pts: list[tuple[float, float]], r: float
+                 ) -> list[tuple[int, int, float]]:
+    """(u, v, d) for every pair u < v of points in [0, 1)^2 whose distance
+    d = hypot(pts[u][0] - pts[v][0], pts[u][1] - pts[v][1]) is at most r,
+    in (u, v) order (Bentley, Stanat & Williams, IPL 6, 1977).
+
+    Only pairs in the same or neighbouring cells of a k x k grid are
+    tested, and no pair within r is missed despite rounding.  k is at most
+    1/side for side = r(1 + 2^-20) + 2^-40, up to the rounding of 1/side.
+    hypot errs by under an ulp and a coordinate difference is rounded
+    once, so d <= r bounds the exact |x_u - x_v| by r(1 + 2^-50); each
+    computed x * k errs by at most k * 2^-53.  So the computed x_u k and
+    x_v k lie less than k(r(1 + 2^-50) + 2^-52) apart, which the margins
+    keep below 1; their floors then differ by at most 1, and clamping into
+    0..k-1 keeps that.  Duplicated points share a cell.  The 2^-40 term
+    keeps 1/side finite for any r, and k <= n bounds the cells a tiny r
+    makes.  k = 1 (one cell, every pair tested) once side exceeds 1/2, so
+    whenever r >= 1.
+    """
+    n = len(pts)
+    k = max(1, min(n, int(1 / (r * (1 + 2 ** -20) + 2 ** -40))))
+    cell_of = [(min(int(x * k), k - 1), min(int(y * k), k - 1)) for x, y in pts]
+    cells: dict[tuple[int, int], list[int]] = {}
+    for u, c in enumerate(cell_of):
+        cells.setdefault(c, []).append(u)
+    blocks = {(cx, cy): sorted(v for bx in (cx - 1, cx, cx + 1)
+                               for by in (cy - 1, cy, cy + 1)
+                               for v in cells.get((bx, by), ()))
+              for cx, cy in cells}
+    out, hypot = [], math.hypot
+    for u, (x, y) in enumerate(pts):
+        block = blocks[cell_of[u]]
+        for v in block[bisect.bisect_right(block, u):]:
+            d = hypot(x - pts[v][0], y - pts[v][1])
+            if d <= r:
+                out.append((u, v, d))
+    return out
 
 
 def _try_geometric(rng: random.Random, spec: GeneratorSpec):
     r = spec.radius if spec.radius is not None else 1.8 / math.sqrt(spec.n)
     pts = [(rng.random(), rng.random()) for _ in range(spec.n)]
-    edges, memo = [], {}
-    for u in range(spec.n):
-        for v in range(u + 1, spec.n):
-            d = math.hypot(pts[u][0] - pts[v][0], pts[u][1] - pts[v][1])
-            if d <= r:
-                edges.append((u, v, _quantized_distance(d, spec.exact, memo)))
-    return spec.n, edges
+    memo: dict[int, Weight] = {}
+    return spec.n, [(u, v, _quantized_distance(d, spec.exact, memo))
+                    for u, v, d in _close_pairs(pts, r)]
 
 
 def _try_grid(rng: random.Random, spec: GeneratorSpec):

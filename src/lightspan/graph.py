@@ -131,11 +131,13 @@ class Graph:
             t = type(w)  # exact types: bool is an int subclass
             if t is float:
                 floats += 1
-                if w == INF:
-                    raise InvalidWeightError(f"edge {key} has infinite weight")
+                if not math.isfinite(w):
+                    raise InvalidWeightError(f"edge {key} has weight {w}, not finite")
             elif t is not int and t is not Fraction:
                 raise InvalidWeightError(f"edge {key} has weight {w!r}, not a number")
-            if not w > 0:
+            # A Fraction's sign is its numerator's: Fraction.__gt__ would
+            # pay for numbers.Rational isinstance checks.
+            if not (w.numerator if t is Fraction else w) > 0:
                 raise NonpositiveWeightError(f"edge {key} has weight {w}")
             seen.add(key)
             canon.append((key[0], key[1], w))
@@ -145,7 +147,7 @@ class Graph:
             raise InvalidWeightError("the binary64 weights sum to infinity")
         if len(canon) < n - 1:  # refused before any per-vertex list exists
             raise DisconnectedError(f"{len(canon)} edges cannot connect {n} vertices")
-        g = cls(n, tuple(sorted(canon, key=lambda e: (e[0], e[1]))))
+        g = cls(n, tuple(sorted(canon)))  # pairs are unique: no weight is compared
         if not g.is_connected():
             raise DisconnectedError("graph is not connected")
         return g

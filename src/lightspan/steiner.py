@@ -233,7 +233,12 @@ def _voronoi_bridges(g: Graph, ts: list[int]
             if (i, j) not in best or key < best[i, j]:
                 best[i, j] = key
     uf = _UnionFind(range(len(ts)))
-    chosen = [key for key in sorted(best.values()) if uf.union(key[1], key[2])]
+    chosen = []
+    for key in sorted(best.values()):
+        if uf.union(key[1], key[2]):
+            chosen.append(key)
+            if len(chosen) == len(ts) - 1:  # a spanning tree: every later union fails
+                break
     if len(chosen) < len(ts) - 1:
         raise UnknownEdgeError("the terminals are not connected")
     return parent, chosen

@@ -473,3 +473,16 @@ def reference_h0_budget(inst, terminals, budget):
             if canonical(u, nbr) in surviving:
                 out.add(canonical(u, nbr))
     return frozenset(out)
+
+
+def reference_geometric_edges(pts, r):
+    """The double loop the geometric generator's cell scan replaced:
+    (u, v, d) for every pair u < v with d = hypot(...) <= r, in (u, v)
+    order, testing all n(n-1)/2 pairs."""
+    out = []
+    for u in range(len(pts)):
+        for v in range(u + 1, len(pts)):
+            d = math.hypot(pts[u][0] - pts[v][0], pts[u][1] - pts[v][1])
+            if d <= r:
+                out.append((u, v, d))
+    return out

@@ -696,3 +696,15 @@ class TestExitCodeContract:
         assert main([command, *argv]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: "), err
+
+    @pytest.mark.parametrize("exact", [False, True])
+    @pytest.mark.parametrize("w", ["NaN", "-Infinity", "Infinity"])
+    def test_non_finite_json_weight_exits_two(self, tmp_path, capsys, w, exact):
+        # JSON's NaN and +-Infinity constants reach the graph as floats in
+        # either mode, and are refused as not finite, not as nonpositive.
+        doc_file = tmp_path / "doc.json"
+        doc_file.write_text(f'{{"n": 2, "edges": [[0, 1, {w}]]}}')
+        flags = ["--exact-arithmetic"] if exact else []
+        assert main(["spanner", "--input", str(doc_file), *flags]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "finite" in err[0], err

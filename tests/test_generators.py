@@ -1,9 +1,12 @@
 import math
+import random
+import sys
 from fractions import Fraction
 
 import pytest
 
-from lightspan import cli
+from helpers import reference_geometric_edges
+from lightspan import cli, generators
 from lightspan.generators import KINDS, GenerationError, GeneratorSpec, generate
 
 
@@ -176,3 +179,103 @@ class TestSharedWeights:
             g1, g2 = generate(spec)[0], generate(spec)[0]
             assert g1 == g2
             assert not {id(w) for *_, w in g1.edges} & {id(w) for *_, w in g2.edges}
+
+
+def boundary_points(r, ms):
+    """Points on, and one ulp either side of, the lines x = j/m and
+    y = j/m, plus points on a 2^-30 grid beside them with partners
+    exactly r away (for a dyadic r) along an axis and diagonally, and
+    a few duplicates."""
+    xs = set()
+    for m in ms:
+        for j in range(1, m):
+            b = j / m
+            q = round(b * 2 ** 30) / 2 ** 30
+            xs |= {b, math.nextafter(b, 0), math.nextafter(b, 1), q}
+            xs |= {x for x in (q + r, q - r, b + r, b - r) if 0 <= x < 1}
+    xs = sorted(xs)
+    pts = [(x, 0.5) for x in xs] + [(0.25, x) for x in xs]
+    pts += [(x + 3 * r / 5, 0.5 + 4 * r / 5) for x in xs if x + 3 * r / 5 < 1]
+    pts += pts[::7]
+    return pts
+
+
+class TestCellScan:
+    # The grid scan must return exactly the double loop's (u, v, d) list.
+    @pytest.mark.parametrize("r, ms", [
+        (5 / 64, (11, 12, 13, 14)), (1 / 8, (7, 8, 9)), (0.1, (9, 10, 11)),
+        (1 / 3, (2, 3, 4)), (0.5, (2, 3)),
+    ])
+    def test_points_at_cell_boundaries(self, r, ms):
+        pts = boundary_points(r, ms)
+        ref = reference_geometric_edges(pts, r)
+        assert generators._close_pairs(pts, r) == ref
+        # The set is adversarial: it holds pairs exactly r apart.
+        assert any(d == r for *_, d in ref)
+
+    def test_tiny_radius(self):
+        pts = [(0.0, 0.0), (5e-324, 0.0), (1e-323, 0.0), (0.5, 0.5),
+               (0.5, 0.5), (0.5, math.nextafter(0.5, 1)), (0.0, 5e-324)]
+        for r in (5e-324, 1e-300):
+            ref = reference_geometric_edges(pts, r)
+            assert generators._close_pairs(pts, r) == ref
+            assert (0, 1, 5e-324) in ref and (3, 4, 0.0) in ref
+
+    @pytest.mark.parametrize("r", [math.sqrt(2), 1.5, sys.float_info.max])
+    def test_radius_past_the_diagonal_gives_every_pair(self, r):
+        top, rng = math.nextafter(1, 0), random.Random(5)
+        pts = [(0.0, 0.0), (top, top), (0.0, top)] + [
+            (rng.random(), rng.random()) for _ in range(20)]
+        out = generators._close_pairs(pts, r)
+        assert out == reference_geometric_edges(pts, r)
+        assert len(out) == len(pts) * (len(pts) - 1) // 2
+
+    @pytest.mark.parametrize("r", [0.01, 0.05, 0.2, 0.7, 1.0])
+    def test_random_points(self, r):
+        for seed in range(3):
+            rng = random.Random(seed)
+            pts = [(rng.random(), rng.random()) for _ in range(200)]
+            pts += pts[:10]
+            assert generators._close_pairs(pts, r) == reference_geometric_edges(pts, r)
+
+    @pytest.mark.parametrize("n", [2, 3, 17, 80, 300])
+    @pytest.mark.parametrize("radius", [None, 1e-9, 1.0])
+    def test_generate_matches_reference_draw(self, monkeypatch, n, radius):
+        # Same edges, same weight objects, same RNG state after the draw
+        # (the terminals and levels are drawn from it), same failures.
+        def draw(scan):
+            monkeypatch.setattr(generators, "_close_pairs", scan)
+            try:
+                g, terminals, levels = generate(spec)
+            except GenerationError as exc:
+                return str(exc)
+            first = {}
+            sharing = [first.setdefault(id(w), i) for i, (*_, w) in enumerate(g.edges)]
+            return g, [type(w) for *_, w in g.edges], sharing, terminals, levels
+
+        scan = generators._close_pairs
+        for seed in range(4 if n < 300 else 1):
+            for exact in (True, False):
+                spec = GeneratorSpec("geometric", n, seed=seed, radius=radius,
+                                     levels_k=3, exact=exact)
+                assert draw(scan) == draw(reference_geometric_edges)
+
+    def test_distance_evaluations_are_linear(self, monkeypatch):
+        # A count, not a timer: the double loop made n(n-1)/2 = 1,999,000.
+        calls = 0
+        hypot = math.hypot
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return hypot(*args)
+
+        monkeypatch.setattr(math, "hypot", counted)
+        n = 2000
+        generators._try_geometric(random.Random(1),
+                                  GeneratorSpec("geometric", n, exact=False))
+        assert 0 < calls <= 20 * n
+
+    def test_smallest_radius_exhausts_retries(self):
+        with pytest.raises(GenerationError, match="50 attempts"):
+            generate(GeneratorSpec("geometric", 40, radius=5e-324))

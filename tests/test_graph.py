@@ -74,11 +74,23 @@ class TestLoadGraph:
         with pytest.raises(NonpositiveWeightError):
             load_graph("0 1 -3")
 
+    @pytest.mark.parametrize("w", [Fraction(0), Fraction(-1, 3), 0, -1, -0.0])
+    def test_nonpositive_weight_of_each_type(self, w):
+        # Exact weights take the numerator's sign; binary64 -0.0 is not > 0.
+        with pytest.raises(NonpositiveWeightError):
+            Graph.from_edges(2, [(0, 1, w)])
+
+    @pytest.mark.parametrize("w, exact", [('"-1/3"', True), ('"0"', True),
+                                          ("-0.0", False)])
+    def test_nonpositive_instance_weight(self, w, exact):
+        with pytest.raises(NonpositiveWeightError):
+            load_instance(f'{{"n": 2, "edges": [[0, 1, {w}]]}}', exact=exact)
+
     def test_disconnected(self):
         with pytest.raises(DisconnectedError):
             load_graph("0 1 2\n2 3 2")
 
-    @pytest.mark.parametrize("w", [math.inf, True, False, "3"])
+    @pytest.mark.parametrize("w", [math.inf, -math.inf, math.nan, True, False, "3"])
     def test_non_finite_or_non_numeric_weight(self, w):
         with pytest.raises(InvalidWeightError):
             Graph.from_edges(2, [(0, 1, w)])
@@ -286,7 +298,7 @@ class TestInstanceJson:
         assert g3.weight_of(0, 1) == 1 / 3
 
     def test_infinite_or_bool_instance_weights(self):
-        for w in ("Infinity", "true"):
+        for w in ("Infinity", "-Infinity", "NaN", "true"):
             doc = f'{{"n": 2, "edges": [[0, 1, {w}]], "terminals": [0, 1]}}'
             for exact in (False, True):
                 with pytest.raises(InvalidWeightError):
