@@ -377,18 +377,21 @@ def shortest_paths(g: Graph, source: int) -> ShortestPaths:
     return sp
 
 
-def _relax(adj, dist: list[Weight | None],
-           seeds: list[tuple[Weight, int]]) -> list[Weight | None]:
+def _relax(adj, dist: list[Weight | None], seeds: list[tuple[Weight, int]],
+           slack: Weight = 0, limit: Weight | None = None) -> list[Weight | None]:
     """Decrease-only search (Ramalingam & Reps, J. Algorithms 21, 1996):
     lower dist[x] to d for each seed (d, x), consuming seeds, then relax
     outward while distances drop; returns dist.  The engine for distances
-    that need no path; `shortest_paths_adj` is the one for paths."""
+    that need no path; `shortest_paths_adj` is the one for paths.  With a
+    limit it stops at the first pop (d, x) with d + slack >= limit."""
     heappush, heappop = heapq.heappush, heapq.heappop
     for d, x in seeds:
         dist[x] = d
     heapq.heapify(seeds)
     while seeds:
         d, x = heappop(seeds)
+        if limit is not None and d + slack >= limit:
+            break
         if d > dist[x]:
             continue  # superseded by a later decrease
         for y, w in adj[x]:
@@ -625,6 +628,16 @@ def build_path_table(g: Graph, terminals: Iterable[int]) -> PathTable:
     return PathTable(frozenset(ts), {u: shortest_paths(g, u) for u in ts[:-1]}, g)
 
 
+def _packed_slack(g: Graph, beta: Beta) -> tuple[Weight, Weight | None]:
+    """beta's value in g's arithmetic and F, the packed slack of wmax
+    mode (None in relative mode), as `PairBounds` states them."""
+    denom, value = g._packed[0], beta.value
+    if denom is not None and type(value) is float:
+        value = Fraction(value)
+    f = value * g.w_max if denom is None else math.floor(value * g.w_max * denom)
+    return value, None if beta.mode == "relative" else f
+
+
 class PairBounds:
     """The spanner condition d_H(u, v) <= d_G(u, v) + slack on every pair
     of a fixed-path table: the one check behind the backbone's pair scan,
@@ -648,17 +661,10 @@ class PairBounds:
     """
 
     def __init__(self, table: PathTable, beta: Beta) -> None:
-        denom, w_max = table.g._packed[0], table.g.w_max
+        denom = table.g._packed[0]
         self.table = table
-        value = beta.value
-        if denom is not None and type(value) is float:
-            value = Fraction(value)  # exact, as the rest of the check
-        self._value = value
-        self._relative = beta.mode == "relative"
-        fixed = None
-        if not self._relative:
-            fixed = (value * w_max if denom is None
-                     else math.floor(value * w_max * denom))
+        value, fixed = _packed_slack(table.g, beta)
+        self._value, self._relative = value, fixed is None
         p, q = (value, 1) if denom is None else (value.numerator, value.denominator)
         ts = sorted(table.terminals)
         self._rows: dict[int, dict[int, Weight]] = {}

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 from typing import Iterable
 
@@ -20,8 +21,12 @@ from .graph import (
     GraphError,
     Pair,
     PairBounds,
+    PathTable,
+    ShortestPaths,
     SubgraphAdjacency,
     Weight,
+    _packed_slack,
+    _relax,
     build_path_table,
     canonical,
     json_number,
@@ -88,6 +93,7 @@ def verify_spanner(g: Graph, terminals: Iterable[int], edges: Iterable[Pair],
     only value rational mode takes; on binary64 a finite rel_tol >= 0,
     such as `certify_tolerance(g)`, forgives a pair PairBounds flags when
     d_H - allowed <= rel_tol * max(1, |allowed|).  Else ValueError.
+    Wmax mode reads d_G only where `_slack_table` shows a verdict needs it.
     """
     ts = sorted(set(terminals))
     for t in ts:
@@ -100,7 +106,8 @@ def verify_spanner(g: Graph, terminals: Iterable[int], edges: Iterable[Pair],
                          f"got rel_tol {rel_tol}")
     if len(ts) < 2:
         return VerificationReport(True, (), 0)
-    table = build_path_table(g, ts)
+    table = (_slack_table(g, ts, sub, beta) if beta.mode == "wmax"
+             else build_path_table(g, ts))
     bounds = PairBounds(table, beta)
     violations = []
     for p in bounds.violations(sub):
@@ -110,6 +117,27 @@ def verify_spanner(g: Graph, terminals: Iterable[int], edges: Iterable[Pair],
             violations.append(Violation(p, table.dist(*p), d_h, a, excess))
     max_excess = max((v.excess for v in violations), default=0)
     return VerificationReport(not violations, tuple(violations), max_excess)
+
+
+def _slack_table(g: Graph, ts: list[int], sub: SubgraphAdjacency,
+                 beta: Beta) -> PathTable:
+    """A table of sorted terminals ts on which `PairBounds` under a wmax
+    beta flags what a full one would.  A pair with d_H <= F, the packed
+    slack, holds whatever d_G is: a source searches G only if L, its
+    targets' largest d_H (inf if unreached), exceeds F, and stops at the
+    first pop (d, x) with d + F >= L.  An unsettled target's label is unset
+    or >= d, and d + F >= L >= d_H: it holds, exactly in packed integers
+    and in binary64, whose rounded sums are monotone."""
+    f = _packed_slack(g, beta)[1]
+    denom, adj = g._packed
+    sources = {}
+    for i, u in enumerate(ts[:-1]):
+        live, dist = sub.distances(u), [None] * g.n
+        reach = max(math.inf if live[v] is None else live[v] for v in ts[i + 1:])
+        if reach > f:
+            _relax(adj, dist, [(0, u)], f, reach)
+        sources[u] = ShortestPaths(u, dist, None, None, denom)
+    return PathTable(frozenset(ts), sources, g)
 
 
 @dataclass(frozen=True)
@@ -249,26 +277,19 @@ def exact_multilevel(inst) -> ExactMultiLevel:
     level_terms = [inst.terminal_set(i) for i in range(1, k + 1)]
     bounds = {terms: PairBounds(build_path_table(g, terms), inst.condition)
               for terms in level_terms if len(terms) >= 2}
-    feas_cache: dict[tuple[int, frozenset[int]], bool] = {}
 
+    @cache
     def feasible(mask: int, terms: frozenset[int]) -> bool:
-        key = (mask, terms)
-        if key in feas_cache:
-            return feas_cache[key]
         edge_list = [pairs[i] for i in range(m) if mask & (1 << i)]
         ts = sorted(terms)
-        ok = len(ts) < 2 or (_connects(g.n, edge_list, (1 << len(edge_list)) - 1, ts)
-                             and _feasible(bounds[terms], g, edge_list, ts))
-        feas_cache[key] = ok
-        return ok
-
-    INFW = math.inf
+        return len(ts) < 2 or (_connects(g.n, edge_list, (1 << len(edge_list)) - 1, ts)
+                               and _feasible(bounds[terms], g, edge_list, ts))
 
     # cost_up[A] = cheapest cost of levels i..k when E_i = A, computed
     # top-down; the subset-minimum transform propagates the best nested
     # choice from the level above.
     cost_up: list[Weight] = [
-        mask_weight[mask] if feasible(mask, level_terms[k - 1]) else INFW
+        mask_weight[mask] if feasible(mask, level_terms[k - 1]) else math.inf
         for mask in range(n_masks)
     ]
     choice: list[list[int]] = []
@@ -283,15 +304,15 @@ def exact_multilevel(inst) -> ExactMultiLevel:
                     arg[mask] = arg[mask ^ bit]
         nxt: list[Weight] = []
         for mask in range(n_masks):
-            if best[mask] < INFW and feasible(mask, level_terms[i - 1]):
+            if best[mask] < math.inf and feasible(mask, level_terms[i - 1]):
                 nxt.append(mask_weight[mask] + best[mask])
             else:
-                nxt.append(INFW)
+                nxt.append(math.inf)
         cost_up = nxt
         choice.append(arg)
 
     best_mask = min(range(n_masks), key=lambda mk: (cost_up[mk], mk))
-    if cost_up[best_mask] == INFW:
+    if cost_up[best_mask] == math.inf:
         raise GraphError("no feasible multilevel solution (disconnected host?)")
     masks = [best_mask]
     for arg in reversed(choice):

@@ -504,6 +504,9 @@ def build_backbone(g: Graph, terminals: Iterable[int], beta: Beta) -> Backbone:
     unsat = bounds.violations(TreeDistances(g, r.edges))
 
     s_prime_f = tset | table.vertices_on(unsat)
+    if s_prime_f == tset:
+        # T over S is R, Kruskal keeps a tree, R's leaves are terminals.
+        return Backbone(tset, beta, r, frozenset(unsat), tset, r, r, table)
 
     t_tree = approx_steiner(g, s_prime_f)
     union_mst = _kruskal(g, r.edges | t_tree.edges)

@@ -10,10 +10,13 @@ library's fast paths replaced.  tie_heavy draws the tie-heavy graphs
 from __future__ import annotations
 
 import heapq
+import importlib.util
 import itertools
 import math
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 from hypothesis import strategies as st
 
@@ -415,6 +418,39 @@ def reference_pair_bounds(table, beta, w_max, sub, rel_tol=0.0):
             ok = d_h <= a
         out.append((pair, d_h, ok))
     return allowed, out
+
+
+def reference_report(g, terminals, edges, beta, rel_tol=0.0):
+    """`verify_spanner`'s report fields from `reference_pair_bounds` on a
+    full fixed-path table: (ok, [(pair, d_g, d_h, allowed, excess), ...],
+    max_excess), the failing pairs in pair order."""
+    table = build_path_table(g, sorted(set(terminals)))
+    sub = graph_mod.SubgraphAdjacency(g, edges)
+    allowed, rows = reference_pair_bounds(table, beta, g.w_max, sub, rel_tol)
+    out = [(p, table.dist(*p), d_h, allowed[p],
+            math.inf if d_h == math.inf else d_h - allowed[p])
+           for p, d_h, ok in rows if not ok]
+    return not out, out, max((v[4] for v in out), default=0)
+
+
+def report_fields(rep):
+    """A `VerificationReport` in `reference_report`'s shape."""
+    return (rep.ok, [(v.pair, v.d_g, v.d_h, v.allowed, v.excess)
+                     for v in rep.violations], rep.max_excess)
+
+
+def perfbench_run():
+    """perfbench/run.py, loaded under a private name; it imports its
+    sibling modules `tracer` and `workloads` by their own names."""
+    perfbench = Path(__file__).resolve().parent.parent / "perfbench"
+    if str(perfbench) not in sys.path:
+        sys.path.append(str(perfbench))
+    spec = importlib.util.spec_from_file_location("_perfbench_run_pins",
+                                                  perfbench / "run.py")
+    mod = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = mod  # dataclasses resolve annotations here
+    spec.loader.exec_module(mod)
+    return mod
 
 
 def reference_threshold_search(factor, s_count, hi, v_prime):

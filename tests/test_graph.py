@@ -33,6 +33,7 @@ from lightspan.graph import (
     SelfLoopError,
     SubgraphAdjacency,
     UnknownEdgeError,
+    _relax,
     build_path_table,
     canonical,
     fixed_shortest_path,
@@ -452,6 +453,26 @@ class TestLiveDistances:
         assert sub.distance(0, 5) == shortest_paths(g, 0).distance(5)
         assert sub.distance(5, 0) == sub.distance(0, 5)
         assert searched == [0, 5]
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 10 ** 6), st.booleans(), st.integers(0, 40),
+           st.integers(0, 240))
+    def test_relax_stops_at_the_slack_bound(self, seed, exact, slack, limit):
+        # A search with a limit settles exactly the vertices whose distance
+        # d has d + slack < limit; every other label it leaves is at least
+        # limit - slack, as a full search's is.  Weights are eighths, in
+        # packed units k = 8..80 (exact) or k / 8 (binary64).
+        g = rand_connected_graph(seed, 14, 8, exact)
+        _, adj = g._packed
+        if not exact:
+            slack, limit = slack / 8, limit / 8
+        full = _relax(adj, [None] * g.n, [(0, 0)])
+        part = _relax(adj, [None] * g.n, [(0, 0)], slack, limit)
+        for d, p in zip(full, part):
+            if d + slack < limit:
+                assert p == d
+            else:
+                assert p is None or p + slack >= limit
 
 
 @st.composite

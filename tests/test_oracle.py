@@ -1,24 +1,33 @@
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import lightspan
 from helpers import (
     cycle_graph,
     grid_graph,
+    perfbench_run,
     rand_connected_graph,
     rand_tree,
+    reference_report,
+    report_fields,
     subgraph_dist,
+    tie_heavy,
 )
-from lightspan import oracle, steiner
+from lightspan import graph as graph_mod, oracle, steiner
 from lightspan.additive import EpsilonSplit, eps_spanner, four_eps_spanner
+from lightspan.generators import generate
 from lightspan.graph import (
     Beta,
     Graph,
     NonExactArithmeticError,
     build_path_table,
     canonical,
+    certify_tolerance,
 )
 from lightspan.multilevel import MultiLevelInstance
 from lightspan.oracle import (
@@ -82,6 +91,118 @@ class TestVerifySpanner:
         rep = verify_spanner(g, range(4), [(0, 1), (0, 2), (0, 3)], HALF)
         doc = rep.to_json()
         assert doc["ok"] is False and len(doc["violations"]) == 3
+
+
+def wmax_beta(value, exact):
+    return Beta("wmax", value if exact else float(value))
+
+
+def record_relax(monkeypatch) -> list:
+    """Patch `_relax` where `graph` and `oracle` call it to record, per
+    call, (adjacency, seed vertices, returned labels)."""
+    calls = []
+    real = graph_mod._relax
+
+    def recording(adj, dist, seeds, *stop):
+        xs = [x for _, x in seeds]
+        out = real(adj, dist, seeds, *stop)
+        calls.append((adj, xs, list(out)))
+        return out
+
+    monkeypatch.setattr(graph_mod, "_relax", recording)
+    monkeypatch.setattr(oracle, "_relax", recording)
+    return calls
+
+
+class TestSlackFirstWmax:
+    """In wmax mode verify_spanner searches G only from sources with an
+    open pair (d_H unreached or above the slack F) and stops each search
+    at the slack bound; its reports equal the full-table reference."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(tie_heavy(), st.sampled_from([0, Fraction(1, 2), Fraction(9, 2)]),
+           st.randoms(use_true_random=False))
+    def test_report_equals_the_reference(self, case, value, rnd):
+        g, ts = case
+        beta = wmax_beta(value, g.is_exact)
+        pairs = [canonical(u, v) for u, v, _ in g.edges]
+        keep = rnd.random()
+        for edges in (pairs, [e for e in pairs if rnd.random() < keep], []):
+            for rel_tol in ((0.0,) if g.is_exact else (0.0, 1e-9)):
+                assert (report_fields(verify_spanner(g, ts, edges, beta, rel_tol))
+                        == reference_report(g, ts, edges, beta, rel_tol)), rel_tol
+
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_no_host_search_when_every_pair_is_within_the_slack(self, monkeypatch, exact):
+        g = rand_connected_graph(4, 12, 16, exact)
+        calls = record_relax(monkeypatch)
+        pairs = [canonical(u, v) for u, v, _ in g.edges]
+        rep = verify_spanner(g, [0, 3, 7, 11], pairs, wmax_beta(g.n, exact))
+        assert rep.ok
+        assert g._sssp_memo == {}
+        assert [xs for _, xs, _ in calls] == [[0], [3], [7]]
+        assert all(adj is not g._packed[1] for adj, _, _ in calls)
+
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_only_sources_with_open_pairs_are_searched(self, monkeypatch, exact):
+        # A unit path 0-1-...-5 with F = 1: from 0 the targets 3 and 4 are
+        # open (L = 4), the pair (3, 4) is not.  The search from 0 stops
+        # when it pops (3, 3), since 3 + F >= L; vertex 3 is labelled and
+        # nothing beyond it.
+        g = Graph.from_edges(6, [(i, i + 1, 1 if exact else 1.0) for i in range(5)])
+        calls = record_relax(monkeypatch)
+        rep = verify_spanner(g, [0, 3, 4], [(i, i + 1) for i in range(5)],
+                             wmax_beta(1, exact))
+        assert rep.ok
+        assert g._sssp_memo == {}
+        host = [(xs, out) for adj, xs, out in calls if adj is g._packed[1]]
+        assert host == [([0], [0, 1, 2, 3, None, None])]
+
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_settled_targets_are_flagged_and_unsettled_ones_hold(self, monkeypatch, exact):
+        # Unit weights, F = 1.  H lacks the chord (0, 3), so d_H(0, 3) = 3
+        # against d_G = 1, and d_H(3, 8) = 8 against d_G = 6: both fail.
+        # From 0 the open targets are 3 and 8 (d_H = 5), so the search
+        # stops when it pops (4, 7): 8 is never labelled, and holds.
+        w = 1 if exact else 1.0
+        h = [(0, 1), (1, 2), (2, 3), (0, 4), (4, 5), (5, 6), (6, 7), (7, 8)]
+        g = Graph.from_edges(9, [(u, v, w) for u, v in h + [(0, 3)]])
+        beta = wmax_beta(1, exact)
+        calls = record_relax(monkeypatch)
+        rep = verify_spanner(g, [0, 3, 8], h, beta)
+        assert [v.pair for v in rep.violations] == [(0, 3), (3, 8)]
+        assert [(xs, out) for adj, xs, out in calls if adj is g._packed[1]] == [
+            ([0], [0, 1, 2, 1, 1, 2, 3, 4, None]),
+            ([3], [1, 2, 1, 0, 2, 3, 4, 5, 6])]
+        assert report_fields(rep) == reference_report(g, [0, 3, 8], h, beta)
+
+
+class TestSlackFirstOnBenchmarkCells:
+    def test_wmax_sampled_cells_and_their_thinned_copies(self):
+        # Every wmax-sampled cell of the benchmark at seed 3, and copies
+        # with 1, 3 and 10 edges removed: verify_spanner's report equals
+        # the full-table reference at the benchmark's tolerance and at 0.
+        run = perfbench_run()
+        workload = run.WORKLOADS["wmax-sampled"](3)
+        instances = {i.label: generate(i.spec(lightspan)) for i in workload.instances}
+        assert len(workload.cells) == 24
+        flagged = 0
+        for k, cell in enumerate(workload.cells):
+            g, terminals, levels = instances[cell.instance.label]
+            call, [(ts, beta)], read = run.prepare(lightspan, cell, g, terminals, levels)
+            edges = sorted(read(call())[0][0])
+            rng = random.Random(k)
+            for removed in (0, 1, 3, 10):
+                es = edges[:]
+                for _ in range(removed):
+                    es.pop(rng.randrange(len(es)))
+                for rel_tol in (0.0, certify_tolerance(g)):
+                    rep = verify_spanner(run.fresh_graph(lightspan, g), ts, es, beta, rel_tol)
+                    assert (report_fields(rep)
+                            == reference_report(g, ts, es, beta, rel_tol)), (cell.key, removed)
+                    assert rep.ok or removed
+                    flagged += len(rep.violations)
+        assert flagged
 
 
 class TestSubsetLightness:

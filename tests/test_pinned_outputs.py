@@ -21,30 +21,14 @@ and names every cell it moves.
 from __future__ import annotations
 
 import hashlib
-import importlib.util
 import json
-import sys
 from pathlib import Path
 
 import lightspan as ls
+from helpers import perfbench_run
 
-ROOT = Path(__file__).resolve().parent.parent
-PERFBENCH = ROOT / "perfbench"
 PINS = Path(__file__).resolve().parent / "pinned_outputs.json"
 SEED = 3
-
-
-def _perfbench_run():
-    """perfbench/run.py, loaded under a private name; it imports its
-    sibling modules `tracer` and `workloads` by their own names."""
-    if str(PERFBENCH) not in sys.path:
-        sys.path.append(str(PERFBENCH))
-    spec = importlib.util.spec_from_file_location("_perfbench_run_pins",
-                                                  PERFBENCH / "run.py")
-    mod = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = mod  # dataclasses resolve annotations here
-    spec.loader.exec_module(mod)
-    return mod
 
 
 def output_text(result) -> str:
@@ -64,7 +48,7 @@ def output_text(result) -> str:
 
 def cell_digests(workload_name: str) -> dict[str, str]:
     """Cell key -> sha256 of its output, for one workload at SEED."""
-    run = _perfbench_run()
+    run = perfbench_run()
     workload = run.WORKLOADS[workload_name](SEED)
     instances = {inst.label: ls.generate(inst.spec(ls)) for inst in workload.instances}
     out = {}

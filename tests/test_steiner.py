@@ -249,6 +249,31 @@ class TestBackbone:
             assert d_r > bb.path_table.dist(u, v) + beta.value * g.w_max
 
 
+    @settings(max_examples=120, deadline=None)
+    @given(tie_heavy(), st.sampled_from(["relative", "wmax"]),
+           st.sampled_from([0, Fraction(1, 2), 64]))
+    def test_r_serves_as_t_and_h_when_s_prime_is_s(self, case, mode, value):
+        # T and H equal the two-tree construction (Mehlhorn over S',
+        # Kruskal over R and T, pruning) on every backbone; when S' = S,
+        # approx_steiner runs once, for R.  Slack 64 W holds on every
+        # pair of these small graphs, so S' = S is drawn often.
+        g, ts = case
+        beta = Beta(mode, value if g.is_exact else float(value))
+        calls = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(steiner, "approx_steiner",
+                       lambda g, ts: calls.append(ts) or approx_steiner(g, ts))
+            bb = build_backbone(g, ts, beta)
+        s_prime = bb.s_prime
+        t = approx_steiner(g, s_prime)
+        union = steiner._kruskal(g, bb.r.edges | t.edges)
+        h = steiner._tree_of(g, s_prime, prune_to_terminals(union, s_prime))
+        if h.weight > 2 * t.weight:
+            t = SteinerTree(s_prime, h.edges, h.weight)
+        assert (bb.t, bb.h) == (t, h)
+        assert len(calls) == (1 if s_prime == bb.terminals else 2)
+
+
 def contracted_optimum(g, ts):
     """The optimum through the contraction: the contracted host edges
     plus the reference optimum of the contracted graph, whose weights
