@@ -7,14 +7,14 @@ cheap edges around every terminal, both chosen in the scaled universe
 and joined with the backbone tree.  Pairs are processed in
 nondecreasing order of the maximum edge weight on their fixed path, ties
 by shorter distance; a pair whose detour breaks the builder's Beta (by
-PairBounds, with no tolerance, as certification checks too) gets what
-the insertion policy, the loop's one extension point, returns: all
-missing fixed-path edges, a prefix and suffix for the sampled W_max
-spanner, or all missing edges plus set-off / improvement accounting in
-instrumented runs.  The paper runs the loop on the spliced graph; on G
-it agrees up to ties (the scale is uniform, every backbone piece is in
-the initial set, and dropped heavy edges lie on no terminal shortest
-path), and certification reads its live subgraph.
+PairBounds, with no tolerance) gets what the insertion policy, the
+loop's one extension point, returns: all missing fixed-path edges, a
+prefix and suffix for the sampled W_max spanner, or all missing edges
+plus set-off / improvement accounting in instrumented eps_spanner runs.
+The paper runs the loop on the spliced graph; on G it agrees up to ties
+(the scale is uniform, every backbone piece is in the initial set, and
+dropped heavy edges lie on no terminal shortest path).  Certification
+reads the loop's live subgraph and checks it against the loop's bounds.
 """
 
 from __future__ import annotations
@@ -94,7 +94,7 @@ class Spanner:
     weight: Weight
     subset_lightness: Weight | None
     meta: dict = field(compare=False)
-    # (beta, fixed-path table, certifying subgraph), read by pair_report.
+    # (the bounds it was certified against, its subgraph), for pair_report.
     _checked: tuple | None = field(default=None, compare=False, repr=False)
 
     @cached_property
@@ -102,9 +102,10 @@ class Spanner:
         """One PairCheck per terminal pair, in host units and pair order."""
         if self._checked is None:
             return {}
-        beta, t, sub = self._checked
+        bounds, sub = self._checked
+        t = bounds.table
         return {p: PairCheck(t.dist(*p), sub.distance(*p), t.w(*p),
-                             beta.slack(t.w(*p), t.g.w_max))
+                             bounds.slack(*p))
                 for p in t.pair_keys()}
 
 
@@ -128,13 +129,14 @@ class InstrumentationReport:
 
 @dataclass(frozen=True)
 class GreedyState:
-    """greedy_complete's result; sub, the live subgraph, is not compared."""
+    """greedy_complete's result; the loop's sub and bounds are not compared."""
 
     edges: frozenset[Pair]
     added: frozenset[Pair]
     insertions: int
     sub: SubgraphAdjacency | None = field(default=None, compare=False,
                                           repr=False)
+    bounds: PairBounds | None = field(default=None, compare=False, repr=False)
 
 
 def build_h0_eps(inst: ScaledInstance, s_prime: Iterable[int]) -> frozenset[Pair]:
@@ -172,10 +174,10 @@ def build_h0_budget(inst: ScaledInstance, terminals: Iterable[int],
     return frozenset(out)
 
 
-def _instrumented(policy: Callable, split: EpsilonSplit, table,
-                  setoffs: dict, improvements: dict, failures: list) -> Callable:
-    """policy, adding each insertion's set-off / improvement events on
-    table's graph to setoffs, improvements and failures.  The code after
+def _instrumented(split: EpsilonSplit, table, setoffs: dict,
+                  improvements: dict, failures: list) -> Callable:
+    """`_insert_path`, adding each insertion's set-off / improvement events
+    on table's graph to setoffs, improvements and failures.  The code after
     `yield from` runs once the loop has inserted every yielded edge, so
     it reads the distances the insertion left."""
 
@@ -188,7 +190,7 @@ def _instrumented(policy: Callable, split: EpsilonSplit, table,
         # Values, not the live lists, which add_edge lowers in place.
         before = {(x, q): current.distance(x, q) for x in pair for q in witnesses}
         seton = set(setoffs)
-        yield from policy(pair, path, current)
+        yield from _insert_path(pair, path, current)
         thr = split.eps2 * w / 2
         for q in witnesses:
             drops = {}
@@ -249,7 +251,8 @@ def greedy_complete(g: Graph, initial: Iterable[Pair],
                 current.add_edge(*e)
                 added.add(e)
         insertions += 1
-    return GreedyState(current.edges, frozenset(added), insertions, current)
+    return GreedyState(current.edges, frozenset(added), insertions, current,
+                       bounds)
 
 
 def _icbrt(n: int) -> int:
@@ -293,32 +296,31 @@ def neighborhood_budget(inst: ScaledInstance) -> Weight:
     return max(1, d)
 
 
-def _certify(bb: Backbone, sub: SubgraphAdjacency, meta: dict,
-             light: bool) -> Spanner:
-    """Check every terminal pair on sub, the caller's subgraph of g =
-    bb.path_table.g, under bb.beta with no tolerance, and return the
-    spanner of its edges, with its subset lightness if light."""
-    g = bb.path_table.g
-    bounds = PairBounds(bb.path_table, bb.beta)
+def _certify(bounds: PairBounds, sub: SubgraphAdjacency, meta: dict,
+             bb: Backbone | None = None) -> Spanner:
+    """Check every terminal pair on sub, the caller's subgraph of the
+    bounds' graph, against bounds (no tolerance), and return the spanner
+    of its edges, with its subset lightness against bb if given."""
     bad = bounds.violations(sub)
     if bad:
         u, v = bad[0]
         raise SpannerConstructionError(f"pair ({u},{v}): d_H={sub.distance(u, v)}"
                                        f" exceeds {bounds.allowed[(u, v)]}")
     edges = sub.edges
-    weight = g.weight_sum(edges)
+    weight = bounds.table.g.weight_sum(edges)
     ratio = None
-    if light:
+    if bb is not None:
         res = subset_lightness(bb, weight)
         ratio, meta = res.ratio, {**meta, "lightness_mode": res.mode}
-    return Spanner(edges, weight, ratio, meta, (bb.beta, bb.path_table, sub))
+    return Spanner(edges, weight, ratio, meta, (bounds, sub))
 
 
-def _one_level(g: Graph, terminals: frozenset[int], beta: Beta, h0_mode: str,
-               algo: str, instrument: EpsilonSplit | None = None,
+def _one_level(g: Graph, terminals: frozenset[int], beta: Beta, algo: str,
+               instrument: EpsilonSplit | None = None,
                bb: Backbone | None = None, light: bool = False) -> Spanner:
     """One builder run, reusing bb as the backbone of (g, terminals, beta)
-    if given; light adds the lightness, which only public builders read."""
+    if given; light adds the lightness, which only public builders read.
+    algo "four-eps" seeds the budget H0, any other the incident one."""
     if len(terminals) < 2:
         return Spanner(frozenset(), 0, None, {"algo": algo, "degenerate": True})
     bb = bb or build_backbone(g, terminals, beta)
@@ -331,47 +333,44 @@ def _one_level(g: Graph, terminals: frozenset[int], beta: Beta, h0_mode: str,
         "sigma": float(inst.sigma),
         "unsatisfied_pairs": len(bb.unsatisfied_pairs),
     }
-    if h0_mode == "incident":
-        h0 = build_h0_eps(inst, bb.s_prime)
-    else:
+    if algo == "four-eps":
         budget = neighborhood_budget(inst)
         h0 = build_h0_budget(inst, terminals, budget)
         meta["budget"] = float(budget)
+    else:
+        h0 = build_h0_eps(inst, bb.s_prime)
     policy = _insert_path
     if instrument:
         setoffs, improvements, failures = {}, {}, []
-        policy = _instrumented(_insert_path, instrument, bb.path_table,
-                               setoffs, improvements, failures)
+        policy = _instrumented(instrument, bb.path_table, setoffs,
+                               improvements, failures)
     state = greedy_complete(g, h0 | bb.h.edges, terminals, beta, policy=policy)
     meta["insertions"] = state.insertions
     meta["h0_edges"] = len(h0)
     if instrument:
         meta["instrumentation"] = InstrumentationReport(
             instrument, setoffs, improvements, tuple(failures))
-    return _certify(bb, state.sub, meta, light)
+    return _certify(state.bounds, state.sub, meta, bb if light else None)
 
 
 def eps_spanner(g: Graph, terminals: Iterable[int], split: EpsilonSplit,
                 instrument: bool = False) -> Spanner:
     """Subsetwise +eps*W(.,.) spanner (deterministic)."""
     return _one_level(g, frozenset(terminals), Beta("relative", split.eps),
-                      "incident", "eps", split if instrument else None,
-                      light=True)
+                      "eps", split if instrument else None, light=True)
 
 
-def four_eps_spanner(g: Graph, terminals: Iterable[int], split: EpsilonSplit,
-                     instrument: bool = False) -> Spanner:
+def four_eps_spanner(g: Graph, terminals: Iterable[int],
+                     split: EpsilonSplit) -> Spanner:
     """Subsetwise +(4+eps)*W(.,.) spanner (deterministic)."""
     return _one_level(g, frozenset(terminals),
-                      Beta("relative", 4 + split.eps), "budget", "four-eps",
-                      split if instrument else None, light=True)
+                      Beta("relative", 4 + split.eps), "four-eps", light=True)
 
 
 def one_level_oracle(beta: Beta) -> Callable[[Graph, frozenset[int]], frozenset[Pair]]:
     """A single-level builder for the multi-level solver: edges only."""
 
     def build(g: Graph, terminals: frozenset[int]) -> frozenset[Pair]:
-        return _one_level(g, frozenset(terminals), beta, "incident",
-                          "one-level").edges
+        return _one_level(g, frozenset(terminals), beta, "one-level").edges
 
     return build

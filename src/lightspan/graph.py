@@ -641,8 +641,8 @@ def _packed_slack(g: Graph, beta: Beta) -> tuple[Weight, Weight | None]:
 class PairBounds:
     """The spanner condition d_H(u, v) <= d_G(u, v) + slack on every pair
     of a fixed-path table: the one check behind the backbone's pair scan,
-    the greedy completion, certification and repair, and the oracles.
-    The table's graph g gives the denominator and W_max.
+    the greedy (whose bounds certify, repair and report) and the oracles.
+    The table's graph g gives the denominator and W_max; beta is kept.
 
     Construction keeps one row per source u of the table, mapping each
     terminal v > u to its allowance, read straight from the search
@@ -662,9 +662,9 @@ class PairBounds:
 
     def __init__(self, table: PathTable, beta: Beta) -> None:
         denom = table.g._packed[0]
-        self.table = table
+        self.table, self.beta = table, beta
         value, fixed = _packed_slack(table.g, beta)
-        self._value, self._relative = value, fixed is None
+        self._value = value
         p, q = (value, 1) if denom is None else (value.numerator, value.denominator)
         ts = sorted(table.terminals)
         self._rows: dict[int, dict[int, Weight]] = {}
@@ -684,13 +684,17 @@ class PairBounds:
                     a = d + p * maxw[v] // q
                 row[v] = a
 
+    def slack(self, u: int, v: int) -> Weight:
+        """The pair's slack in host units, with beta's value as the rows take it."""
+        t = self.table
+        return self._value * (t.w(u, v) if self.beta.mode == "relative" else t.g.w_max)
+
     @cached_property
     def allowed(self) -> dict[Pair, Weight]:
         """d_G + slack per pair in host units, in pair order, for error
         messages and reports; built on first read."""
-        t, value, rel = self.table, self._value, self._relative
-        return {p: t.dist(*p) + value * (t.w(*p) if rel else t.g.w_max)
-                for p in t.pair_keys()}
+        t = self.table
+        return {p: t.dist(*p) + self.slack(*p) for p in t.pair_keys()}
 
     def holds(self, sub, u: int, v: int) -> bool:
         """Whether the pair (u, v), u < v, meets the condition on sub."""

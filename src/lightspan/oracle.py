@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import combinations
 from typing import Iterable
 
 from .graph import (
@@ -188,12 +187,11 @@ def _connects(n: int, edge_list: list[Pair], active: int,
     return all(uf.find(t) == root for t in terminals[1:])
 
 
-def _feasible(bounds: PairBounds, g: Graph, edges: Iterable[Pair],
-              ts: list[int]) -> bool:
-    """The exact spanner condition on the pairs of the sorted terminals
-    ts, stopping at the first failing pair."""
-    sub = SubgraphAdjacency(g, edges)
-    return all(bounds.holds(sub, u, v) for u, v in combinations(ts, 2))
+def _feasible(bounds: PairBounds, edges: Iterable[Pair]) -> bool:
+    """The exact spanner condition on the bounds' pairs, in sorted order,
+    stopping at the first failing pair."""
+    sub = SubgraphAdjacency(bounds.table.g, edges)
+    return all(bounds.holds(sub, *p) for p in bounds.table.pair_keys())
 
 
 def exact_one_level(g: Graph, terminals: Iterable[int],
@@ -229,7 +227,7 @@ def exact_one_level(g: Graph, terminals: Iterable[int],
             return
         if idx == m:
             edges = [pairs[i] for i in range(m) if chosen_mask >> i & 1]
-            if _feasible(bounds, g, edges, ts):
+            if _feasible(bounds, edges):
                 best_weight = cur_weight
                 best_set = frozenset(edges)
             return
@@ -283,7 +281,7 @@ def exact_multilevel(inst) -> ExactMultiLevel:
         edge_list = [pairs[i] for i in range(m) if mask & (1 << i)]
         ts = sorted(terms)
         return len(ts) < 2 or (_connects(g.n, edge_list, (1 << len(edge_list)) - 1, ts)
-                               and _feasible(bounds[terms], g, edge_list, ts))
+                               and _feasible(bounds[terms], edge_list))
 
     # cost_up[A] = cheapest cost of levels i..k when E_i = A, computed
     # top-down; the subset-minimum transform propagates the best nested

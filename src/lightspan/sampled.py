@@ -227,11 +227,11 @@ def wmax_spanner(g: Graph, terminals: Iterable[int], cfg: SampleConfig,
     if ell is None:
         # Degenerate threshold search: the +eps*W(.,.) spanner on S is a
         # valid +(4+eps)*W_max spanner since W(u,v) <= W_max; its live
-        # subgraph is certified again, with the lightness against bb.
-        fallback = _one_level(g, ts, Beta("relative", cfg.split.eps),
-                              "incident", "eps")
+        # subgraph is certified again, under beta, with the lightness against bb.
+        fallback = _one_level(g, ts, Beta("relative", cfg.split.eps), "eps")
         meta.update({"fallback": True, "ell": None, "repaired": []})
-        return _certify(bb, fallback._checked[2], meta, light=True)
+        return _certify(PairBounds(bb.path_table, beta), fallback._checked[1],
+                        meta, bb)
     if not 0 < ell <= inst.v_h:
         raise ValueError(f"ell={ell} outside (0, |V_H|={inst.v_h}]")
     meta["fallback"] = False
@@ -251,7 +251,7 @@ def wmax_spanner(g: Graph, terminals: Iterable[int], cfg: SampleConfig,
         return pre + suf
 
     state = greedy_complete(g, initial, ts, beta, policy=prefix_suffix_policy)
-    sub = state.sub
+    sub, bounds = state.sub, state.bounds
 
     size = _sample_size(cfg, inst, ell)
     sample = _sample_vertices(bb, size, cfg.seed)
@@ -262,10 +262,9 @@ def wmax_spanner(g: Graph, terminals: Iterable[int], cfg: SampleConfig,
         # The +eps*W(.,.) spanner of eps_spanner, on the backbone
         # choose_ell built for this sample when it built one.
         for e in _one_level(g, frozenset(sample), Beta("relative", cfg.split.eps),
-                            "incident", "eps", bb=cached).edges:
+                            "eps", bb=cached).edges:
             sub.add_edge(*e)
 
-    bounds = PairBounds(bb.path_table, beta)
     if instrument and route:
         meta["distance_chain"] = _distance_chains(bounds, sub, route, sample)
 
@@ -273,13 +272,13 @@ def wmax_spanner(g: Graph, terminals: Iterable[int], cfg: SampleConfig,
     # path of any violator.  The greedy's live distances absorb each
     # insertion before the next pair is read, and certification reads them.
     repaired: list[Pair] = []
-    for pair in bb.path_table.pair_keys():
+    for pair in bounds.table.pair_keys():
         if not bounds.holds(sub, *pair):
             repaired.append(pair)
-            for e in bb.path_table.path(*pair).edge_pairs():
+            for e in bounds.table.path(*pair).edge_pairs():
                 sub.add_edge(*e)
     meta["repaired"] = repaired
-    return _certify(bb, sub, meta, light=True)
+    return _certify(bounds, sub, meta, bb)
 
 
 def _distance_chains(bounds: PairBounds, sub: SubgraphAdjacency,

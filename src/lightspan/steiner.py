@@ -108,7 +108,6 @@ class Backbone:
     """The full preliminary bundle for one (graph, terminals, condition)."""
 
     terminals: frozenset[int]
-    beta: Beta
     r: SteinerTree
     unsatisfied_pairs: frozenset[Pair]
     s_prime: frozenset[int]
@@ -506,7 +505,7 @@ def build_backbone(g: Graph, terminals: Iterable[int], beta: Beta) -> Backbone:
     s_prime_f = tset | table.vertices_on(unsat)
     if s_prime_f == tset:
         # T over S is R, Kruskal keeps a tree, R's leaves are terminals.
-        return Backbone(tset, beta, r, frozenset(unsat), tset, r, r, table)
+        return Backbone(tset, r, frozenset(unsat), tset, r, r, table)
 
     t_tree = approx_steiner(g, s_prime_f)
     union_mst = _kruskal(g, r.edges | t_tree.edges)
@@ -518,7 +517,6 @@ def build_backbone(g: Graph, terminals: Iterable[int], beta: Beta) -> Backbone:
         t_tree = SteinerTree(s_prime_f, h.edges, h.weight)
     return Backbone(
         terminals=tset,
-        beta=beta,
         r=r,
         unsatisfied_pairs=frozenset(unsat),
         s_prime=s_prime_f,

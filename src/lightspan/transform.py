@@ -50,8 +50,9 @@ class ScaledInstance:
     `incident_units` counts integer units.
     """
 
-    def __init__(self, base: Graph, backbone: Backbone, sigma: Weight) -> None:
-        self.base, self.backbone, self.sigma = base, backbone, sigma
+    def __init__(self, backbone: Backbone, sigma: Weight) -> None:
+        self.backbone, self.sigma = backbone, sigma
+        self.base = backbone.path_table.g
 
     @property
     def v_h(self) -> int:
@@ -172,4 +173,4 @@ def scaled_universe(backbone: Backbone) -> ScaledInstance:
         raise ValueError("backbone has zero weight; need at least two terminals")
     n_vh = len(backbone.h.vertices)
     sigma = Fraction(n_vh) / Fraction(weight_h) if g.is_exact else n_vh / weight_h
-    return ScaledInstance(g, backbone, sigma)
+    return ScaledInstance(backbone, sigma)

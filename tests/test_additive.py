@@ -33,6 +33,7 @@ from lightspan.generators import GeneratorSpec, generate
 from lightspan.graph import (
     Beta,
     Graph,
+    PairBounds,
     SubgraphAdjacency,
     build_path_table,
     canonical,
@@ -63,8 +64,9 @@ def synthetic_instance(n, edges):
     """
     g = Graph(n, tuple(sorted((canonical(u, v) + (w,) for u, v, w in edges),
                               key=lambda e: (e[0], e[1]))))
-    stub = SimpleNamespace(h=SteinerTree(frozenset(range(n)), frozenset(), 0))
-    inst = ScaledInstance(base=g, backbone=stub, sigma=1)
+    stub = SimpleNamespace(h=SteinerTree(frozenset(range(n)), frozenset(), 0),
+                           path_table=SimpleNamespace(g=g))
+    inst = ScaledInstance(backbone=stub, sigma=1)
     assert inst.g_s == inst.g_prime_s == g
     return inst
 
@@ -620,6 +622,102 @@ class TestLightnessAndReportOnDemand:
         assert repaired and fallback
 
 
+def slack_builds(split):
+    """(spanner build, its graph, terminals, condition) for every builder
+    on exact graphs, under split's eps: the +eps spanner (also on a
+    four-vertex graph with thirds), the +(4+eps) spanner, and a wmax
+    build with and one without its fallback."""
+    thirds = Graph.from_edges(4, [(0, 1, Fraction(1, 3)), (1, 2, Fraction(2, 3)),
+                                  (2, 3, Fraction(1, 2)), (0, 3, Fraction(5, 2))])
+    g = rand_connected_graph(702, 18, 26)
+    terms = [0, 3, 7, 11, 14, 17]
+    grid, grid_terms, _ = generate(GeneratorSpec(
+        "grid", n=100, seed=5, weight_range=(1, 1), terminal_fraction=0.25))
+    dense = rand_connected_graph(51, 18, 26)
+    rel, wmax = Beta("relative", split.eps), Beta("wmax", 4 + split.eps)
+    return [
+        (lambda: eps_spanner(thirds, [0, 2, 3], split), thirds, [0, 2, 3], rel),
+        (lambda: eps_spanner(g, terms, split), g, terms, rel),
+        (lambda: four_eps_spanner(g, terms, split), g, terms,
+         Beta("relative", 4 + split.eps)),
+        (lambda: wmax_spanner(grid, grid_terms,
+                              SampleConfig(split, seed=1, ell=0.5)),
+         grid, grid_terms, wmax),
+        (lambda: wmax_spanner(dense, range(18),
+                              SampleConfig(split, c=0.01, seed=2)),
+         dense, list(range(18)), wmax),
+    ]
+
+
+class TestReportSlack:
+    @pytest.mark.parametrize("eps", [0.3, Fraction(3, 10)])
+    def test_report_slack_is_the_checked_slack(self, eps):
+        # A binary64 eps on an exact graph is checked as the Fraction it
+        # holds; the report gives that slack, not a rounded product.
+        fallbacks = set()
+        for build, g, terms, beta in slack_builds(EpsilonSplit.of(eps)):
+            sp = build()
+            fallbacks.add(sp.meta.get("fallback"))
+            allowed = PairBounds(build_path_table(g, terms), beta).allowed
+            assert list(sp.pair_report) == list(allowed)
+            for p, chk in sp.pair_report.items():
+                assert chk.d_g + chk.slack == allowed[p]
+                assert type(chk.d_g + chk.slack) is type(allowed[p])
+        assert fallbacks == {None, False, True}
+
+
+class TestOneConditionPerBuild:
+    """A build constructs a PairBounds for its backbone's scan and one
+    for its greedy; certification, the wmax repair pass and the pair
+    report read the greedy's.  Only the wmax fallback, whose greedy
+    checked the relative condition, builds the wmax one afterwards."""
+
+    def test_no_bounds_built_after_the_last_greedy(self, monkeypatch):
+        events = []
+        real_init, real_greedy = PairBounds.__init__, additive.greedy_complete
+
+        def init(self, *args):
+            events.append("bounds")
+            real_init(self, *args)
+
+        def greedy(*args, **kwargs):
+            state = real_greedy(*args, **kwargs)
+            events.append("greedy")
+            return state
+
+        monkeypatch.setattr(PairBounds, "__init__", init)
+        monkeypatch.setattr(additive, "greedy_complete", greedy)
+        monkeypatch.setattr(sampled, "greedy_complete", greedy)
+
+        def after_last_greedy(build):
+            events.clear()
+            sp = build()
+            if not isinstance(sp, frozenset):
+                assert sp.pair_report
+            return events[len(events) - events[::-1].index("greedy"):], sp
+
+        g, terms, _ = generate(GeneratorSpec("erdos-renyi", n=24, seed=3,
+                                             terminal_fraction=0.25, exact=True))
+        oracle_build = additive.one_level_oracle(Beta("relative", HALF.eps))
+        for build in (lambda: eps_spanner(g, terms, HALF),
+                      lambda: four_eps_spanner(g, terms, HALF),
+                      lambda: oracle_build(g, frozenset(terms))):
+            assert after_last_greedy(build)[0] == []
+            assert events == ["bounds", "bounds", "greedy"]
+        grid, grid_terms, _ = generate(GeneratorSpec(
+            "grid", n=100, seed=5, weight_range=(1, 1), terminal_fraction=0.25))
+        for ell in (0.5, None):
+            late, sp = after_last_greedy(
+                lambda: wmax_spanner(grid, grid_terms,
+                                     SampleConfig(HALF, seed=1, ell=ell)))
+            assert not sp.meta["fallback"] and sp.meta["sample_size"] >= 2
+            assert late == []
+        late, sp = after_last_greedy(
+            lambda: wmax_spanner(rand_connected_graph(51, 18, 26), range(18),
+                                 SampleConfig(HALF, c=0.01, seed=2)))
+        assert sp.meta["fallback"] and late == ["bounds"]
+
+
 class TestEpsSpanner:
     def test_unit_tree_spanner_is_exactly_the_backbone(self):
         g = rand_tree(5, 12, unit=True)
@@ -776,7 +874,8 @@ class TestCertifyReportsTheFirstViolation:
             bb = build_backbone(g, [2, 5, 9], beta)
             with pytest.raises(additive.SpannerConstructionError,
                                match=r"pair \(2,5\): d_H=inf exceeds "):
-                additive._certify(bb, SubgraphAdjacency(g), {}, False)
+                additive._certify(PairBounds(bb.path_table, beta),
+                                  SubgraphAdjacency(g), {})
 
 
 class TestDegenerate:

@@ -5,6 +5,7 @@ and differential relations; and TreeDistances, the tree walks the
 backbone's scan over R reads, pinned against Dijkstra on the same tree.
 """
 
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -382,6 +383,7 @@ def test_repair_pass_reads_each_pair_after_the_earlier_repairs(monkeypatch):
     # A fixed path inserted for one pair can serve a later one, which the
     # pass must then leave alone: replay the pass on the subgraph it
     # started from, with the Bellman-Ford reference, pair after pair.
+    # The pass reads the greedy's bounds, so those record its start.
     monkeypatch.setattr(sampled, "_sample_vertices", lambda bb, size, seed: [])
     start = []
 
@@ -396,7 +398,14 @@ def test_repair_pass_reads_each_pair_after_the_earlier_repairs(monkeypatch):
                 start.append(sub.edges)
             return super().violations(sub)
 
-    monkeypatch.setattr(sampled, "PairBounds", Recording)
+    real_greedy = sampled.greedy_complete
+
+    def greedy(*args, **kwargs):
+        state = real_greedy(*args, **kwargs)
+        return dataclasses.replace(
+            state, bounds=Recording(state.bounds.table, state.bounds.beta))
+
+    monkeypatch.setattr(sampled, "greedy_complete", greedy)
     g, terms, _ = generate(GeneratorSpec(
         "grid", n=100, seed=3, weight_range=(1, 1), terminal_fraction=0.25))
     beta = Beta("wmax", Fraction(9, 2))
