@@ -188,6 +188,11 @@ class Graph:
         return {}
 
     @cached_property
+    def _stopped_memo(self) -> dict[int, tuple[Weight, "ShortestPaths"]]:
+        """Source -> (limit, search stopped there) of relative checks."""
+        return {}
+
+    @cached_property
     def _exact(self) -> tuple[int, tuple, dict[Pair, int], Weight] | None:
         """An exact graph in one pass: the common denominator (one lcm), the
         adjacency and weight per pair packed over it, and the heaviest weight
@@ -316,10 +321,14 @@ class ShortestPaths:
         return (v for v, d in enumerate(self._dist) if d is not None)
 
 
-def shortest_paths_adj(adj, source: int, denom: int | None = None) -> ShortestPaths:
+def shortest_paths_adj(adj, source: int, denom: int | None = None,
+                       slack: Weight = 0, limit: Weight | None = None) -> ShortestPaths:
     """Deterministic Dijkstra over an adjacency structure: the engine for
-    searches whose paths are read (host searches and the Voronoi regions
-    of `steiner.approx_steiner`); distances alone come from `_relax`.
+    searches whose paths are read (host searches, the Voronoi regions of
+    `steiner.approx_steiner`, relative checks); distances alone come from
+    `_relax`.  With a limit it stops as `_relax` does.  Vertices popped
+    before the stop keep final labels; any other label is a real path of
+    length >= the stopping d.  `shortest_paths` memoises full searches only.
 
     `adj` indexes each vertex 0..len(adj)-1 to its (neighbor, weight)
     pairs.  The loop is `_relax`'s: heap entries (distance, vertex), an
@@ -346,6 +355,8 @@ def shortest_paths_adj(adj, source: int, denom: int | None = None) -> ShortestPa
     heap: list[tuple[Weight, int]] = [(0, source)]
     while heap:
         d, u = heappop(heap)
+        if limit is not None and d + slack >= limit:
+            break
         if d != dist[u]:
             continue  # superseded by a shorter distance
         nh = hops[u] + 1

@@ -29,6 +29,7 @@ from .graph import (
     build_path_table,
     canonical,
     json_number,
+    shortest_paths_adj,
 )
 from .steiner import (
     EXACT_STEINER_MAX_TERMINALS,
@@ -92,7 +93,7 @@ def verify_spanner(g: Graph, terminals: Iterable[int], edges: Iterable[Pair],
     only value rational mode takes; on binary64 a finite rel_tol >= 0,
     such as `certify_tolerance(g)`, forgives a pair PairBounds flags when
     d_H - allowed <= rel_tol * max(1, |allowed|).  Else ValueError.
-    Wmax mode reads d_G only where `_slack_table` shows a verdict needs it.
+    It reads d_G only where `_slack_table` shows a verdict needs it.
     """
     ts = sorted(set(terminals))
     for t in ts:
@@ -105,37 +106,53 @@ def verify_spanner(g: Graph, terminals: Iterable[int], edges: Iterable[Pair],
                          f"got rel_tol {rel_tol}")
     if len(ts) < 2:
         return VerificationReport(True, (), 0)
-    table = (_slack_table(g, ts, sub, beta) if beta.mode == "wmax"
-             else build_path_table(g, ts))
-    bounds = PairBounds(table, beta)
+    bounds = PairBounds(_slack_table(g, ts, sub, beta), beta)
     violations = []
     for p in bounds.violations(sub):
-        d_h, a = sub.distance(*p), bounds.allowed[p]
+        d_g, d_h = bounds.table.dist(*p), sub.distance(*p)
+        a = d_g + bounds.slack(*p)  # a flagged pair is settled: exact labels
         excess = math.inf if d_h == math.inf else d_h - a  # inf - Fraction overflows
         if not (rel_tol and excess <= rel_tol * max(1.0, abs(a))):
-            violations.append(Violation(p, table.dist(*p), d_h, a, excess))
+            violations.append(Violation(p, d_g, d_h, a, excess))
     max_excess = max((v.excess for v in violations), default=0)
     return VerificationReport(not violations, tuple(violations), max_excess)
 
 
 def _slack_table(g: Graph, ts: list[int], sub: SubgraphAdjacency,
                  beta: Beta) -> PathTable:
-    """A table of sorted terminals ts on which `PairBounds` under a wmax
-    beta flags what a full one would.  A pair with d_H <= F, the packed
-    slack, holds whatever d_G is: a source searches G only if L, its
-    targets' largest d_H (inf if unreached), exceeds F, and stops at the
-    first pop (d, x) with d + F >= L.  An unsettled target's label is unset
-    or >= d, and d + F >= L >= d_H: it holds, exactly in packed integers
-    and in binary64, whose rounded sums are monotone."""
-    f = _packed_slack(g, beta)[1]
+    """A table of sorted terminals ts on which `PairBounds` flags what a
+    full fixed-path table would (README: the slack-first check).  Target
+    v > u of source u has a lower bound s_v on its packed slack: F in wmax
+    mode, else beta * max(light(u), light(v)), floored as `PairBounds`
+    floors, light(x) being G's lightest edge at x.  u searches G only if
+    its limit, the largest over its targets of a d with d + s_v >= d_H(v)
+    (inf if unreached), is > 0, and stops at the first pop at or above it:
+    `_relax` in wmax mode, the kernel (W labels) in relative mode, kept in
+    `g._stopped_memo` for later checks whose limit for u is no larger."""
+    value, f = _packed_slack(g, beta)
     denom, adj = g._packed
-    sources = {}
+    p, q = (value, 1) if denom is None else (value.numerator, value.denominator)
+    light = {t: min((w for _, w in adj[t]), default=0) for t in ts}
+    sources, stopped = {}, g._stopped_memo
     for i, u in enumerate(ts[:-1]):
-        live, dist = sub.distances(u), [None] * g.n
-        reach = max(math.inf if live[v] is None else live[v] for v in ts[i + 1:])
-        if reach > f:
-            _relax(adj, dist, [(0, u)], f, reach)
-        sources[u] = ShortestPaths(u, dist, None, None, denom)
+        live, limit = sub.distances(u), 0
+        for v in ts[i + 1:]:
+            if live[v] is None:  # inf - s overflows on huge exact weights
+                limit = math.inf
+                break
+            d_h, m = live[v], max(light[u], light[v])
+            s = f if f is not None else value * m if denom is None else p * m // q
+            t = d_h - s
+            while t + s < d_h:  # binary64 rounding
+                t = math.nextafter(t, math.inf)
+            limit = max(limit, t)
+        if f is None and limit > 0:
+            if stopped.get(u, (0,))[0] < limit:
+                stopped[u] = limit, shortest_paths_adj(adj, u, denom, 0, limit)
+            sources[u] = stopped[u][1]
+        else:  # wmax distances; no search at all if every target holds
+            dist = _relax(adj, [None] * g.n, [(0, u)], 0, limit) if limit > 0 else [None] * g.n
+            sources[u] = ShortestPaths(u, dist, None, None, denom)
     return PathTable(frozenset(ts), sources, g)
 
 

@@ -37,7 +37,7 @@ from .graph import (
     Weight,
     _unpack,
 )
-from .steiner import Backbone, build_backbone
+from .steiner import Backbone, _backbone_from, build_backbone
 from .transform import ScaledInstance, scaled_universe
 
 
@@ -226,9 +226,11 @@ def wmax_spanner(g: Graph, terminals: Iterable[int], cfg: SampleConfig,
     }
     if ell is None:
         # Degenerate threshold search: the +eps*W(.,.) spanner on S is a
-        # valid +(4+eps)*W_max spanner since W(u,v) <= W_max; its live
-        # subgraph is certified again, under beta, with the lightness against bb.
-        fallback = _one_level(g, ts, Beta("relative", cfg.split.eps), "eps")
+        # valid +(4+eps)*W_max spanner since W(u,v) <= W_max, built on bb's
+        # table and R; certified again under beta, with the lightness against bb.
+        relative = Beta("relative", cfg.split.eps)
+        fallback = _one_level(g, ts, relative, "eps",
+                              bb=_backbone_from(bb.path_table, bb.r, relative))
         meta.update({"fallback": True, "ell": None, "repaired": []})
         return _certify(PairBounds(bb.path_table, beta), fallback._checked[1],
                         meta, bb)

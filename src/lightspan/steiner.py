@@ -487,20 +487,23 @@ def exact_steiner(g: Graph, terminals: Iterable[int]) -> SteinerTree:
 
 
 def build_backbone(g: Graph, terminals: Iterable[int], beta: Beta) -> Backbone:
-    """Compute R, the unsatisfied pairs P, S', T and the pruned union H.
+    """Compute R, the unsatisfied pairs P, S', T and the pruned union H."""
+    ts = _check_terminals(g, terminals)
+    table = build_path_table(g, ts)
+    return _backbone_from(table, approx_steiner(g, ts), beta)
+
+
+def _backbone_from(table: PathTable, r: SteinerTree, beta: Beta) -> Backbone:
+    """The backbone of (table.g, table's terminals, beta) on a given table
+    and R: only its pair scan, S', T and H depend on beta.
 
     P is one `PairBounds` scan of the terminal pairs, each source's row
     compared with a walk of R from that source (`graph.TreeDistances`):
     R is a tree, so the walk gives the distances a Dijkstra search of R
     would, bit for bit, without a heap.
     """
-    ts = _check_terminals(g, terminals)
-    tset = frozenset(ts)
-    table = build_path_table(g, ts)
-    r = approx_steiner(g, ts)
-
-    bounds = PairBounds(table, beta)
-    unsat = bounds.violations(TreeDistances(g, r.edges))
+    g, tset = table.g, table.terminals
+    unsat = PairBounds(table, beta).violations(TreeDistances(g, r.edges))
 
     s_prime_f = tset | table.vertices_on(unsat)
     if s_prime_f == tset:
@@ -515,12 +518,4 @@ def build_backbone(g: Graph, terminals: Iterable[int], beta: Beta) -> Backbone:
         # better constant-factor Steiner tree over S', so use it as T to
         # keep weight(H) <= 2 weight(T).
         t_tree = SteinerTree(s_prime_f, h.edges, h.weight)
-    return Backbone(
-        terminals=tset,
-        r=r,
-        unsatisfied_pairs=frozenset(unsat),
-        s_prime=s_prime_f,
-        t=t_tree,
-        h=h,
-        path_table=table,
-    )
+    return Backbone(tset, r, frozenset(unsat), s_prime_f, t_tree, h, table)

@@ -474,6 +474,40 @@ class TestLiveDistances:
             else:
                 assert p is None or p + slack >= limit
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 10 ** 6), st.sampled_from(["exact", "eighths", "tenths"]),
+           st.integers(0, 40), st.integers(0, 240), st.integers(0, 13))
+    def test_kernel_stops_at_the_slack_bound(self, seed, kind, slack, limit, source):
+        # The kernel's stop rule is _relax's.  A vertex with d + slack <
+        # limit gets the full search's distance, parent and max-edge label;
+        # any other distance label is unset or at least limit - slack, and
+        # every label it leaves extends its parent's final one by an edge,
+        # so it describes a real path.  Weights are k / 8 (tenths: k / 10),
+        # k = 8..80, packed on exact graphs as k.
+        g = (tenths_graph(seed, 14, 8) if kind == "tenths"
+             else rand_connected_graph(seed, 14, 8, kind == "exact"))
+        denom, adj = g._packed
+        if kind != "exact":
+            unit = 10 if kind == "tenths" else 8
+            slack, limit = slack / unit, limit / unit
+        full = shortest_paths_adj(adj, source, denom)
+        part = shortest_paths_adj(adj, source, denom, slack, limit)
+        weight = {(x, y): w for x in range(g.n) for y, w in adj[x]}
+        for v in range(g.n):
+            d, p = full._dist[v], part._dist[v]
+            if d + slack < limit:
+                assert (p, part._parent[v], part._maxw[v]) == (
+                    d, full._parent[v], full._maxw[v])
+            elif p is not None:
+                assert p + slack >= limit
+                if v == source:
+                    continue
+                x = part._parent[v]
+                assert full._dist[x] + slack < limit
+                w = weight[x, v]
+                assert (p, part._maxw[v]) == (part._dist[x] + w, max(part._maxw[x], w))
+        assert g._sssp_memo == {}
+
 
 @st.composite
 def exact_graphs(draw):

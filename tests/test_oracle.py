@@ -177,6 +177,167 @@ class TestSlackFirstWmax:
         assert report_fields(rep) == reference_report(g, [0, 3, 8], h, beta)
 
 
+def relative_beta(value, exact):
+    return Beta("relative", value if exact else float(value))
+
+
+def record_kernel(monkeypatch) -> list:
+    """Patch `shortest_paths_adj` where `graph` and `oracle` call it to
+    record, per call, (source, stop arguments, returned distance labels)."""
+    calls = []
+    real = graph_mod.shortest_paths_adj
+
+    def recording(adj, source, denom=None, *stop):
+        out = real(adj, source, denom, *stop)
+        calls.append((source, stop, list(out._dist)))
+        return out
+
+    monkeypatch.setattr(graph_mod, "shortest_paths_adj", recording)
+    monkeypatch.setattr(oracle, "shortest_paths_adj", recording)
+    return calls
+
+
+class TestSlackFirstRelative:
+    """In relative mode each target v of a source u has the slack lower
+    bound beta * max(light(u), light(v)), light(x) being G's lightest edge
+    at x: verify_spanner searches G only from sources with a target
+    whose d_H exceeds it, stops each search at its targets' bound, and
+    reports what the full-table reference does."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(tie_heavy(), st.sampled_from([0, Fraction(1, 2), Fraction(9, 2)]),
+           st.randoms(use_true_random=False))
+    def test_report_equals_the_reference(self, case, value, rnd):
+        g, ts = case
+        beta = relative_beta(value, g.is_exact)
+        pairs = [canonical(u, v) for u, v, _ in g.edges]
+        keep = rnd.random()
+        for edges in (pairs, [e for e in pairs if rnd.random() < keep], []):
+            for rel_tol in ((0.0,) if g.is_exact else (0.0, 1e-9)):
+                assert (report_fields(verify_spanner(g, ts, edges, beta, rel_tol))
+                        == reference_report(g, ts, edges, beta, rel_tol)), rel_tol
+
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_unit_path_stops_at_the_targets_bound(self, monkeypatch, exact):
+        # A unit path 0-1-...-5 with beta 1: every s_v is 1.  From 0 the
+        # targets 3 and 4 need d >= 2 and d >= 3, so the search stops when
+        # it pops (3, 3): vertex 3 is labelled and nothing beyond it.  From
+        # 3, d_H(3, 4) = 1 <= s_4: no search.
+        g = Graph.from_edges(6, [(i, i + 1, 1 if exact else 1.0) for i in range(5)])
+        calls = record_kernel(monkeypatch)
+        rep = verify_spanner(g, [0, 3, 4], [(i, i + 1) for i in range(5)],
+                             relative_beta(1, exact))
+        assert rep.ok
+        assert g._sssp_memo == {}
+        assert calls == [(0, (0, 3), [0, 1, 2, 3, None, None])]
+
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_no_host_search_when_every_target_is_within_its_bound(
+            self, monkeypatch, exact):
+        # Weights are k / 8, k = 8..80, so light(x) >= 1 at every x: with
+        # beta = 80 n every s_v exceeds the d_H of the full edge set.
+        g = rand_connected_graph(4, 12, 16, exact)
+        kernel, relax = record_kernel(monkeypatch), record_relax(monkeypatch)
+        pairs = [canonical(u, v) for u, v, _ in g.edges]
+        rep = verify_spanner(g, [0, 3, 7, 11], pairs, relative_beta(80 * g.n, exact))
+        assert rep.ok
+        assert g._sssp_memo == {}
+        assert kernel == []
+        assert [xs for _, xs, _ in relax] == [[0], [3], [7]]
+        assert all(adj is not g._packed[1] for adj, _, _ in relax)
+
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_settled_targets_are_flagged_and_unsettled_ones_hold(self, monkeypatch, exact):
+        # Unit weights, beta 1, so every s_v is 1.  H lacks the chord
+        # (0, 3), so d_H(0, 3) = 3 against d_G + 1 = 2, and d_H(3, 8) = 8
+        # against 6 + 1: both fail.  From 0 the targets need d >= 2 and
+        # d >= 4, so the search stops when it pops (4, 7): 8 is never
+        # labelled, and holds.
+        w = 1 if exact else 1.0
+        h = [(0, 1), (1, 2), (2, 3), (0, 4), (4, 5), (5, 6), (6, 7), (7, 8)]
+        g = Graph.from_edges(9, [(u, v, w) for u, v in h + [(0, 3)]])
+        beta = relative_beta(1, exact)
+        calls = record_kernel(monkeypatch)
+        rep = verify_spanner(g, [0, 3, 8], h, beta)
+        assert [v.pair for v in rep.violations] == [(0, 3), (3, 8)]
+        assert calls == [(0, (0, 4), [0, 1, 2, 1, 1, 2, 3, 4, None]),
+                         (3, (0, 7), [1, 2, 1, 0, 2, 3, 4, 5, 6])]
+        assert g._sssp_memo == {}
+        assert report_fields(rep) == reference_report(g, [0, 3, 8], h, beta)
+
+    def test_bound_is_the_max_of_the_lightest_edges(self, monkeypatch):
+        # A path 0-1-2-3 with weights 3, 1, 2: the one target 3 of 0 has
+        # s = floor(3/2 * max(3, 2)) = 4.  Without (0, 1) in H, d_H = inf,
+        # so 0 searches G to the end; the pair (0, 3) fails.  With the
+        # whole path, d_H(0, 3) = 6 and the limit is 6 - 4 = 2: the search
+        # stops at its first pop at or above 2.
+        edges = [(0, 1, 3), (1, 2, 1), (2, 3, 2)]
+        beta = Beta("relative", Fraction(3, 2))
+        calls = record_kernel(monkeypatch)
+        g = Graph.from_edges(4, edges)
+        assert verify_spanner(g, [0, 3], [(1, 2), (2, 3)], beta).violations[0].pair == (0, 3)
+        assert verify_spanner(Graph.from_edges(4, edges), [0, 3], [(0, 1), (1, 2), (2, 3)],
+                              beta).ok
+        assert [stop for _, stop, _ in calls] == [(0, math.inf), (0, 2)]
+        assert calls[1][2] == [0, 3, None, None]
+
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_a_later_check_reuses_a_search_stopped_no_earlier(self, monkeypatch, exact):
+        # The unit path of test_unit_path_stops_at_the_targets_bound.  The
+        # first check stops the search from 0 at limit 3.  A second check
+        # on the same graph whose limit for 0 is 2 (target 3 only) reuses
+        # it.  A third, on H without (4, 5), leaves the target 5
+        # unreached: its limit is inf, so 0 searches G to the end, and
+        # that search replaces the kept one.
+        w = 1 if exact else 1.0
+        g = Graph.from_edges(6, [(i, i + 1, w) for i in range(5)])
+        path = [(i, i + 1) for i in range(5)]
+        beta = relative_beta(1, exact)
+        calls = record_kernel(monkeypatch)
+        assert verify_spanner(g, [0, 3, 4], path, beta).ok
+        assert verify_spanner(g, [0, 3], path, beta).ok
+        assert [(s, stop) for s, stop, _ in calls] == [(0, (0, 3))]
+        assert g._stopped_memo[0][0] == 3
+        rep = verify_spanner(g, [0, 4, 5], path[:4], beta)
+        assert [v.pair for v in rep.violations] == [(0, 5), (4, 5)]
+        assert [(s, stop) for s, stop, _ in calls] == [(0, (0, 3)), (0, (0, math.inf)),
+                                                       (4, (0, math.inf))]
+        assert g._stopped_memo[0][0] == math.inf
+        assert g._sssp_memo == {}
+        assert report_fields(rep) == reference_report(g, [0, 4, 5], path[:4], beta)
+
+    def test_bound_is_floored_exactly_on_large_weights(self):
+        # M = 2**53, beta 7/3: the pair (0, 2) has d_G = M + 1 on 0-1-2, W
+        # = M, and s = 7M // 3, which binary64 division would round up by
+        # 2.  H's path 0-3-2 is M + s + 2 long: the pair fails by 1 in
+        # packed units (1/3 in host units), and the search must pop past M
+        # to settle 2.
+        m = 2 ** 53
+        s = 7 * m // 3
+        g = Graph.from_edges(4, [(0, 1, m), (1, 2, 1), (0, 3, m), (2, 3, s + 2)])
+        beta = Beta("relative", Fraction(7, 3))
+        rep = verify_spanner(g, [0, 2], [(0, 3), (2, 3)], beta)
+        assert ([(v.pair, v.d_g, v.excess) for v in rep.violations]
+                == [((0, 2), m + 1, Fraction(1, 3))])
+        assert report_fields(rep) == reference_report(g, [0, 2], [(0, 3), (2, 3)], beta)
+
+    def test_limit_steps_over_binary64_rounding(self):
+        # beta 0.1 and W = light(0) = 3.0, so s = 0.1 * 3.0 and the pair
+        # (0, 2) is allowed 3.0 + s = 3.3; H's path 0-3-2 is one ulp
+        # longer, so the pair fails.  3.3000000000000003 - s rounds to
+        # 3.0, but 3.0 + s < 3.3000000000000003: the least d is one step
+        # above 3.0, so the pop (3.0, 1) does not stop the search, and 2,
+        # reached over an edge too light to move 3.0, is settled.
+        d_h = math.nextafter(3.3, math.inf)
+        g = Graph.from_edges(4, [(0, 1, 3.0), (1, 2, 1e-17), (0, 3, 3.0),
+                                 (2, 3, d_h - 3.0)])
+        beta = Beta("relative", 0.1)
+        rep = verify_spanner(g, [0, 2], [(0, 3), (2, 3)], beta)
+        assert [(v.pair, v.d_g, v.d_h, v.allowed) for v in rep.violations] == [
+            ((0, 2), 3.0, d_h, 3.3)]
+        assert report_fields(rep) == reference_report(g, [0, 2], [(0, 3), (2, 3)], beta)
+
+
 class TestSlackFirstOnBenchmarkCells:
     def test_wmax_sampled_cells_and_their_thinned_copies(self):
         # Every wmax-sampled cell of the benchmark at seed 3, and copies
@@ -202,6 +363,39 @@ class TestSlackFirstOnBenchmarkCells:
                             == reference_report(g, ts, es, beta, rel_tol)), (cell.key, removed)
                     assert rep.ok or removed
                     flagged += len(rep.violations)
+        assert flagged
+
+    def test_relative_cells_and_their_thinned_copies(self):
+        # One-level's first two batches and every small-exact cell of the
+        # benchmark at seed 3 (each level of a multi-level output), and
+        # copies with 1, 3 and 10 edges removed, all checked on one fresh
+        # graph per cell, so later checks reuse earlier stopped searches:
+        # verify_spanner's report equals the full-table reference.  The
+        # hosts are exact.
+        run = perfbench_run()
+        cells = {"one-level": run.WORKLOADS["one-level"](3).batches[:2],
+                 "small-exact": run.WORKLOADS["small-exact"](3).batches}
+        instances, flagged = {}, 0
+        for name, batches in cells.items():
+            for k, cell in enumerate(c for batch in batches for c in batch):
+                if cell.instance not in instances:
+                    instances[cell.instance] = generate(cell.instance.spec(lightspan))
+                g, terminals, levels = instances[cell.instance]
+                call, conds, read = run.prepare(lightspan, cell, g, terminals, levels)
+                rng, checked = random.Random(k), run.fresh_graph(lightspan, g)
+                for edges, (ts, beta) in zip(read(call())[0], conds):
+                    if len(ts) < 2:
+                        continue
+                    assert beta.mode == "relative" and g.is_exact
+                    for removed in (0, 1, 3, 10):
+                        es = sorted(edges)
+                        for _ in range(min(removed, len(es))):
+                            es.pop(rng.randrange(len(es)))
+                        rep = verify_spanner(checked, ts, es, beta)
+                        assert (report_fields(rep)
+                                == reference_report(g, ts, es, beta)), (name, cell.key, removed)
+                        assert rep.ok or removed
+                        flagged += len(rep.violations)
         assert flagged
 
 

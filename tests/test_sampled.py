@@ -18,7 +18,7 @@ from lightspan.additive import (
     eps_spanner,
     greedy_complete,
 )
-from lightspan import additive as additive_mod, sampled as sampled_mod
+from lightspan import additive as additive_mod, sampled as sampled_mod, steiner as steiner_mod
 from lightspan.generators import GeneratorSpec, generate
 from lightspan.graph import (
     Beta,
@@ -330,6 +330,28 @@ class TestWmaxSpanner:
         sp = wmax_spanner(g, terms, cfg)
         assert sp.meta["fallback"] is True
         assert verify_spanner(g, terms, sp.edges, WMAX_BETA).ok
+
+    def test_fallback_reuses_the_backbones_r_and_table(self, monkeypatch):
+        # The fallback's eps backbone is built on the wmax backbone's
+        # table and R, so Mehlhorn's tree over the 18 terminals is built
+        # once.  Building that backbone afresh, as build_backbone does,
+        # builds it twice and gives the same output and meta.
+        g = rand_connected_graph(51, 18, 26)
+        terms, cfg = list(range(18)), SampleConfig(SPLIT, c=0.01, seed=2)
+        calls = []
+        real = steiner_mod.approx_steiner
+        monkeypatch.setattr(steiner_mod, "approx_steiner",
+                            lambda g, ts: calls.append(frozenset(ts)) or real(g, ts))
+        sp = wmax_spanner(g, terms, cfg)
+        assert sp.meta["fallback"] is True
+        assert calls.count(frozenset(terms)) == 1
+        monkeypatch.setattr(sampled_mod, "_backbone_from", lambda table, r, beta:
+                            build_backbone(table.g, table.terminals, beta))
+        calls.clear()
+        fresh = wmax_spanner(Graph(g.n, g.edges), terms, cfg)
+        assert calls.count(frozenset(terms)) == 2
+        assert ((sp.edges, sp.weight, sp.subset_lightness, sp.meta)
+                == (fresh.edges, fresh.weight, fresh.subset_lightness, fresh.meta))
 
     def test_fallback_certifies_the_eps_build_once(self, monkeypatch):
         # The fallback's eps build seeds one live list per source, and the
