@@ -180,16 +180,9 @@ class Graph:
         return self._exact is not None
 
     @cached_property
-    def _sssp_memo(self) -> dict[int, "ShortestPaths"]:
-        """Source -> ShortestPaths, filled by :func:`shortest_paths`.
-
-        Held on this object only: equal graphs never share results.
-        """
-        return {}
-
-    @cached_property
-    def _stopped_memo(self) -> dict[int, tuple[Weight, "ShortestPaths"]]:
-        """Source -> (limit, search stopped there) of relative checks."""
+    def _sssp_memo(self) -> dict[int, tuple[Weight, "ShortestPaths"]]:
+        """Source -> (limit, kernel search stopped there; inf: a full one,
+        as `shortest_paths` reads it), on this object only, never shared."""
         return {}
 
     @cached_property
@@ -322,13 +315,12 @@ class ShortestPaths:
 
 
 def shortest_paths_adj(adj, source: int, denom: int | None = None,
-                       slack: Weight = 0, limit: Weight | None = None) -> ShortestPaths:
+                       limit: Weight | None = None) -> ShortestPaths:
     """Deterministic Dijkstra over an adjacency structure: the engine for
     searches whose paths are read (host searches, the Voronoi regions of
     `steiner.approx_steiner`, relative checks); distances alone come from
-    `_relax`.  With a limit it stops as `_relax` does.  Vertices popped
-    before the stop keep final labels; any other label is a real path of
-    length >= the stopping d.  `shortest_paths` memoises full searches only.
+    `_relax`.  With a limit it stops as `_relax` does: a vertex popped
+    before then has final labels, any other a real path >= the stopping d.
 
     `adj` indexes each vertex 0..len(adj)-1 to its (neighbor, weight)
     pairs.  The loop is `_relax`'s: heap entries (distance, vertex), an
@@ -355,7 +347,7 @@ def shortest_paths_adj(adj, source: int, denom: int | None = None,
     heap: list[tuple[Weight, int]] = [(0, source)]
     while heap:
         d, u = heappop(heap)
-        if limit is not None and d + slack >= limit:
+        if limit is not None and d >= limit:
             break
         if d != dist[u]:
             continue  # superseded by a shorter distance
@@ -380,28 +372,27 @@ def shortest_paths_adj(adj, source: int, denom: int | None = None,
 def shortest_paths(g: Graph, source: int) -> ShortestPaths:
     """Shortest paths from source, memoised on the graph object."""
     memo = g._sssp_memo
-    sp = memo.get(source)
-    if sp is None:
+    if memo.get(source, (0,))[0] != math.inf:  # none kept, or a stopped one
         g.check_vertex(source)
         denom, adj = g._packed
-        sp = memo[source] = shortest_paths_adj(adj, source, denom)
-    return sp
+        memo[source] = math.inf, shortest_paths_adj(adj, source, denom)
+    return memo[source][1]
 
 
 def _relax(adj, dist: list[Weight | None], seeds: list[tuple[Weight, int]],
-           slack: Weight = 0, limit: Weight | None = None) -> list[Weight | None]:
+           limit: Weight | None = None) -> list[Weight | None]:
     """Decrease-only search (Ramalingam & Reps, J. Algorithms 21, 1996):
     lower dist[x] to d for each seed (d, x), consuming seeds, then relax
     outward while distances drop; returns dist.  The engine for distances
     that need no path; `shortest_paths_adj` is the one for paths.  With a
-    limit it stops at the first pop (d, x) with d + slack >= limit."""
+    limit it stops at the first pop (d, x) with d >= limit."""
     heappush, heappop = heapq.heappush, heapq.heappop
     for d, x in seeds:
         dist[x] = d
     heapq.heapify(seeds)
     while seeds:
         d, x = heappop(seeds)
-        if limit is not None and d + slack >= limit:
+        if limit is not None and d >= limit:
             break
         if d > dist[x]:
             continue  # superseded by a later decrease

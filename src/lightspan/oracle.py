@@ -123,35 +123,41 @@ def _slack_table(g: Graph, ts: list[int], sub: SubgraphAdjacency,
     """A table of sorted terminals ts on which `PairBounds` flags what a
     full fixed-path table would (README: the slack-first check).  Target
     v > u of source u has a lower bound s_v on its packed slack: F in wmax
-    mode, else beta * max(light(u), light(v)), floored as `PairBounds`
-    floors, light(x) being G's lightest edge at x.  u searches G only if
-    its limit, the largest over its targets of a d with d + s_v >= d_H(v)
-    (inf if unreached), is > 0, and stops at the first pop at or above it:
-    `_relax` in wmax mode, the kernel (W labels) in relative mode, kept in
-    `g._stopped_memo` for later checks whose limit for u is no larger."""
+    mode, else beta * max(light(u), light(v)) floored, light(x) being G's
+    lightest edge at x.  u's limit is the least d with d + s_v >= d_H(v) for
+    every target (inf if one is unreached).  u reads a `g._sssp_memo` search
+    stopped at or past it, or, if it is > 0, stops its own there (kept if a
+    kernel search: relative mode needs W labels; wmax runs `_relax`)."""
     value, f = _packed_slack(g, beta)
     denom, adj = g._packed
     p, q = (value, 1) if denom is None else (value.numerator, value.denominator)
-    light = {t: min((w for _, w in adj[t]), default=0) for t in ts}
-    sources, stopped = {}, g._stopped_memo
+    sources, memo, low = {}, g._sssp_memo, None
     for i, u in enumerate(ts[:-1]):
-        live, limit = sub.distances(u), 0
-        for v in ts[i + 1:]:
+        if (kept := memo.get(u, (-1,)))[0] == math.inf:  # serves any limit
+            sources[u] = kept[1]
+            continue
+        live, limit, targets = sub.distances(u), 0, ts[i + 1:]
+        if f is not None:  # one slack F: the largest d_H sets the limit
+            targets = [max(targets, key=lambda v: math.inf if live[v] is None else live[v])]
+        else:  # s_v = max(low[u], low[v]): flooring and rounding are monotone
+            low = low or {t: value * m if denom is None else p * m // q
+                          for t in ts for m in [min((w for _, w in adj[t]), default=0)]}
+        for v in targets:
             if live[v] is None:  # inf - s overflows on huge exact weights
                 limit = math.inf
                 break
-            d_h, m = live[v], max(light[u], light[v])
-            s = f if f is not None else value * m if denom is None else p * m // q
+            d_h, s = live[v], f if f is not None else max(low[u], low[v])
             t = d_h - s
             while t + s < d_h:  # binary64 rounding
                 t = math.nextafter(t, math.inf)
             limit = max(limit, t)
-        if f is None and limit > 0:
-            if stopped.get(u, (0,))[0] < limit:
-                stopped[u] = limit, shortest_paths_adj(adj, u, denom, 0, limit)
-            sources[u] = stopped[u][1]
+        if kept[0] >= limit:
+            sources[u] = kept[1]
+        elif f is None and limit > 0:
+            memo[u] = limit, shortest_paths_adj(adj, u, denom, limit)
+            sources[u] = memo[u][1]
         else:  # wmax distances; no search at all if every target holds
-            dist = _relax(adj, [None] * g.n, [(0, u)], 0, limit) if limit > 0 else [None] * g.n
+            dist = _relax(adj, [None] * g.n, [(0, u)], limit) if limit > 0 else [None] * g.n
             sources[u] = ShortestPaths(u, dist, None, None, denom)
     return PathTable(frozenset(ts), sources, g)
 

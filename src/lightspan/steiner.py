@@ -489,19 +489,14 @@ def exact_steiner(g: Graph, terminals: Iterable[int]) -> SteinerTree:
 def build_backbone(g: Graph, terminals: Iterable[int], beta: Beta) -> Backbone:
     """Compute R, the unsatisfied pairs P, S', T and the pruned union H."""
     ts = _check_terminals(g, terminals)
-    table = build_path_table(g, ts)
-    return _backbone_from(table, approx_steiner(g, ts), beta)
+    return _backbone_from(build_path_table(g, ts), approx_steiner(g, ts), beta)
 
 
 def _backbone_from(table: PathTable, r: SteinerTree, beta: Beta) -> Backbone:
-    """The backbone of (table.g, table's terminals, beta) on a given table
-    and R: only its pair scan, S', T and H depend on beta.
-
-    P is one `PairBounds` scan of the terminal pairs, each source's row
-    compared with a walk of R from that source (`graph.TreeDistances`):
-    R is a tree, so the walk gives the distances a Dijkstra search of R
-    would, bit for bit, without a heap.
-    """
+    """The backbone on a given table and R.  P is one `PairBounds` scan of
+    the terminal pairs, each source's row compared with a walk of R from
+    that source (`graph.TreeDistances`): R is a tree, so the walk gives
+    the distances a Dijkstra search of R would, bit for bit, without a heap."""
     g, tset = table.g, table.terminals
     unsat = PairBounds(table, beta).violations(TreeDistances(g, r.edges))
 
@@ -518,4 +513,12 @@ def _backbone_from(table: PathTable, r: SteinerTree, beta: Beta) -> Backbone:
         # better constant-factor Steiner tree over S', so use it as T to
         # keep weight(H) <= 2 weight(T).
         t_tree = SteinerTree(s_prime_f, h.edges, h.weight)
-    return Backbone(tset, r, frozenset(unsat), s_prime_f, t_tree, h, table)
+    return Backbone(
+        terminals=tset,
+        r=r,
+        unsatisfied_pairs=frozenset(unsat),
+        s_prime=s_prime_f,
+        t=t_tree,
+        h=h,
+        path_table=table,
+    )

@@ -458,52 +458,55 @@ class TestLiveDistances:
     @given(st.integers(0, 10 ** 6), st.booleans(), st.integers(0, 40),
            st.integers(0, 240))
     def test_relax_stops_at_the_slack_bound(self, seed, exact, slack, limit):
-        # A search with a limit settles exactly the vertices whose distance
-        # d has d + slack < limit; every other label it leaves is at least
-        # limit - slack, as a full search's is.  Weights are eighths, in
-        # packed units k = 8..80 (exact) or k / 8 (binary64).
+        # A search stopped at limit - slack settles exactly the vertices
+        # whose distance d has d < limit - slack; every other label it
+        # leaves is at least limit - slack, as a full search's is.  Weights
+        # are eighths, in packed units k = 8..80 (exact) or k / 8 (binary64).
         g = rand_connected_graph(seed, 14, 8, exact)
         _, adj = g._packed
         if not exact:
             slack, limit = slack / 8, limit / 8
+        stop = limit - slack
         full = _relax(adj, [None] * g.n, [(0, 0)])
-        part = _relax(adj, [None] * g.n, [(0, 0)], slack, limit)
+        part = _relax(adj, [None] * g.n, [(0, 0)], stop)
         for d, p in zip(full, part):
-            if d + slack < limit:
+            if d < stop:
                 assert p == d
             else:
-                assert p is None or p + slack >= limit
+                assert p is None or p >= stop
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(0, 10 ** 6), st.sampled_from(["exact", "eighths", "tenths"]),
            st.integers(0, 40), st.integers(0, 240), st.integers(0, 13))
     def test_kernel_stops_at_the_slack_bound(self, seed, kind, slack, limit, source):
-        # The kernel's stop rule is _relax's.  A vertex with d + slack <
-        # limit gets the full search's distance, parent and max-edge label;
-        # any other distance label is unset or at least limit - slack, and
-        # every label it leaves extends its parent's final one by an edge,
-        # so it describes a real path.  Weights are k / 8 (tenths: k / 10),
-        # k = 8..80, packed on exact graphs as k.
+        # The kernel's stop rule is _relax's.  Stopped at limit - slack, a
+        # vertex with d < limit - slack gets the full search's distance,
+        # parent and max-edge label; any other distance label is unset or
+        # at least limit - slack, and every label it leaves extends its
+        # parent's final one by an edge, so it describes a real path.
+        # Weights are k / 8 (tenths: k / 10), k = 8..80, packed on exact
+        # graphs as k.
         g = (tenths_graph(seed, 14, 8) if kind == "tenths"
              else rand_connected_graph(seed, 14, 8, kind == "exact"))
         denom, adj = g._packed
         if kind != "exact":
             unit = 10 if kind == "tenths" else 8
             slack, limit = slack / unit, limit / unit
+        stop = limit - slack
         full = shortest_paths_adj(adj, source, denom)
-        part = shortest_paths_adj(adj, source, denom, slack, limit)
+        part = shortest_paths_adj(adj, source, denom, stop)
         weight = {(x, y): w for x in range(g.n) for y, w in adj[x]}
         for v in range(g.n):
             d, p = full._dist[v], part._dist[v]
-            if d + slack < limit:
+            if d < stop:
                 assert (p, part._parent[v], part._maxw[v]) == (
                     d, full._parent[v], full._maxw[v])
             elif p is not None:
-                assert p + slack >= limit
+                assert p >= stop
                 if v == source:
                     continue
                 x = part._parent[v]
-                assert full._dist[x] + slack < limit
+                assert full._dist[x] < stop
                 w = weight[x, v]
                 assert (p, part._maxw[v]) == (part._dist[x] + w, max(part._maxw[x], w))
         assert g._sssp_memo == {}

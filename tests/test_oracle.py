@@ -28,6 +28,7 @@ from lightspan.graph import (
     build_path_table,
     canonical,
     certify_tolerance,
+    shortest_paths,
 )
 from lightspan.multilevel import MultiLevelInstance
 from lightspan.oracle import (
@@ -197,6 +198,11 @@ def record_kernel(monkeypatch) -> list:
     return calls
 
 
+def kept_limits(g) -> dict:
+    """Source -> limit of each search memoised on g (inf: a full one)."""
+    return {u: limit for u, (limit, _) in g._sssp_memo.items()}
+
+
 class TestSlackFirstRelative:
     """In relative mode each target v of a source u has the slack lower
     bound beta * max(light(u), light(v)), light(x) being G's lightest edge
@@ -228,8 +234,8 @@ class TestSlackFirstRelative:
         rep = verify_spanner(g, [0, 3, 4], [(i, i + 1) for i in range(5)],
                              relative_beta(1, exact))
         assert rep.ok
-        assert g._sssp_memo == {}
-        assert calls == [(0, (0, 3), [0, 1, 2, 3, None, None])]
+        assert kept_limits(g) == {0: 3}
+        assert calls == [(0, (3,), [0, 1, 2, 3, None, None])]
 
     @pytest.mark.parametrize("exact", [True, False])
     def test_no_host_search_when_every_target_is_within_its_bound(
@@ -260,9 +266,9 @@ class TestSlackFirstRelative:
         calls = record_kernel(monkeypatch)
         rep = verify_spanner(g, [0, 3, 8], h, beta)
         assert [v.pair for v in rep.violations] == [(0, 3), (3, 8)]
-        assert calls == [(0, (0, 4), [0, 1, 2, 1, 1, 2, 3, 4, None]),
-                         (3, (0, 7), [1, 2, 1, 0, 2, 3, 4, 5, 6])]
-        assert g._sssp_memo == {}
+        assert calls == [(0, (4,), [0, 1, 2, 1, 1, 2, 3, 4, None]),
+                         (3, (7,), [1, 2, 1, 0, 2, 3, 4, 5, 6])]
+        assert kept_limits(g) == {0: 4, 3: 7}
         assert report_fields(rep) == reference_report(g, [0, 3, 8], h, beta)
 
     def test_bound_is_the_max_of_the_lightest_edges(self, monkeypatch):
@@ -278,33 +284,65 @@ class TestSlackFirstRelative:
         assert verify_spanner(g, [0, 3], [(1, 2), (2, 3)], beta).violations[0].pair == (0, 3)
         assert verify_spanner(Graph.from_edges(4, edges), [0, 3], [(0, 1), (1, 2), (2, 3)],
                               beta).ok
-        assert [stop for _, stop, _ in calls] == [(0, math.inf), (0, 2)]
+        assert [stop for _, stop, _ in calls] == [(math.inf,), (2,)]
         assert calls[1][2] == [0, 3, None, None]
 
     @pytest.mark.parametrize("exact", [True, False])
     def test_a_later_check_reuses_a_search_stopped_no_earlier(self, monkeypatch, exact):
         # The unit path of test_unit_path_stops_at_the_targets_bound.  The
-        # first check stops the search from 0 at limit 3.  A second check
-        # on the same graph whose limit for 0 is 2 (target 3 only) reuses
-        # it.  A third, on H without (4, 5), leaves the target 5
-        # unreached: its limit is inf, so 0 searches G to the end, and
-        # that search replaces the kept one.
+        # first check stops the search from 0 at limit 3 and memoises it.
+        # A second check on the same graph whose limit for 0 is 2 (target
+        # 3 only) reuses it, and so does a wmax check (F = 1, limit 2).  A
+        # third, on H without (4, 5), leaves the target 5 unreached: its
+        # limit is inf, so 0 searches G to the end, and that search
+        # replaces the kept one; `shortest_paths` takes it as full.
         w = 1 if exact else 1.0
         g = Graph.from_edges(6, [(i, i + 1, w) for i in range(5)])
         path = [(i, i + 1) for i in range(5)]
         beta = relative_beta(1, exact)
-        calls = record_kernel(monkeypatch)
+        calls, relax = record_kernel(monkeypatch), record_relax(monkeypatch)
         assert verify_spanner(g, [0, 3, 4], path, beta).ok
         assert verify_spanner(g, [0, 3], path, beta).ok
-        assert [(s, stop) for s, stop, _ in calls] == [(0, (0, 3))]
-        assert g._stopped_memo[0][0] == 3
+        assert verify_spanner(g, [0, 3], path, wmax_beta(1, exact)).ok
+        assert [(s, stop) for s, stop, _ in calls] == [(0, (3,))]
+        assert [adj for adj, _, _ in relax if adj is g._packed[1]] == []
+        assert kept_limits(g) == {0: 3}
         rep = verify_spanner(g, [0, 4, 5], path[:4], beta)
         assert [v.pair for v in rep.violations] == [(0, 5), (4, 5)]
-        assert [(s, stop) for s, stop, _ in calls] == [(0, (0, 3)), (0, (0, math.inf)),
-                                                       (4, (0, math.inf))]
-        assert g._stopped_memo[0][0] == math.inf
-        assert g._sssp_memo == {}
+        assert [(s, stop) for s, stop, _ in calls] == [(0, (3,)), (0, (math.inf,)),
+                                                       (4, (math.inf,))]
+        assert kept_limits(g) == {0: math.inf, 4: math.inf}
         assert report_fields(rep) == reference_report(g, [0, 4, 5], path[:4], beta)
+        assert shortest_paths(g, 0) is g._sssp_memo[0][1]
+        assert len(calls) == 3
+
+    @pytest.mark.parametrize("mode", ["wmax", "relative"])
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_full_searches_serve_checks_and_stopped_ones_serve_no_full_read(
+            self, monkeypatch, mode, exact):
+        # A full search from 0 memoised by `shortest_paths`, as a build on
+        # g leaves it, serves a check whatever its limit: no host search.
+        # A search a check stopped and kept is not full: `shortest_paths`
+        # runs its own and replaces it.
+        w = 1 if exact else 1.0
+        g = Graph.from_edges(6, [(i, i + 1, w) for i in range(5)])
+        path = [(i, i + 1) for i in range(5)]
+        beta = Beta(mode, 1 if exact else 1.0)
+        full = shortest_paths(g, 0)
+        kernel, relax = record_kernel(monkeypatch), record_relax(monkeypatch)
+        assert verify_spanner(g, [0, 3, 4], path, beta).ok
+        rep = verify_spanner(g, [0, 5], path[:4], beta)
+        assert [v.pair for v in rep.violations] == [(0, 5)]
+        assert kernel == []
+        assert [adj for adj, _, _ in relax if adj is g._packed[1]] == []
+        assert g._sssp_memo == {0: (math.inf, full)}
+        h = Graph.from_edges(6, [(i, i + 1, w) for i in range(5)])
+        assert verify_spanner(h, [0, 3, 4], path, relative_beta(1, exact)).ok
+        assert kept_limits(h) == {0: 3}
+        sp = shortest_paths(h, 0)
+        assert kept_limits(h) == {0: math.inf}
+        assert [s for s, _, _ in kernel] == [0, 0]
+        assert [sp.distance(v) for v in range(6)] == [0, 1, 2, 3, 4, 5]
 
     def test_bound_is_floored_exactly_on_large_weights(self):
         # M = 2**53, beta 7/3: the pair (0, 2) has d_G = M + 1 on 0-1-2, W
@@ -369,9 +407,8 @@ class TestSlackFirstOnBenchmarkCells:
         # One-level's first two batches and every small-exact cell of the
         # benchmark at seed 3 (each level of a multi-level output), and
         # copies with 1, 3 and 10 edges removed, all checked on one fresh
-        # graph per cell, so later checks reuse earlier stopped searches:
-        # verify_spanner's report equals the full-table reference.  The
-        # hosts are exact.
+        # graph per cell: verify_spanner's report equals the full-table
+        # reference.  The hosts are exact.
         run = perfbench_run()
         cells = {"one-level": run.WORKLOADS["one-level"](3).batches[:2],
                  "small-exact": run.WORKLOADS["small-exact"](3).batches}
