@@ -433,12 +433,21 @@ class SubgraphAdjacency:
         self.host = host
         self.denom = host._packed[0]
         # Indexed by host vertex, so it serves as a Dijkstra adjacency.
-        self._adj: list[list[tuple[int, Weight]]] = [[] for _ in range(host.n)]
-        self._edges: set[Pair] = set()
+        adj: list[list[tuple[int, Weight]]] = [[] for _ in range(host.n)]
+        seen: set[Pair] = set()
+        weights = host._exact[2] if self.denom is not None else host.weight_by_pair
+        for u, v in edges:  # add_edge's insertions, with no live list to repair
+            key = (u, v) if u < v else (v, u)
+            if key not in seen:
+                w = weights.get(key)
+                if w is None:
+                    raise UnknownEdgeError(f"edge ({u},{v}) not in graph")
+                seen.add(key)
+                adj[u].append((v, w))
+                adj[v].append((u, w))
+        self._adj, self._edges = adj, seen
         # Source -> packed distances, kept exact by add_edge.
         self._live: dict[int, list[Weight | None]] = {}
-        for e in edges:
-            self.add_edge(*e)
 
     def add_edge(self, u: int, v: int) -> None:
         key = canonical(u, v)
@@ -564,7 +573,8 @@ class PathTable:
     FixedPath is built only when a caller asks for one (greedy
     insertions, repairs, wmax routes); each caller asks once per pair,
     so none is kept.  The table holds g, whose denominator and W_max
-    `PairBounds` reads.
+    `PairBounds` reads.  A check's slack table may leave out a source
+    whose pairs it proved; its pairs are then those of the sources held.
     """
 
     terminals: frozenset[int]
@@ -615,8 +625,9 @@ class PathTable:
         return set().union(*marked.values())
 
     def pair_keys(self) -> list[Pair]:
+        """The pairs (u, v), u < v, of the sources the table holds, in order."""
         ts = sorted(self.terminals)
-        return [(u, v) for i, u in enumerate(ts) for v in ts[i + 1:]]
+        return [(u, v) for i, u in enumerate(ts) if u in self._sources for v in ts[i + 1:]]
 
 
 def build_path_table(g: Graph, terminals: Iterable[int]) -> PathTable:
@@ -646,7 +657,7 @@ class PairBounds:
     the greedy (whose bounds certify, repair and report) and the oracles.
     The table's graph g gives the denominator and W_max; beta is kept.
 
-    Construction keeps one row per source u of the table, mapping each
+    Construction keeps one row per source u the table holds, mapping each
     terminal v > u to its allowance, read straight from the search
     labels of u in packed units:
     - binary64: allowed is dist[v] + value * maxw[v] (relative mode) or
@@ -671,7 +682,8 @@ class PairBounds:
         ts = sorted(table.terminals)
         self._rows: dict[int, dict[int, Weight]] = {}
         for i, u in enumerate(ts[:-1]):
-            sp = table._sources[u]
+            if (sp := table._sources.get(u)) is None:
+                continue  # a source the table does not hold has no row
             dist, maxw = sp._dist, sp._maxw
             row = self._rows[u] = {}
             for v in ts[i + 1:]:

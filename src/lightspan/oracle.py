@@ -127,39 +127,99 @@ def _slack_table(g: Graph, ts: list[int], sub: SubgraphAdjacency,
     lightest edge at x.  u's limit is the least d with d + s_v >= d_H(v) for
     every target (inf if one is unreached).  u reads a `g._sssp_memo` search
     stopped at or past it, or, if it is > 0, stops its own there (kept if a
-    kernel search: relative mode needs W labels; wmax runs `_relax`)."""
+    kernel search: relative mode needs W labels; wmax runs `_relax`).  In
+    wmax mode each handled source becomes a mark, and a source whose pairs
+    `_proven` settles from the last m // t marks (m edges, t targets) is
+    left out of the table, with no search at all."""
     value, f = _packed_slack(g, beta)
     denom, adj = g._packed
     p, q = (value, 1) if denom is None else (value.numerator, value.denominator)
-    sources, memo, low = {}, g._sssp_memo, None
+    sources, memo, low, marks = {}, g._sssp_memo, None, []
+    # A binary64 label is within n * 2**-53 of its real distance, relatively:
+    # three such factors in a bound and 8 roundings evaluating it (README).
+    err = 0 if denom is not None else (3 * g.n + 8) * 2.0 ** -53
     for i, u in enumerate(ts[:-1]):
-        if (kept := memo.get(u, (-1,)))[0] == math.inf:  # serves any limit
-            sources[u] = kept[1]
+        targets = ts[i + 1:]
+        if marks and (k := len(g.edges) // len(targets)) and _proven(
+                marks[-k:], u, targets, f, err):
             continue
-        live, limit, targets = sub.distances(u), 0, ts[i + 1:]
-        if f is not None:  # one slack F: the largest d_H sets the limit
-            targets = [max(targets, key=lambda v: math.inf if live[v] is None else live[v])]
-        else:  # s_v = max(low[u], low[v]): flooring and rounding are monotone
-            low = low or {t: value * m if denom is None else p * m // q
-                          for t in ts for m in [min((w for _, w in adj[t]), default=0)]}
-        for v in targets:
-            if live[v] is None:  # inf - s overflows on huge exact weights
-                limit = math.inf
-                break
-            d_h, s = live[v], f if f is not None else max(low[u], low[v])
-            t = d_h - s
-            while t + s < d_h:  # binary64 rounding
-                t = math.nextafter(t, math.inf)
-            limit = max(limit, t)
-        if kept[0] >= limit:
-            sources[u] = kept[1]
-        elif f is None and limit > 0:
-            memo[u] = limit, shortest_paths_adj(adj, u, denom, limit)
-            sources[u] = memo[u][1]
-        else:  # wmax distances; no search at all if every target holds
-            dist = _relax(adj, [None] * g.n, [(0, u)], limit) if limit > 0 else [None] * g.n
-            sources[u] = ShortestPaths(u, dist, None, None, denom)
+        if (kept := memo.get(u, (-1,)))[0] == math.inf:  # serves any limit
+            sources[u], stop = kept[1], math.inf
+        else:
+            live, limit = sub.distances(u), 0
+            if f is not None:  # one slack F: the largest d_H sets the limit
+                targets = [max(targets, key=lambda v: math.inf if live[v] is None else live[v])]
+            else:  # s_v = max(low[u], low[v]): flooring and rounding are monotone
+                low = low or {t: value * m if denom is None else p * m // q
+                              for t in ts for m in [min((w for _, w in adj[t]), default=0)]}
+            for v in targets:
+                if live[v] is None:  # inf - s overflows on huge exact weights
+                    limit = math.inf
+                    break
+                d_h, s = live[v], f if f is not None else max(low[u], low[v])
+                t = d_h - s
+                while t + s < d_h:  # binary64 rounding
+                    t = math.nextafter(t, math.inf)
+                limit = max(limit, t)
+            if kept[0] >= limit:
+                sources[u], stop = kept[1], kept[0]
+            elif f is None and limit > 0:
+                memo[u] = limit, shortest_paths_adj(adj, u, denom, limit)
+                sources[u] = memo[u][1]
+            else:  # wmax distances; no search at all if every target holds
+                dist = _relax(adj, [None] * g.n, [(0, u)], limit) if limit > 0 else [None] * g.n
+                sources[u], stop = ShortestPaths(u, dist, None, None, denom), limit
+        if f is not None:
+            marks.append((sub.distances(u), sources[u]._dist, stop))
     return PathTable(frozenset(ts), sources, g)
+
+
+def _proven(marks: list, u: int, targets: list[int], f: Weight, err: Weight) -> bool:
+    """Whether every pair (u, v) meets d_H <= d_G + F by the marks' labels
+    alone (README: the slack-first check).  A mark (h, d, stop) is a
+    handled source r with its live d_H list h and its packed G labels d,
+    each exact below stop and else at least stop.  By the triangle
+    inequality UB = min_r h[u] + h[v] >= d_H(u, v) and LB = max_r
+    |d[v] - d[u]| (stop - the exact label, if one is not) <= d_G(u, v); a
+    pair is proven when UB <= LB + F.  Exact labels compare as integers
+    (err = 0); on binary64 every operand, F too, yields the share err of
+    its size, so rounding cannot prove a failing pair."""
+    near = []
+    for h, d, stop in marks:
+        if (hu := h[u]) is not None:
+            du = d[u]
+            near.append((h, hu, d, du if du is not None and du < stop else None,
+                         None if stop == math.inf else stop))
+    if not near:
+        return False
+    fe = f - err * f
+    for v in targets:
+        ub = None
+        for h, hu, _, _, _ in near:
+            if (hv := h[v]) is None:
+                return False  # r reaches u in H but not v: d_H(u, v) is inf
+            if ub is None or hu + hv < ub:
+                ub = hu + hv
+        ub += err * ub
+        if ub <= fe:  # LB >= 0
+            continue
+        for _, _, d, du, stop in near:
+            if (dv := d[v]) is not None and (stop is None or dv < stop):
+                if du is not None:
+                    lb = abs(dv - du) - err * (dv + du)
+                elif stop is not None:
+                    lb = stop - dv - err * (stop + dv)
+                else:
+                    continue
+            elif du is not None and stop is not None:
+                lb = stop - du - err * (stop + du)
+            else:
+                continue
+            if ub <= lb + fe:
+                break
+        else:
+            return False
+    return True
 
 
 @dataclass(frozen=True)

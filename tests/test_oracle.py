@@ -141,7 +141,7 @@ class TestSlackFirstWmax:
         rep = verify_spanner(g, [0, 3, 7, 11], pairs, wmax_beta(g.n, exact))
         assert rep.ok
         assert g._sssp_memo == {}
-        assert [xs for _, xs, _ in calls] == [[0], [3], [7]]
+        assert [xs for _, xs, _ in calls] == [[0]]
         assert all(adj is not g._packed[1] for adj, _, _ in calls)
 
     @pytest.mark.parametrize("exact", [True, False])
@@ -176,6 +176,157 @@ class TestSlackFirstWmax:
             ([0], [0, 1, 2, 1, 1, 2, 3, 4, None]),
             ([3], [1, 2, 1, 0, 2, 3, 4, 5, 6])]
         assert report_fields(rep) == reference_report(g, [0, 3, 8], h, beta)
+
+
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_a_later_source_proven_by_marks_runs_no_search(self, monkeypatch, exact):
+        # H is the path 1-4-0-2-3 with weights 8, 8, 1, 1; G adds the
+        # chord (0, 1) of weight 1.  W_max = 8 and beta 3/10, so F = 2
+        # (exact: floor(12/5)) or 2.4: (0, 1), (1, 2) and (1, 3) fail.
+        # Source 2's one pair (2, 3) is proven from mark 0: UB = d_H(0, 2)
+        # + d_H(0, 3) = 3 and LB = d_G(0, 3) - d_G(0, 2) = 1, so 3 <= 1 + F.
+        w = 1 if exact else 1.0
+        h = [(0, 2, w), (2, 3, w), (0, 4, 8 * w), (1, 4, 8 * w)]
+        g = Graph.from_edges(5, h + [(0, 1, w)])
+        h = [(u, v) for u, v, _ in h]
+        beta = wmax_beta(Fraction(3, 10), exact)
+        calls = record_relax(monkeypatch)
+        rep = verify_spanner(g, [0, 1, 2, 3], h, beta)
+        assert [v.pair for v in rep.violations] == [(0, 1), (1, 2), (1, 3)]
+        assert [xs for adj, xs, _ in calls if adj is not g._packed[1]] == [[0], [1]]
+        assert [xs for adj, xs, _ in calls if adj is g._packed[1]] == [[0], [1]]
+        assert report_fields(rep) == reference_report(g, [0, 1, 2, 3], h, beta)
+
+    def test_binary64_cancellation_proves_no_failing_pair(self, monkeypatch):
+        # Mark 1 lies D = 2**30 from u = 2: its G labels of 2 and 3 are D and
+        # D + d rounded to a multiple of ulp(D) = 2**-22, so their difference
+        # exceeds d_G(2, 3) = d by 2**-24.  Mark 0 lies 2**-30 from 2, so UB
+        # exceeds d_H(2, 3) by about 2**-29, and d_H(2, 3) misses its
+        # allowance d + F (F = 2) by a few ulps: without the margin, UB <=
+        # LB + F would prove the failing pair (2, 3).
+        big, d = 2.0 ** 30, 1 + 3 * 2.0 ** -24
+        assert (big + d) - big == d + 2.0 ** -24
+        b = 2.0
+        for _ in range(4):
+            b = math.nextafter(b, math.inf)
+        g = Graph.from_edges(5, [(0, 2, 2.0 ** -30), (1, 2, big), (2, 3, d),
+                                 (2, 4, d), (3, 4, b)])
+        h, ts, beta = [(0, 2), (1, 2), (2, 4), (3, 4)], [0, 1, 2, 3], Beta("wmax", 2.0 ** -29)
+        proofs = record_proofs(monkeypatch)
+        for rel_tol in (0.0, certify_tolerance(g)):
+            rep = verify_spanner(g, ts, h, beta, rel_tol)
+            assert report_fields(rep) == reference_report(g, ts, h, beta, rel_tol)
+        assert [v.pair for v in verify_spanner(g, ts, h, beta).violations] == [(0, 3), (2, 3)]
+        assert [(u, k, out) for u, k, _, out in proofs] == [(1, 1, False), (2, 2, False)] * 3
+
+    def test_binary64_rounding_of_the_upper_bound_proves_nothing(self, monkeypatch):
+        # H is the path 1-0-3-2 with weights a = b = 2**-53 and c = 1; G
+        # adds the edge (1, 2) of weight 2**-60, and F = 1.  From 1, d_H(1,
+        # 2) sums a + b first: 1 + 2**-52, one ulp over its allowance 1.
+        # Mark 0's UB = a + (b + c) rounds to 1 = F: without the margin on
+        # UB and on F, UB <= F would prove the failing pair.
+        a = 2.0 ** -53
+        g = Graph.from_edges(4, [(0, 1, a), (0, 3, a), (2, 3, 1.0), (1, 2, 2.0 ** -60)])
+        h, ts, beta = [(0, 1), (0, 3), (2, 3)], [0, 1, 2], Beta("wmax", 1.0)
+        proofs = record_proofs(monkeypatch)
+        rep = verify_spanner(g, ts, h, beta)
+        assert [(v.pair, v.d_h, v.allowed) for v in rep.violations] == [((1, 2), 1 + 2 * a, 1.0)]
+        assert proofs == [(1, 1, 1, False)]
+        for rel_tol in (0.0, certify_tolerance(g)):
+            assert (report_fields(verify_spanner(g, ts, h, beta, rel_tol))
+                    == reference_report(g, ts, h, beta, rel_tol))
+
+    def test_exact_benchmark_instances_under_wmax_and_thinned_copies(self, monkeypatch):
+        # Exact hosts checked under Beta("wmax", 4 + eps): an eps spanner,
+        # whose slack eps * W(u, v) is within (4 + eps) * W_max, and copies
+        # with 1, 3 and 10 edges removed.  Reports equal the reference, and
+        # some source is proven.
+        split = EpsilonSplit.of(Fraction(1, 2))
+        beta = Beta("wmax", 4 + split.eps)
+        proofs = record_proofs(monkeypatch)
+        for k, kind in enumerate(["erdos-renyi", "geometric", "grid"]):
+            g, ts, _ = generate(lightspan.GeneratorSpec(kind=kind, n=60, seed=k,
+                                                        terminal_fraction=0.25))
+            assert g.is_exact
+            edges, rng = sorted(eps_spanner(g, ts, split).edges), random.Random(k)
+            for removed in (0, 1, 3, 10):
+                es = edges[:]
+                for _ in range(removed):
+                    es.pop(rng.randrange(len(es)))
+                rep = verify_spanner(Graph(g.n, g.edges), ts, es, beta)
+                assert report_fields(rep) == reference_report(g, ts, es, beta), (kind, removed)
+        assert any(out for *_, out in proofs)
+
+    @pytest.mark.parametrize("swap", [False, True])
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_a_label_past_the_stop_bounds_only(self, monkeypatch, exact, swap):
+        # F = 1.  Source 0's limit is d_H(0, 2) - F = 1, so its search pops
+        # 0 and 1 and stops at (1, 5): vertex 2 keeps the label 2 of the
+        # edge (0, 2), though d_G(0, 2) = 19/16 over 0-1-3-2.  The pair
+        # (1, 2) fails (d_H = 17/8 > 17/16 + 1), and only stop - d_G(0, 1)
+        # = 7/8 bounds its d_G from below: read as a distance, 2 - 1/8
+        # would prove it (17/8 <= 15/8 + 1).  With 1 and 2 swapped the
+        # label past the stop is the source's, not the target's.
+        w = (lambda x: x) if exact else float
+        x = {1: 2, 2: 1} if swap else {}
+        h = [(0, 1, w(Fraction(1, 8))), (0, 5, w(1)), (2, 5, w(1))]
+        g = Graph.from_edges(6, [(x.get(a, a), x.get(b, b), c) for a, b, c in h + [
+            (1, 3, w(1)), (2, 3, w(Fraction(1, 16))), (0, 2, w(2)), (3, 4, w(1))]])
+        h = [canonical(x.get(a, a), x.get(b, b)) for a, b, _ in h]
+        beta = wmax_beta(Fraction(1, 2), exact)
+        proofs = record_proofs(monkeypatch)
+        rep = verify_spanner(g, [0, 1, 2], h, beta)
+        assert [v.pair for v in rep.violations] == [(1, 2)]
+        assert proofs == [(1, 1, 1, False)]
+        assert report_fields(rep) == reference_report(g, [0, 1, 2], h, beta)
+
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_a_terminal_unreached_in_h_proves_nothing(self, monkeypatch, exact):
+        # H's components are {0, 3} and {1, 2} on the unit path 0-1-2-3, so
+        # every d_H between them is None.  F = 100 exceeds every finite
+        # d_H, yet source 1 (no mark reaches it) and source 2 (mark 1
+        # reaches 2 but not 3) are searched; every cross pair fails.
+        w = 1 if exact else 1.0
+        g = Graph.from_edges(4, [(0, 1, w), (1, 2, w), (2, 3, w), (0, 3, w)])
+        h, ts, beta = [(0, 3), (1, 2)], [0, 1, 2, 3], wmax_beta(100, exact)
+        proofs = record_proofs(monkeypatch)
+        rep = verify_spanner(g, ts, h, beta)
+        assert [v.pair for v in rep.violations] == [(0, 1), (0, 2), (1, 3), (2, 3)]
+        assert all(v.d_h == math.inf for v in rep.violations)
+        assert [(u, k, out) for u, k, _, out in proofs] == [(1, 1, False), (2, 2, False)]
+        assert report_fields(rep) == reference_report(g, ts, h, beta)
+
+    def test_every_vertex_a_terminal_caps_the_work_per_source(self, monkeypatch):
+        # Geometric, n = 160, every vertex a terminal: an attempt reads at
+        # most m // t marks, so it makes at most m pair-mark evaluations.
+        g, ts, _ = generate(lightspan.GeneratorSpec(kind="geometric", n=160, seed=1,
+                                                    terminal_fraction=1.0, exact=False))
+        assert len(ts) == g.n
+        m = len(g.edges)
+        es = [canonical(u, v) for i, (u, v, _) in enumerate(g.edges) if i % 5]
+        beta = Beta("wmax", 4.5)
+        proofs = record_proofs(monkeypatch)
+        rep = verify_spanner(g, ts, es, beta, certify_tolerance(g))
+        assert all(k * t <= m for _, k, t, _ in proofs)
+        handled = [u for u in sorted(ts)[:-1] if u not in {u for u, *_, out in proofs if out}]
+        assert any(k < handled.index(u) for u, k, _, _ in proofs if u in handled)
+        assert any(out for *_, out in proofs)
+        assert report_fields(rep) == reference_report(g, ts, es, beta, certify_tolerance(g))
+
+
+def record_proofs(monkeypatch) -> list:
+    """Patch `oracle._proven` to record, per attempt, (source, marks read,
+    targets, verdict)."""
+    calls = []
+    real = oracle._proven
+
+    def recording(marks, u, targets, *rest):
+        out = real(marks, u, targets, *rest)
+        calls.append((u, len(marks), len(targets), out))
+        return out
+
+    monkeypatch.setattr(oracle, "_proven", recording)
+    return calls
 
 
 def relative_beta(value, exact):
@@ -377,15 +528,18 @@ class TestSlackFirstRelative:
 
 
 class TestSlackFirstOnBenchmarkCells:
-    def test_wmax_sampled_cells_and_their_thinned_copies(self):
+    def test_wmax_sampled_cells_and_their_thinned_copies(self, monkeypatch):
         # Every wmax-sampled cell of the benchmark at seed 3, and copies
         # with 1, 3 and 10 edges removed: verify_spanner's report equals
         # the full-table reference at the benchmark's tolerance and at 0.
+        # The benchmark's 24 checks (nothing removed, its tolerance) run at
+        # most 240 subgraph and 210 host searches (456 and 251 before the
+        # checks proved pairs from their marks).
         run = perfbench_run()
         workload = run.WORKLOADS["wmax-sampled"](3)
         instances = {i.label: generate(i.spec(lightspan)) for i in workload.instances}
         assert len(workload.cells) == 24
-        flagged = 0
+        flagged, searches, real = 0, {"subgraph": 0, "host": 0}, graph_mod._relax
         for k, cell in enumerate(workload.cells):
             g, terminals, levels = instances[cell.instance.label]
             call, [(ts, beta)], read = run.prepare(lightspan, cell, g, terminals, levels)
@@ -396,12 +550,21 @@ class TestSlackFirstOnBenchmarkCells:
                 for _ in range(removed):
                     es.pop(rng.randrange(len(es)))
                 for rel_tol in (0.0, certify_tolerance(g)):
-                    rep = verify_spanner(run.fresh_graph(lightspan, g), ts, es, beta, rel_tol)
+                    checked = run.fresh_graph(lightspan, g)
+                    with monkeypatch.context() as m:
+                        if not removed and rel_tol:
+                            def counting(adj, *args):
+                                searches["host" if adj is checked._packed[1] else "subgraph"] += 1
+                                return real(adj, *args)
+                            m.setattr(graph_mod, "_relax", counting)
+                            m.setattr(oracle, "_relax", counting)
+                        rep = verify_spanner(checked, ts, es, beta, rel_tol)
                     assert (report_fields(rep)
                             == reference_report(g, ts, es, beta, rel_tol)), (cell.key, removed)
                     assert rep.ok or removed
                     flagged += len(rep.violations)
         assert flagged
+        assert searches["subgraph"] <= 240 and searches["host"] <= 210, searches
 
     def test_relative_cells_and_their_thinned_copies(self):
         # One-level's first two batches and every small-exact cell of the
