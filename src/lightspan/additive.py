@@ -231,11 +231,11 @@ def greedy_complete(g: Graph, initial: Iterable[Pair],
     all inserted (`_instrumented` relies on this).
 
     The fixed paths come from g's memoised searches, which the backbone
-    ran.  The subgraph, returned as state.sub, keeps one live distance
-    list per source terminal, seeded by one search and repaired by a
-    decrease-only search from the endpoints of each inserted edge, so
-    each examined pair is a lookup.  Insertions only shrink later
-    distances, so pairs stay satisfied.
+    ran.  The subgraph, returned as state.sub, keeps one live label list
+    and pending heap per source terminal: an insertion only pushes the
+    endpoints whose labels it lowers, and each examined pair settles its
+    source's search only up to its allowance.  Insertions only shrink
+    later distances, so pairs stay satisfied.
     """
     table = build_path_table(g, sorted(set(terminals)))
     order = sorted(table.pair_keys(), key=table.order_key)

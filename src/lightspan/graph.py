@@ -379,21 +379,20 @@ def shortest_paths(g: Graph, source: int) -> ShortestPaths:
     return memo[source][1]
 
 
-def _relax(adj, dist: list[Weight | None], seeds: list[tuple[Weight, int]],
+def _relax(adj, dist: list[Weight | None], heap: list[tuple[Weight, int]],
            limit: Weight | None = None) -> list[Weight | None]:
-    """Decrease-only search (Ramalingam & Reps, J. Algorithms 21, 1996):
-    lower dist[x] to d for each seed (d, x), consuming seeds, then relax
-    outward while distances drop; returns dist.  The engine for distances
-    that need no path; `shortest_paths_adj` is the one for paths.  With a
-    limit it stops at the first pop (d, x) with d >= limit."""
+    """Decrease-only search (Ramalingam & Reps, J. Algorithms 21, 1996),
+    resumable: heap is a heap of pending entries (d, x), and the caller
+    has set each dist[x] to its least entry.  Relax outward while
+    distances drop, consuming heap; returns dist.  An entry above its
+    vertex's label is stale and skipped, so it never overwrites a
+    smaller label.  With a limit it stops before the first entry (d, x)
+    with d >= limit and leaves it and the rest in heap, where a later
+    call resumes.  The engine for distances that need no path;
+    `shortest_paths_adj` is the one for paths."""
     heappush, heappop = heapq.heappush, heapq.heappop
-    for d, x in seeds:
-        dist[x] = d
-    heapq.heapify(seeds)
-    while seeds:
-        d, x = heappop(seeds)
-        if limit is not None and d >= limit:
-            break
+    while heap and (limit is None or heap[0][0] < limit):
+        d, x = heappop(heap)
         if d > dist[x]:
             continue  # superseded by a later decrease
         for y, w in adj[x]:
@@ -401,7 +400,7 @@ def _relax(adj, dist: list[Weight | None], seeds: list[tuple[Weight, int]],
             dy = dist[y]
             if dy is None or nd < dy:
                 dist[y] = nd
-                heappush(seeds, (nd, y))
+                heappush(heap, (nd, y))
     return dist
 
 
@@ -412,21 +411,26 @@ class SubgraphAdjacency:
     edge set; weights are taken packed from the host graph.  No caller
     needs a path, so its engine is `_relax`, not `shortest_paths_adj`.
 
-    `distances(s)` is seeded by `_relax` from (0, s) and then kept exact
-    under `add_edge`: when the new edge (a, b, w) shortens d(s, b)
-    through a (or d(s, a) through b), `_relax` from that endpoint lowers
-    exactly the vertices whose distance drops.  Edges are never removed,
-    so no distance ever rises.
+    Each source s read keeps its labels and a heap of pending entries,
+    and is settled on demand: `distances(s, bound)` runs `_relax` on
+    them until every entry left is above bound, and `distances(s)`
+    until none is left.  `add_edge(a, b)` runs no search: when the new
+    edge (a, b, w) lowers s's label of b through a (or of a through b),
+    it lowers that label and pushes the endpoint.  Edges are never
+    removed, so no label ever rises.
 
-    The seeded and repaired lists equal a kernel search bit for bit, in
-    binary64 too.  Both compute, for every vertex, the minimum over
-    paths from s of the path length summed in order from s.  Rounded
-    addition is monotone and fl(d + w) >= d for w > 0, so that minimum
-    is the only labelling with d(s) = 0 that gives each vertex the summed
-    length of some walk from s and that no edge can lower.  Each value
-    `_relax` sets is the length of a walk (the seed, an old path, or a
-    relaxed one extended by an edge), and it stops only when no edge
-    lowers any label.
+    The lists equal a kernel search bit for bit, in binary64 too.  Both
+    compute, for every vertex, the minimum over paths from s of the path
+    length summed in order from s.  Rounded addition is monotone and
+    fl(d + w) >= d for w > 0, so that minimum is the only labelling with
+    d(s) = 0 that gives each vertex the summed length of some walk from
+    s and that no edge can lower.  Every label set is the length of a
+    walk, and every edge (x, y) with dist[y] > dist[x] + w has x pending
+    at dist[x].  So once no entry at or below a bound is pending, a
+    vertex whose final label is at or below it has it: on its walk every
+    prefix is within the bound too (fl(d + w) >= d), and the first vertex
+    on it still labelled above its prefix would follow one pending at or
+    below the bound.  Every other label is None or above the bound.
     """
 
     def __init__(self, host: Graph, edges: Iterable[Pair] = ()) -> None:
@@ -446,8 +450,8 @@ class SubgraphAdjacency:
                 adj[u].append((v, w))
                 adj[v].append((u, w))
         self._adj, self._edges = adj, seen
-        # Source -> packed distances, kept exact by add_edge.
-        self._live: dict[int, list[Weight | None]] = {}
+        # Source -> (packed labels, pending heap), settled on demand.
+        self._live: dict[int, tuple[list[Weight | None], list]] = {}
 
     def add_edge(self, u: int, v: int) -> None:
         key = canonical(u, v)
@@ -457,12 +461,14 @@ class SubgraphAdjacency:
         self._edges.add(key)
         self._adj[u].append((v, w))
         self._adj[v].append((u, w))
-        for dist in self._live.values():
+        for dist, heap in self._live.values():
             du, dv = dist[u], dist[v]
             if du is not None and (dv is None or du + w < dv):
-                _relax(self._adj, dist, [(du + w, v)])
+                dist[v] = du + w
+                heapq.heappush(heap, (du + w, v))
             elif dv is not None and (du is None or dv + w < du):
-                _relax(self._adj, dist, [(dv + w, u)])
+                dist[u] = dv + w
+                heapq.heappush(heap, (dv + w, u))
 
     def __contains__(self, pair: Pair) -> bool:
         return canonical(*pair) in self._edges
@@ -471,12 +477,19 @@ class SubgraphAdjacency:
     def edges(self) -> frozenset[Pair]:
         return frozenset(self._edges)
 
-    def distances(self, source: int) -> list[Weight | None]:
-        """Live packed distances from source (None = unreached), read-only."""
-        dist = self._live.get(source)
-        if dist is None:
-            dist = self._live[source] = _relax(
-                self._adj, [None] * len(self._adj), [(0, source)])
+    def distances(self, source: int, bound: Weight = INF) -> list[Weight | None]:
+        """Live packed distances from source (None = unreached), read-only:
+        every label at or below bound is final (all of them by default),
+        any other is None or above bound."""
+        live = self._live.get(source)
+        if live is None:
+            dist = [None] * len(self._adj)
+            dist[source] = 0
+            live = self._live[source] = dist, [(0, source)]
+        dist, heap = live
+        if heap and heap[0][0] <= bound:  # stop past bound (packed exact labels are integers)
+            _relax(self._adj, dist, heap, None if bound == INF else
+                   bound + 1 if self.denom is not None else math.nextafter(bound, INF))
         return dist
 
     def distance(self, u: int, v: int) -> Weight:
@@ -484,8 +497,9 @@ class SubgraphAdjacency:
 
     def multi_source_distances(self, sources: Iterable[int]) -> dict[int, Weight]:
         """Distance from the nearest source, for every reachable vertex."""
-        dist = _relax(self._adj, [None] * len(self._adj),
-                      [(0, s) for s in sources if self._adj[s]])
+        seeds = {s for s in sources if self._adj[s]}
+        dist = _relax(self._adj, [0 if v in seeds else None for v in range(len(self._adj))],
+                      [(0, s) for s in sorted(seeds)])
         return {v: _unpack(d, self.denom) for v, d in enumerate(dist)
                 if d is not None}
 
@@ -508,9 +522,9 @@ class TreeDistances:
     def __init__(self, host: Graph, edges: Iterable[Pair]) -> None:
         self._adj = SubgraphAdjacency(host, edges)._adj
 
-    def distances(self, source: int) -> list[Weight | None]:
+    def distances(self, source: int, bound: Weight = INF) -> list[Weight | None]:
         """Packed distances from source (None = not on the forest's
-        component of source)."""
+        component of source), all final whatever the bound."""
         adj = self._adj
         dist: list[Weight | None] = [None] * len(adj)
         dist[source] = 0
@@ -711,17 +725,19 @@ class PairBounds:
         return {p: t.dist(*p) + self.slack(*p) for p in t.pair_keys()}
 
     def holds(self, sub, u: int, v: int) -> bool:
-        """Whether the pair (u, v), u < v, meets the condition on sub."""
-        d, a = sub.distances(u)[v], self._rows[u][v]
+        """Whether the pair (u, v), u < v, meets the condition on sub,
+        whose search from u settles only up to the pair's allowance."""
+        a = self._rows[u][v]
+        d = sub.distances(u, a)[v]
         return a == INF if d is None else d <= a
 
     def violations(self, sub) -> list[Pair]:
-        """The pairs failing on sub, in sorted order: one `sub.distances(u)`
-        per source (`sub` is a `SubgraphAdjacency` or a `TreeDistances`),
-        compared with its row."""
+        """The pairs failing on sub, in sorted order: `sub.distances(u)`
+        settled up to the largest allowance of u's row (`sub` is a
+        `SubgraphAdjacency` or a `TreeDistances`), compared with it."""
         out: list[Pair] = []
         for u, row in self._rows.items():
-            live = sub.distances(u)
+            live = sub.distances(u, max(row.values()))
             for v, a in row.items():
                 d = live[v]
                 if (a != INF) if d is None else d > a:

@@ -167,7 +167,10 @@ def _slack_table(g: Graph, ts: list[int], sub: SubgraphAdjacency,
                 memo[u] = limit, shortest_paths_adj(adj, u, denom, limit)
                 sources[u] = memo[u][1]
             else:  # wmax distances; no search at all if every target holds
-                dist = _relax(adj, [None] * g.n, [(0, u)], limit) if limit > 0 else [None] * g.n
+                dist = [None] * g.n
+                if limit > 0:
+                    dist[u] = 0
+                    _relax(adj, dist, [(0, u)], limit)
                 sources[u], stop = ShortestPaths(u, dist, None, None, denom), limit
         if f is not None:
             marks.append((sub.distances(u), sources[u]._dist, stop))

@@ -112,14 +112,17 @@ def _sample_vertices(backbone: Backbone, size: int, seed: int) -> list[int]:
 
 def threshold_search(factor: float, s_count: int, hi: float, v_prime,
                      floor: Callable[[float], int] = lambda ell: 1,
-                     ceil: float = math.inf) -> float | None:
+                     ceil: float = math.inf, *,
+                     bracket: tuple[float, float] | None = None) -> float | None:
     """Solve ell = sqrt(factor * v_prime(ell)) / s_count over (0, hi].
 
     v_prime is a nonincreasing integer-valued function of ell, so the
     residual sqrt(factor * v_prime(ell)) / s_count - ell decreases and a
-    sign change can be bisected; at most 40 halvings, early exit when
-    successive midpoints agree within 1% relatively.  None signals that
-    no fixed point lies in range.
+    sign change can be bisected, over (lo, hi] with lo = hi / 2**30, or
+    over bracket (a, b) if given, whose ends the caller found above and
+    not above; at most 40 halvings, early exit when successive midpoints
+    agree within 1% relatively.  None signals that no fixed point lies
+    in range.
 
     Each probe obeys floor(ell) <= v_prime(ell) <= ceil.  With factor > 0
     the right-hand side is monotone in v under IEEE rounding (a product,
@@ -148,7 +151,7 @@ def threshold_search(factor: float, s_count: int, hi: float, v_prime,
         return hi
     if not above(lo):
         return None
-    a, b = lo, hi
+    a, b = bracket or (lo, hi)
     prev: float | None = None
     for _ in range(40):
         mid = (a + b) / 2
@@ -169,10 +172,15 @@ def choose_ell(inst: ScaledInstance, cfg: SampleConfig, *,
 
     inst is the scaled wmax universe: g is inst.base, S the terminals of
     its backbone, and |V_H| = inst.v_h.  |V'_H|(ell) is the backbone
-    vertex count of the sample drawn at ell.  Returns None (fallback to
-    the +eps*W spanner) when the fixed point cannot be bracketed or lands
-    below every edge weight of inst.  Each probe's sample backbone, or
-    None below two sampled vertices, is kept under its sample size in
+    vertex count of the sample drawn at ell, so it reads ell only through
+    the sample size.  From ell = |V_H| it iterates ell <- min(|V_H|,
+    rhs(|V'_H|(ell))): an iterate whose sample size is its predecessor's
+    is an exact fixed point and is returned.  Each iterate tightens the
+    bracket its verdict rhs > ell sides with; at the first repeated
+    size, `threshold_search` bisects inside it.  Returns None (fallback
+    to the +eps*W spanner) when the fixed point cannot be bracketed or
+    lands below every edge weight of inst.  Each probe's sample backbone,
+    or None below two sampled vertices, is kept under its sample size in
     backbones (a fresh dict if not given), so `wmax_spanner` can reuse
     the one it samples.
     """
@@ -182,18 +190,30 @@ def choose_ell(inst: ScaledInstance, cfg: SampleConfig, *,
     factor = cfg.c * math.log(max(g.n, 2)) * vh
     probes = {} if backbones is None else backbones
 
+    def size(ell: float) -> int:
+        return _sample_size(cfg, inst, ell)
+
     def v_prime(ell: float) -> int:
-        size = _sample_size(cfg, inst, ell)
-        if size not in probes:
-            sample = frozenset(_sample_vertices(bb, size, cfg.seed))
-            probes[size] = None if len(sample) < 2 else build_backbone(
+        if (k := size(ell)) not in probes:
+            sample = frozenset(_sample_vertices(bb, k, cfg.seed))
+            probes[k] = None if len(sample) < 2 else build_backbone(
                 g, sample, Beta("relative", cfg.split.eps))
-        probe = probes[size]
+        probe = probes[k]
         return 1 if probe is None else len(probe.h.vertices)
 
-    # A sample lies inside its backbone's S', which lies inside V(H).
-    ell = threshold_search(factor, len(bb.terminals), float(vh), v_prime,
-                           lambda ell: _sample_size(cfg, inst, ell), g.n)
+    hi = float(vh)
+    a, b, ell, seen = hi / 2 ** 30, hi, hi, set()  # above at a, not above at b
+    while (k := size(ell)) not in seen:
+        seen.add(k)
+        r = math.sqrt(factor * v_prime(ell)) / len(bb.terminals)
+        if a < ell < b:
+            a, b = (ell, b) if r > ell else (a, ell)
+        ell = min(hi, r)
+        if size(ell) == k:
+            break
+    else:  # A sample lies inside its backbone's S', which lies inside V(H).
+        ell = threshold_search(factor, len(bb.terminals), hi, v_prime, size, g.n,
+                               bracket=(a, b))
     if ell is None or not ell > 0 or ell < inst.lightest_spliced():
         return None
     return ell

@@ -354,8 +354,8 @@ def _dreyfus_wagner(g: Graph, ts: list[int]) -> tuple[set[Pair], int]:
                     c = ca + cb
                     if row[v] is None or c < row[v]:
                         row[v] = c
-        rows[mask] = _relax(adj, row, [(c, v) for v, c in enumerate(row)
-                                       if c is not None])
+        rows[mask] = _relax(adj, row, sorted((c, v) for v, c in enumerate(row)
+                                             if c is not None))
     if rows[full][root] is None:
         raise UnknownEdgeError("the terminals are not connected")
 
@@ -440,8 +440,9 @@ def _bounded_program(g: Graph, ts: list[int]) -> tuple[set[Pair], int]:
     for y, arcs in enumerate(into):
         for x, c in arcs:
             out[x].append((y, c))
-    near = zip(_relax(out, [INF] * g.n, [(0, ts[0])]),
-               _relax(into, [INF] * g.n, [(0, t) for t in ts[1:]]))
+    labels = [[0 if v in seeds else INF for v in range(g.n)] for seeds in (ts[:1], ts[1:])]
+    near = zip(_relax(out, labels[0], [(0, ts[0])]),
+               _relax(into, labels[1], [(0, t) for t in ts[1:]]))
     kept = [v for v, (a, b) in enumerate(near) if v in ts or lb + a + b <= top]
     index = {v: i for i, v in enumerate(kept)}
     rest = Graph(len(kept), tuple((index[u], index[v], g.packed_weight_of(u, v))

@@ -279,16 +279,17 @@ def reference_exact_steiner(g: Graph, terminals) -> Fraction:
 
 def record_seeded_searches(monkeypatch) -> list[int]:
     """Patch `graph._relax` to record, in call order, the seed vertices of
-    every search it starts on a fresh (all-None) list, the way
-    `SubgraphAdjacency.distances` seeds a source.  Repairs after an edge
-    insertion run on filled lists and are not recorded."""
+    every search it starts on a fresh list, labelled only at its seeds
+    (at 0), the way `SubgraphAdjacency.distances` seeds a source.  A
+    search resumed on a source's labels, after a bounded read or an edge
+    insertion, has labelled a neighbour and is not recorded."""
     seeded = []
     real = graph_mod._relax
 
-    def recording(adj, dist, seeds):
-        if all(d is None for d in dist):
-            seeded.extend(x for _, x in seeds)
-        return real(adj, dist, seeds)
+    def recording(adj, dist, heap, *limit):
+        if all(d is None or d == 0 for d in dist):
+            seeded.extend(x for _, x in heap)
+        return real(adj, dist, heap, *limit)
 
     monkeypatch.setattr(graph_mod, "_relax", recording)
     return seeded
@@ -453,9 +454,10 @@ def perfbench_run():
     return mod
 
 
-def reference_threshold_search(factor, s_count, hi, v_prime):
+def reference_threshold_search(factor, s_count, hi, v_prime, bracket=None):
     """The bound-free bisection `sampled.threshold_search` replaced: every
-    test calls v_prime, and the closed-form test evaluates v_prime(lo)."""
+    test calls v_prime, and the closed-form test evaluates v_prime(lo).
+    It bisects over bracket when given, as `threshold_search` does."""
 
     def rhs(ell):
         return math.sqrt(factor * v_prime(ell)) / s_count
@@ -467,7 +469,7 @@ def reference_threshold_search(factor, s_count, hi, v_prime):
         return hi
     if rhs(lo) <= lo:
         return None
-    a, b = lo, hi
+    a, b = bracket or (lo, hi)
     prev = None
     for _ in range(40):
         mid = (a + b) / 2

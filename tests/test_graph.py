@@ -1,3 +1,4 @@
+import heapq
 import json
 import math
 import random
@@ -29,6 +30,7 @@ from lightspan.graph import (
     InvalidVertexError,
     InvalidWeightError,
     NonpositiveWeightError,
+    PairBounds,
     ParseError,
     SelfLoopError,
     SubgraphAdjacency,
@@ -467,8 +469,8 @@ class TestLiveDistances:
         if not exact:
             slack, limit = slack / 8, limit / 8
         stop = limit - slack
-        full = _relax(adj, [None] * g.n, [(0, 0)])
-        part = _relax(adj, [None] * g.n, [(0, 0)], stop)
+        full = _relax(adj, [0] + [None] * (g.n - 1), [(0, 0)])
+        part = _relax(adj, [0] + [None] * (g.n - 1), [(0, 0)], stop)
         for d, p in zip(full, part):
             if d < stop:
                 assert p == d
@@ -510,6 +512,85 @@ class TestLiveDistances:
                 w = weight[x, v]
                 assert (p, part._maxw[v]) == (part._dist[x] + w, max(part._maxw[x], w))
         assert g._sssp_memo == {}
+
+
+def fresh_labels(g, edges, source):
+    """A kernel search from source over a new subgraph of the edges."""
+    fresh = SubgraphAdjacency(g, edges)
+    return shortest_paths_adj(fresh._adj, source, fresh.denom)._dist
+
+
+class TestSettledOnDemand:
+    """A live source is settled only as far as a read needs; every
+    verdict and every label a read vouches for is a fresh search's."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 10 ** 6), st.sampled_from(["exact", "eighths", "tenths"]),
+           st.randoms(use_true_random=False))
+    def test_interleaved_reads_equal_a_fresh_search(self, seed, kind, rnd):
+        g = (tenths_graph(seed, 12, 10) if kind == "tenths"
+             else rand_connected_graph(seed, 12, 10, kind == "exact"))
+        order = [canonical(u, v) for u, v, _ in g.edges]
+        rnd.shuffle(order)
+        k = rnd.randrange(len(order))
+        sub = SubgraphAdjacency(g, order[:k])
+        table = build_path_table(g, rnd.sample(range(g.n), 4))
+        bounds = PairBounds(table, Beta("relative", Fraction(1, 2) if g.is_exact else 0.5))
+        for _ in range(40):
+            op = rnd.random()
+            if op < 0.35 and k < len(order):
+                sub.add_edge(*order[k])
+                k += 1
+            elif op < 0.65:
+                u, v = rnd.choice(table.pair_keys())
+                a, d = bounds._rows[u][v], fresh_labels(g, order[:k], u)[v]
+                assert bounds.holds(sub, u, v) == (a == INF if d is None else d <= a)
+            elif op < 0.75:
+                assert bounds.violations(sub) == [
+                    (u, v) for u, row in bounds._rows.items() for v, a in row.items()
+                    if (d := fresh_labels(g, order[:k], u)[v]) is None or d > a]
+            else:
+                s = rnd.randrange(g.n)
+                fresh = fresh_labels(g, order[:k], s)
+                reached = [d for d in fresh if d is not None]
+                bound = rnd.choice(reached + [rnd.uniform(0, 2 * max(reached))])
+                for x, (d, f) in enumerate(zip(sub.distances(s, bound), fresh)):
+                    if f is not None and f <= bound or d is not None and d <= bound:
+                        assert repr(d) == repr(f), (x, bound)
+                    else:
+                        assert d is None or d >= f, (x, bound)
+        for s in range(g.n):
+            assert ([repr(d) for d in sub.distances(s)]
+                    == [repr(d) for d in fresh_labels(g, order[:k], s)])
+
+    def test_a_stale_entry_never_overwrites_a_smaller_label(self):
+        # Vertex 1 has two pending entries, 2 and then 5, the larger pushed
+        # last: the search keeps 2 and relaxes its neighbours from it.
+        adj = [[(1, 1)], [(0, 1), (2, 1)], [(1, 1)]]
+        heap = [(2, 1)]
+        heapq.heappush(heap, (5, 1))
+        assert _relax(adj, [None, 2, None], heap) == [3, 2, 3]
+        assert heap == []
+
+    def test_a_bounded_read_processes_entries_equal_to_the_bound(self):
+        # fl(1 + 2**-60) == 1: vertex 2 lies at the bound only through
+        # vertex 1, which lies at it too, so a read up to 1 must pop
+        # entries equal to the bound, not only those below it.
+        g = Graph.from_edges(3, [(0, 1, 1.0), (1, 2, 2.0 ** -60)])
+        sub = SubgraphAdjacency(g, [(0, 1), (1, 2)])
+        assert sub.distances(0, 1.0) == [0, 1.0, 1.0]
+        bounds = PairBounds(build_path_table(g, [0, 2]), Beta("wmax", 0.0))
+        assert bounds.holds(SubgraphAdjacency(g, [(0, 1), (1, 2)]), 0, 2)
+
+    def test_an_insertion_below_a_pending_entry_wins(self):
+        # A read bounded at 2 leaves 3 pending at 3 on the path 0-1-2-3;
+        # the chord (0, 3) then lowers it to 1 and pushes it again.
+        g = Graph.from_edges(4, [(0, 1, 1), (1, 2, 1), (2, 3, 1), (0, 3, 1)])
+        sub = SubgraphAdjacency(g, [(0, 1), (1, 2), (2, 3)])
+        assert sub.distances(0, 2) == [0, 1, 2, 3]
+        assert sub._live[0][1] == [(3, 3)]
+        sub.add_edge(0, 3)
+        assert sub.distances(0) == [0, 1, 2, 1]
 
 
 @st.composite

@@ -33,6 +33,8 @@ from lightspan.sampled import (
     DistanceChainError,
     SampleConfig,
     _distance_chains,
+    _sample_size,
+    _sample_vertices,
     choose_ell,
     prefix_suffix,
     threshold_search,
@@ -195,32 +197,34 @@ class TestProbeBounds:
 
     def test_choose_ell_builds_fewer_backbones(self, monkeypatch):
         # On generated wmax instances the bounded search returns the
-        # reference bisection's ell and never builds more probe backbones.
-        split = EpsilonSplit.of(0.5)
-        totals = Counter()
-        for kind in ("erdos-renyi", "geometric", "grid"):
-            for seed in range(3):
-                g, terms, _ = generate(GeneratorSpec(
-                    kind, n=60, seed=seed, terminal_fraction=0.2, exact=False))
-                inst = scaled_universe(build_backbone(
-                    g, terms, Beta("wmax", 4.5)))
-                cfg = SampleConfig(split, seed=seed)
-                ells, built = {}, Counter()
-                for side in ("bounded", "reference"):
-                    with monkeypatch.context() as mp:
-                        def counted(*args, side=side):
-                            built[side] += 1
-                            return build_backbone(*args)
+        # reference bisection's ell, over the bracket choose_ell's
+        # iteration found, and never builds more probe backbones.  The
+        # first nine cases reach a fixed point by iteration alone; the
+        # last four bisect, and at c = 1/2 the bounds skip a probe.
+        totals, bisected = Counter(), 0
+        for inst, cfg in generated_universes():
+            ells, built, searched = {}, Counter(), Counter()
+            for side in ("bounded", "reference"):
+                with monkeypatch.context() as mp:
+                    def counted(*args, side=side):
+                        built[side] += 1
+                        return build_backbone(*args)
 
-                        mp.setattr(sampled_mod, "build_backbone", counted)
+                    def search(f, s, hi, vp, *bounds, bracket, side=side):
+                        searched[side] += 1
                         if side == "reference":
-                            mp.setattr(sampled_mod, "threshold_search",
-                                       lambda f, s, hi, vp, *bounds:
-                                       reference_threshold_search(f, s, hi, vp))
-                        ells[side] = choose_ell(inst, cfg)
-                assert ells["bounded"] == ells["reference"]
-                assert built["bounded"] <= built["reference"]
-                totals.update(built)
+                            return reference_threshold_search(f, s, hi, vp, bracket)
+                        return threshold_search(f, s, hi, vp, *bounds, bracket=bracket)
+
+                    mp.setattr(sampled_mod, "build_backbone", counted)
+                    mp.setattr(sampled_mod, "threshold_search", search)
+                    ells[side] = choose_ell(inst, cfg)
+            assert ells["bounded"] == ells["reference"]
+            assert built["bounded"] <= built["reference"]
+            assert searched["bounded"] == searched["reference"]
+            bisected += searched["bounded"]
+            totals.update(built)
+        assert bisected == 4
         assert totals["bounded"] < totals["reference"]
 
 
@@ -231,6 +235,21 @@ def wmax_universe(g, terminals, split=SPLIT):
                                           Beta("wmax", 4 + split.eps)))
 
 
+def generated_universes():
+    """(universe, config) of generated binary64 wmax instances: on the
+    first nine choose_ell's iteration reaches a fixed point, on the last
+    four it repeats a sample size and bisects."""
+    split = EpsilonSplit.of(0.5)
+    cases = [(kind, 60, seed, seed, 2.0) for kind in ("erdos-renyi", "geometric", "grid")
+             for seed in range(3)]
+    cases += [("grid", 60, 5, 0, 2.0), ("grid", 60, 17, 2, 2.0),
+              ("grid", 40, 0, 2, 0.5), ("grid", 60, 6, 2, 0.5)]
+    for kind, n, seed, run_seed, c in cases:
+        g, terms, _ = generate(GeneratorSpec(
+            kind, n=n, seed=seed, terminal_fraction=0.2, exact=False))
+        yield wmax_universe(g, terms, split), SampleConfig(split, c=c, seed=run_seed)
+
+
 class TestChooseEll:
     def test_deterministic(self):
         g = rand_connected_graph(5, 30, 45)
@@ -238,6 +257,50 @@ class TestChooseEll:
         cfg = SampleConfig(SPLIT, c=2.0, seed=9)
         assert choose_ell(wmax_universe(g, s), cfg) == choose_ell(
             wmax_universe(g, s), cfg)
+        for inst, cfg in generated_universes():
+            runs = [{}, {}]
+            ells = [choose_ell(inst, cfg, backbones=probes) for probes in runs]
+            assert ells[0] == ells[1] and list(runs[0]) == list(runs[1])
+
+    def test_an_iterate_is_a_fixed_point_else_the_result_is_bracketed(self, monkeypatch):
+        # Without a bisection choose_ell returns an iterate whose sample
+        # size is its predecessor's (the last one probed): rhs at it is it,
+        # or it is |V_H| and rhs is not below.  Otherwise threshold_search
+        # bisects a bracket whose ends read above and not above, and the
+        # result lies inside it.
+        kinds = Counter()
+        for inst, cfg in generated_universes():
+            probes, brackets = {}, []
+
+            def search(*args, bracket, **bounds):
+                brackets.append(bracket)
+                return threshold_search(*args, bracket=bracket, **bounds)
+
+            with monkeypatch.context() as mp:
+                mp.setattr(sampled_mod, "threshold_search", search)
+                ell = choose_ell(inst, cfg, backbones=probes)
+            factor = cfg.c * math.log(max(inst.base.n, 2)) * inst.v_h
+
+            def rhs(x):
+                k = _sample_size(cfg, inst, x)
+                if k not in probes:
+                    probes[k] = build_backbone(
+                        inst.base, frozenset(_sample_vertices(inst.backbone, k, cfg.seed)),
+                        Beta("relative", cfg.split.eps))
+                v = 1 if probes[k] is None else len(probes[k].h.vertices)
+                return math.sqrt(factor * v) / len(inst.backbone.terminals)
+
+            hi = float(inst.v_h)
+            if not brackets:
+                kinds["iterate"] += 1
+                assert _sample_size(cfg, inst, ell) == list(probes)[-1]
+                assert rhs(ell) == ell or (ell == hi and rhs(ell) >= hi)
+            else:
+                kinds["bracket"] += 1
+                (a, b), = brackets
+                assert rhs(a) > a and not rhs(b) > b
+                assert a < ell < b
+        assert kinds == {"iterate": 9, "bracket": 4}
 
     def test_wmax_spanner_uses_the_public_ell(self):
         # The builder's ell is the one choose_ell gives on the universe
