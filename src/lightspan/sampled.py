@@ -17,7 +17,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable
+from typing import Iterable
 
 from .additive import (
     EpsilonSplit,
@@ -110,61 +110,6 @@ def _sample_vertices(backbone: Backbone, size: int, seed: int) -> list[int]:
     return sorted(rng.sample(pool, min(size, len(pool))))
 
 
-def threshold_search(factor: float, s_count: int, hi: float, v_prime,
-                     floor: Callable[[float], int] = lambda ell: 1,
-                     ceil: float = math.inf, *,
-                     bracket: tuple[float, float] | None = None) -> float | None:
-    """Solve ell = sqrt(factor * v_prime(ell)) / s_count over (0, hi].
-
-    v_prime is a nonincreasing integer-valued function of ell, so the
-    residual sqrt(factor * v_prime(ell)) / s_count - ell decreases and a
-    sign change can be bisected, over (lo, hi] with lo = hi / 2**30, or
-    over bracket (a, b) if given, whose ends the caller found above and
-    not above; at most 40 halvings, early exit when successive midpoints
-    agree within 1% relatively.  None signals that no fixed point lies
-    in range.
-
-    Each probe obeys floor(ell) <= v_prime(ell) <= ceil.  With factor > 0
-    the right-hand side is monotone in v under IEEE rounding (a product,
-    sqrt and a quotient by positive numbers all round monotonically), so
-    a test the bounds decide skips v_prime and still gives its verdict:
-    the search visits the same midpoints and returns the same ell, even
-    for a v_prime that is not monotone.
-    """
-
-    def rhs(v: float) -> float:
-        return math.sqrt(factor * v) / s_count
-
-    def above(ell: float) -> bool:
-        """rhs(v_prime(ell)) > ell, from the bounds when they decide it."""
-        if rhs(floor(ell)) > ell:
-            return True
-        return rhs(ceil) > ell and rhs(v_prime(ell)) > ell
-
-    lo = hi / 2 ** 30
-    v_hi = v_prime(hi)
-    # v_prime(lo) >= floor(lo): it cannot equal a smaller v_prime(hi).
-    if v_hi >= floor(lo) and v_prime(lo) == v_hi:
-        # Sample-insensitive instance: the equation is closed-form.
-        return min(hi, rhs(v_hi))
-    if rhs(v_hi) >= hi:
-        return hi
-    if not above(lo):
-        return None
-    a, b = bracket or (lo, hi)
-    prev: float | None = None
-    for _ in range(40):
-        mid = (a + b) / 2
-        if above(mid):
-            a = mid
-        else:
-            b = mid
-        if prev is not None and abs(mid - prev) < 0.01 * prev:
-            break
-        prev = mid
-    return (a + b) / 2
-
-
 def choose_ell(inst: ScaledInstance, cfg: SampleConfig, *,
                backbones: dict[int, Backbone | None] | None = None
                ) -> float | None:
@@ -173,16 +118,19 @@ def choose_ell(inst: ScaledInstance, cfg: SampleConfig, *,
     inst is the scaled wmax universe: g is inst.base, S the terminals of
     its backbone, and |V_H| = inst.v_h.  |V'_H|(ell) is the backbone
     vertex count of the sample drawn at ell, so it reads ell only through
-    the sample size.  From ell = |V_H| it iterates ell <- min(|V_H|,
-    rhs(|V'_H|(ell))): an iterate whose sample size is its predecessor's
-    is an exact fixed point and is returned.  Each iterate tightens the
-    bracket its verdict rhs > ell sides with; at the first repeated
-    size, `threshold_search` bisects inside it.  Returns None (fallback
-    to the +eps*W spanner) when the fixed point cannot be bracketed or
-    lands below every edge weight of inst.  Each probe's sample backbone,
-    or None below two sampled vertices, is kept under its sample size in
-    backbones (a fresh dict if not given), so `wmax_spanner` can reuse
-    the one it samples.
+    the sample size.  With rhs(v) = sqrt(c ln n |V_H| v) / |S|, it
+    iterates ell <- min(|V_H|, rhs(|V'_H|(ell))) from ell = |V_H|: an
+    iterate whose sample size is its predecessor's is an exact fixed
+    point and is returned.  Each iterate narrows a bracket (a, b) with
+    rhs > ell at a and not at b, from (lo, |V_H|) with lo = |V_H| / 2**30;
+    at the first size that repeats an earlier one, the search bisects
+    that bracket by the test rhs(|V'_H|(mid)) > mid, for at most 40
+    halvings and until successive midpoints agree within 1%.  Returns
+    None (fallback to the +eps*W spanner) when rhs is not above lo there,
+    or when ell lands below every edge weight of inst.  Each probe's
+    sample backbone, or None below two sampled vertices, is kept under
+    its sample size in backbones (a fresh dict if not given), so
+    `wmax_spanner` can reuse the one it samples.
     """
     g, bb, vh = inst.base, inst.backbone, inst.v_h
     if vh < 2 or len(bb.terminals) < 2:
@@ -193,6 +141,9 @@ def choose_ell(inst: ScaledInstance, cfg: SampleConfig, *,
     def size(ell: float) -> int:
         return _sample_size(cfg, inst, ell)
 
+    def rhs(v: int) -> float:
+        return math.sqrt(factor * v) / len(bb.terminals)
+
     def v_prime(ell: float) -> int:
         if (k := size(ell)) not in probes:
             sample = frozenset(_sample_vertices(bb, k, cfg.seed))
@@ -201,22 +152,36 @@ def choose_ell(inst: ScaledInstance, cfg: SampleConfig, *,
         probe = probes[k]
         return 1 if probe is None else len(probe.h.vertices)
 
+    def above(ell: float) -> bool:
+        return rhs(v_prime(ell)) > ell
+
     hi = float(vh)
-    a, b, ell, seen = hi / 2 ** 30, hi, hi, set()  # above at a, not above at b
+    lo = hi / 2 ** 30
+    a, b, ell, seen = lo, hi, hi, set()  # above at a, not above at b
     while (k := size(ell)) not in seen:
         seen.add(k)
-        r = math.sqrt(factor * v_prime(ell)) / len(bb.terminals)
+        r = rhs(v_prime(ell))
         if a < ell < b:
             a, b = (ell, b) if r > ell else (a, ell)
         ell = min(hi, r)
         if size(ell) == k:
             break
-    else:  # A sample lies inside its backbone's S', which lies inside V(H).
-        ell = threshold_search(factor, len(bb.terminals), hi, v_prime, size, g.n,
-                               bracket=(a, b))
-    if ell is None or not ell > 0 or ell < inst.lightest_spliced():
-        return None
-    return ell
+    else:
+        # A sample lies inside its backbone, so v'(lo) >= size(lo).
+        if not (rhs(size(lo)) > lo or above(lo)):
+            return None
+        prev: float | None = None
+        for _ in range(40):
+            mid = (a + b) / 2
+            if above(mid):
+                a = mid
+            else:
+                b = mid
+            if prev is not None and abs(mid - prev) < 0.01 * prev:
+                break
+            prev = mid
+        ell = (a + b) / 2
+    return None if ell < inst.lightest_spliced() else ell
 
 
 def wmax_spanner(g: Graph, terminals: Iterable[int], cfg: SampleConfig,

@@ -455,9 +455,12 @@ def perfbench_run():
 
 
 def reference_threshold_search(factor, s_count, hi, v_prime, bracket=None):
-    """The bound-free bisection `sampled.threshold_search` replaced: every
-    test calls v_prime, and the closed-form test evaluates v_prime(lo).
-    It bisects over bracket when given, as `threshold_search` does."""
+    """Solve ell = sqrt(factor * v_prime(ell)) / s_count over (0, hi] by
+    plain bisection, with lo = hi / 2**30: the closed form when v_prime(lo)
+    == v_prime(hi), hi when rhs(hi) >= hi, None when rhs(lo) <= lo, else
+    at most 40 halvings of bracket, or of (lo, hi), with the 1% exit.
+    `sampled.choose_ell` bisects the bracket its iteration found this
+    way; every test here calls v_prime."""
 
     def rhs(ell):
         return math.sqrt(factor * v_prime(ell)) / s_count

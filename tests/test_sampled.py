@@ -1,10 +1,9 @@
 import math
-import random
 from collections import Counter
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from helpers import (
     rand_connected_graph,
@@ -37,7 +36,6 @@ from lightspan.sampled import (
     _sample_vertices,
     choose_ell,
     prefix_suffix,
-    threshold_search,
     wmax_spanner,
 )
 from lightspan.steiner import build_backbone
@@ -91,141 +89,54 @@ class TestPrefixSuffix:
             prefix_suffix(g, path, set(), ell)
 
 
-class TestThresholdSearch:
-    def test_constant_vprime_closed_form(self):
-        calls = []
+def synthetic_choose_ell(monkeypatch, v_h, s_count, n, c, v_of_size):
+    """choose_ell on a stand-in universe with |V_H| = v_h, |S| = s_count,
+    host order n and no spliced edge weight, whose sample of k >= 2
+    vertices has a backbone of v_of_size(k) vertices."""
+    backbone = SimpleNamespace(terminals=range(s_count),
+                               h=SimpleNamespace(vertices=range(v_h)))
+    inst = SimpleNamespace(base=SimpleNamespace(n=n), backbone=backbone,
+                           v_h=v_h, lightest_spliced=lambda: 0.0)
+    monkeypatch.setattr(sampled_mod, "build_backbone", lambda g, sample, beta:
+                        SimpleNamespace(h=SimpleNamespace(
+                            vertices=range(v_of_size(len(sample))))))
+    cfg = SampleConfig(SPLIT, c=c)
+    return choose_ell(inst, cfg), cfg.c * math.log(n) * v_h
 
-        def v_prime(ell):
-            calls.append(ell)
-            return 9
 
-        # ell* = sqrt(100 * 9) / 5 = 6
-        got = threshold_search(100.0, 5, 50.0, v_prime)
-        assert got == pytest.approx(6.0)
+class TestSyntheticProbes:
+    def test_constant_vprime_gives_the_closed_form(self, monkeypatch):
+        # ell* = sqrt(100 * 9) / 5 = 6, reached by the iteration alone.
+        got, factor = synthetic_choose_ell(monkeypatch, 50, 5, 50,
+                                           2 / math.log(50), lambda k: 9)
+        assert got == math.sqrt(factor * 9) / 5 == pytest.approx(6.0)
 
-    def test_monotone_synthetic_brackets_fixed_point(self):
-        def v_prime(ell):
-            # nonincreasing step function of ell
-            return 16 if ell < 4 else 4
+    def test_step_vprime_is_bracketed(self, monkeypatch):
+        # With factor 64 and |S| = 12, |V'_H| = 64 above sample size 16
+        # and 16 up to it: rhs is 16/3 for ell < 4 and 8/3 from ell = 4
+        # on, so the iterates cycle and the bisection finds the step.
+        def v_of_size(k):
+            return 64 if k > 16 else 16
 
-        # crossing: for ell < 4 rhs = sqrt(64*16)/8 = 4; at ell >= 4 rhs = 2
-        got = threshold_search(64.0, 8, 32.0, v_prime)
-        assert got is not None
-        rhs = math.sqrt(64.0 * v_prime(got)) / 8
-        assert abs(got - rhs) <= max(2.0, 0.05 * got)
+        got, factor = synthetic_choose_ell(monkeypatch, 64, 12, 64,
+                                           1 / math.log(64), v_of_size)
+        assert got == pytest.approx(factor / 16, rel=0.01)
 
-    def test_unreachable_fixed_point_signals_none(self):
-        # enormous terminal count pushes the fixed point below range
-        def v_step(ell):
-            return 2 if ell < 1 else 1
+        def v_prime(ell):  # one sampled vertex builds no backbone
+            k = min(64, math.ceil(factor / ell))
+            return v_of_size(k) if k > 1 else 1
 
-        got = threshold_search(1e-6, 10 ** 6, 100.0, v_step)
+        bracket = (math.sqrt(factor * 16) / 12, math.sqrt(factor * 64) / 12)
+        assert got == reference_threshold_search(factor, 12, 64.0, v_prime, bracket)
+
+    def test_unreachable_fixed_point_signals_none(self, monkeypatch):
+        # The step instance with ell scaled by 1e-9 (factor by 1e-9, |S|
+        # by 1e-9 ** -0.5): the iterates cycle as before, but the step
+        # lies below lo = |V_H| / 2**30, where rhs is not above.
+        got, _ = synthetic_choose_ell(monkeypatch, 64, 379473, 64,
+                                      1e-9 / math.log(64),
+                                      lambda k: 64 if k > 16 else 16)
         assert got is None
-
-
-def probe_function(kind, seed, top, scale):
-    """(floor, v_prime) over ell with floor(ell) <= v_prime(ell) <= top.
-
-    "monotone" mimics choose_ell: floor is a capped sample size
-    ceil(scale / ell) and v_prime a larger nonincreasing step function;
-    "arbitrary" draws both per ell from a seeded hash, so v_prime need
-    not be monotone at all.
-    """
-    if kind == "monotone":
-        def floor(ell):
-            return max(1, min(top, math.ceil(scale / ell)))
-
-        def v_prime(ell):
-            return max(floor(ell), min(top, math.ceil(3 * scale / ell)))
-    else:
-        def floor(ell):
-            return random.Random(f"{seed}:floor:{ell!r}").randint(1, top)
-
-        def v_prime(ell):
-            return random.Random(f"{seed}:v:{ell!r}").randint(floor(ell), top)
-    return floor, v_prime
-
-
-def log_uniform(lo, hi):
-    """Floats 10**x for x drawn from [lo, hi]."""
-    return st.floats(lo, hi).map(lambda x: 10.0 ** x)
-
-
-class TestProbeBounds:
-    """Bounds decide a probe only as evaluating it would."""
-
-    @settings(max_examples=300, deadline=None)
-    @given(log_uniform(-12, 6), st.integers(1, 400), log_uniform(-0.3, 5),
-           st.integers(1, 500), log_uniform(-2, 5), st.integers(0, 2 ** 32),
-           st.sampled_from(["monotone", "arbitrary"]), st.booleans())
-    def test_bounds_never_change_ell(self, factor, s_count, hi, top, scale,
-                                     seed, kind, finite_ceil):
-        floor, v_prime = probe_function(kind, seed, top, scale)
-        ceil = top if finite_ceil else math.inf
-        probes = {"reference": [], "bounded": []}
-
-        def recorded(name):
-            def call(ell):
-                probes[name].append(ell)
-                return v_prime(ell)
-            return call
-
-        expected = reference_threshold_search(factor, s_count, hi,
-                                              recorded("reference"))
-        got = threshold_search(factor, s_count, hi, recorded("bounded"),
-                               floor, ceil)
-        assert got == expected
-        assert len(probes["bounded"]) <= len(probes["reference"])
-
-        # v_prime runs at hi, at lo only for a closed-form test the bounds
-        # leave open, and elsewhere only where they cannot decide the test.
-        def rhs(v):
-            return math.sqrt(factor * v) / s_count
-
-        lo = hi / 2 ** 30
-        for ell in probes["bounded"]:
-            open_test = not rhs(floor(ell)) > ell and rhs(ceil) > ell
-            assert (ell == hi or open_test
-                    or (ell == lo and v_prime(hi) >= floor(lo))), ell
-
-    def test_default_bounds_keep_the_four_argument_form(self):
-        for kind in ("monotone", "arbitrary"):
-            for seed in range(20):
-                _, v_prime = probe_function(kind, seed, 50, 40.0)
-                assert (threshold_search(300.0, 7, 60.0, v_prime)
-                        == reference_threshold_search(300.0, 7, 60.0, v_prime))
-
-    def test_choose_ell_builds_fewer_backbones(self, monkeypatch):
-        # On generated wmax instances the bounded search returns the
-        # reference bisection's ell, over the bracket choose_ell's
-        # iteration found, and never builds more probe backbones.  The
-        # first nine cases reach a fixed point by iteration alone; the
-        # last four bisect, and at c = 1/2 the bounds skip a probe.
-        totals, bisected = Counter(), 0
-        for inst, cfg in generated_universes():
-            ells, built, searched = {}, Counter(), Counter()
-            for side in ("bounded", "reference"):
-                with monkeypatch.context() as mp:
-                    def counted(*args, side=side):
-                        built[side] += 1
-                        return build_backbone(*args)
-
-                    def search(f, s, hi, vp, *bounds, bracket, side=side):
-                        searched[side] += 1
-                        if side == "reference":
-                            return reference_threshold_search(f, s, hi, vp, bracket)
-                        return threshold_search(f, s, hi, vp, *bounds, bracket=bracket)
-
-                    mp.setattr(sampled_mod, "build_backbone", counted)
-                    mp.setattr(sampled_mod, "threshold_search", search)
-                    ells[side] = choose_ell(inst, cfg)
-            assert ells["bounded"] == ells["reference"]
-            assert built["bounded"] <= built["reference"]
-            assert searched["bounded"] == searched["reference"]
-            bisected += searched["bounded"]
-            totals.update(built)
-        assert bisected == 4
-        assert totals["bounded"] < totals["reference"]
 
 
 def wmax_universe(g, terminals, split=SPLIT):
@@ -250,6 +161,46 @@ def generated_universes():
         yield wmax_universe(g, terms, split), SampleConfig(split, c=c, seed=run_seed)
 
 
+# Probe backbones built per case of generated_universes() by the search
+# that skipped a bisection probe whenever bounds on |V'_H| settled its
+# test; the plain test must build no more.
+BOUNDED_SEARCH_PROBES = (2, 2, 2, 2, 2, 2, 2, 3, 2, 4, 4, 4, 5)
+
+
+def probe_search(inst, cfg, probes):
+    """(factor, v_prime) of choose_ell on inst: v_prime reads and fills
+    probes as choose_ell does, so it builds no backbone choose_ell built."""
+    factor = cfg.c * math.log(max(inst.base.n, 2)) * inst.v_h
+
+    def v_prime(x):
+        k = _sample_size(cfg, inst, x)
+        if k not in probes:
+            sample = frozenset(_sample_vertices(inst.backbone, k, cfg.seed))
+            probes[k] = None if len(sample) < 2 else build_backbone(
+                inst.base, sample, Beta("relative", cfg.split.eps))
+        return 1 if probes[k] is None else len(probes[k].h.vertices)
+    return factor, v_prime
+
+
+def iteration(inst, cfg, rhs):
+    """Where choose_ell's iteration ell <- min(|V_H|, rhs(ell)) from |V_H|
+    ends: (ell, None) at the first iterate whose sample size is its
+    predecessor's, else (None, (a, b)) at the first size that repeats an
+    earlier one, with a the largest iterate rhs is above and b the
+    smallest it is not (|V_H| / 2**30 and |V_H| if there is none)."""
+    hi = float(inst.v_h)
+    ells = [hi]
+    while True:
+        ells.append(min(hi, rhs(ells[-1])))
+        *seen, last, nxt = [_sample_size(cfg, inst, x) for x in ells]
+        if nxt == last:
+            return ells[-1], None
+        if nxt in seen:
+            read = [(x, y > x) for x, y in zip(ells, ells[1:])]
+            return None, (max((x for x, up in read if up), default=hi / 2 ** 30),
+                          min((x for x, up in read if not up), default=hi))
+
+
 class TestChooseEll:
     def test_deterministic(self):
         g = rand_connected_graph(5, 30, 45)
@@ -262,45 +213,50 @@ class TestChooseEll:
             ells = [choose_ell(inst, cfg, backbones=probes) for probes in runs]
             assert ells[0] == ells[1] and list(runs[0]) == list(runs[1])
 
-    def test_an_iterate_is_a_fixed_point_else_the_result_is_bracketed(self, monkeypatch):
-        # Without a bisection choose_ell returns an iterate whose sample
-        # size is its predecessor's (the last one probed): rhs at it is it,
-        # or it is |V_H| and rhs is not below.  Otherwise threshold_search
-        # bisects a bracket whose ends read above and not above, and the
-        # result lies inside it.
+    def test_an_iterate_is_a_fixed_point_else_the_result_is_bracketed(self):
+        # When an iterate's sample size is its predecessor's, choose_ell
+        # returns it (the last size probed): rhs at it is it, or it is
+        # |V_H| and rhs is not below.  Otherwise it bisects the tightest
+        # bracket of the iterates, whose ends read above and not above:
+        # the result lies inside it and is the reference bisection's.
         kinds = Counter()
         for inst, cfg in generated_universes():
-            probes, brackets = {}, []
-
-            def search(*args, bracket, **bounds):
-                brackets.append(bracket)
-                return threshold_search(*args, bracket=bracket, **bounds)
-
-            with monkeypatch.context() as mp:
-                mp.setattr(sampled_mod, "threshold_search", search)
-                ell = choose_ell(inst, cfg, backbones=probes)
-            factor = cfg.c * math.log(max(inst.base.n, 2)) * inst.v_h
+            probes = {}
+            ell = choose_ell(inst, cfg, backbones=probes)
+            last_probed = list(probes)[-1]
+            factor, v_prime = probe_search(inst, cfg, probes)
 
             def rhs(x):
-                k = _sample_size(cfg, inst, x)
-                if k not in probes:
-                    probes[k] = build_backbone(
-                        inst.base, frozenset(_sample_vertices(inst.backbone, k, cfg.seed)),
-                        Beta("relative", cfg.split.eps))
-                v = 1 if probes[k] is None else len(probes[k].h.vertices)
-                return math.sqrt(factor * v) / len(inst.backbone.terminals)
+                return math.sqrt(factor * v_prime(x)) / len(inst.backbone.terminals)
 
             hi = float(inst.v_h)
-            if not brackets:
+            fixed, bracket = iteration(inst, cfg, rhs)
+            if bracket is None:
                 kinds["iterate"] += 1
-                assert _sample_size(cfg, inst, ell) == list(probes)[-1]
+                assert ell == fixed
+                assert _sample_size(cfg, inst, ell) == last_probed
                 assert rhs(ell) == ell or (ell == hi and rhs(ell) >= hi)
             else:
                 kinds["bracket"] += 1
-                (a, b), = brackets
+                a, b = bracket
                 assert rhs(a) > a and not rhs(b) > b
                 assert a < ell < b
+                assert ell == reference_threshold_search(
+                    factor, len(inst.backbone.terminals), hi, v_prime, bracket)
         assert kinds == {"iterate": 9, "bracket": 4}
+
+    def test_builds_no_more_probe_backbones_than_the_bounded_search(self, monkeypatch):
+        built = []
+
+        def counted(*args):
+            built[-1] += 1
+            return build_backbone(*args)
+
+        monkeypatch.setattr(sampled_mod, "build_backbone", counted)
+        for inst, cfg in generated_universes():
+            built.append(0)
+            choose_ell(inst, cfg)
+        assert all(x <= y for x, y in zip(built, BOUNDED_SEARCH_PROBES, strict=True))
 
     def test_wmax_spanner_uses_the_public_ell(self):
         # The builder's ell is the one choose_ell gives on the universe
