@@ -4,6 +4,7 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import (
     rand_connected_graph,
@@ -129,6 +130,43 @@ class TestSyntheticProbes:
         bracket = (math.sqrt(factor * 16) / 12, math.sqrt(factor * 64) / 12)
         assert got == reference_threshold_search(factor, 12, 64.0, v_prime, bracket)
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(2, 300), st.integers(2, 10 ** 6), st.integers(2, 10 ** 4),
+           st.floats(-12, 2).map(lambda x: 10.0 ** x), st.integers(0, 300),
+           st.lists(st.tuples(st.integers(2, 300), st.integers(0, 300)), max_size=5))
+    def test_monotone_vprime_gives_the_reference_ell(self, v_h, s_count, n, c,
+                                                     base, steps):
+        # |V'_H| of a k-vertex sample is min(|V_H|, k + base + the rises of
+        # the steps at or below k): at least k and nondecreasing in k, as a
+        # backbone of nested samples would be.  choose_ell returns the
+        # iteration's fixed point, else None when rhs is not above lo, else
+        # the plain bisection of its bracket.  (The reference would give
+        # its closed form when the iterates cycle below lo but |V'_H| is
+        # constant over [lo, |V_H|].)
+        def v_of_size(k):
+            return min(v_h, k + base + sum(rise for at, rise in steps if at <= k))
+
+        with pytest.MonkeyPatch.context() as mp:
+            got, factor = synthetic_choose_ell(mp, v_h, s_count, n, c, v_of_size)
+        inst = SimpleNamespace(base=SimpleNamespace(n=n), v_h=v_h)
+        cfg = SampleConfig(SPLIT, c=c)
+
+        def v_prime(ell):  # one sampled vertex builds no backbone
+            k = _sample_size(cfg, inst, ell)
+            return v_of_size(k) if k > 1 else 1
+
+        def rhs(x):
+            return math.sqrt(factor * v_prime(x)) / s_count
+
+        fixed, bracket = iteration(inst, cfg, rhs)
+        if bracket is None:
+            assert got == fixed
+        elif not rhs(v_h / 2 ** 30) > v_h / 2 ** 30:
+            assert got is None
+        else:
+            assert got == reference_threshold_search(
+                factor, s_count, float(v_h), v_prime, bracket)
+
     def test_unreachable_fixed_point_signals_none(self, monkeypatch):
         # The step instance with ell scaled by 1e-9 (factor by 1e-9, |S|
         # by 1e-9 ** -0.5): the iterates cycle as before, but the step
@@ -186,9 +224,11 @@ def iteration(inst, cfg, rhs):
     """Where choose_ell's iteration ell <- min(|V_H|, rhs(ell)) from |V_H|
     ends: (ell, None) at the first iterate whose sample size is its
     predecessor's, else (None, (a, b)) at the first size that repeats an
-    earlier one, with a the largest iterate rhs is above and b the
-    smallest it is not (|V_H| / 2**30 and |V_H| if there is none)."""
+    earlier one, with a the largest iterate inside (lo, |V_H|) that rhs is
+    above and b the smallest it is not (lo = |V_H| / 2**30 and |V_H| if
+    there is none)."""
     hi = float(inst.v_h)
+    lo = hi / 2 ** 30
     ells = [hi]
     while True:
         ells.append(min(hi, rhs(ells[-1])))
@@ -196,8 +236,8 @@ def iteration(inst, cfg, rhs):
         if nxt == last:
             return ells[-1], None
         if nxt in seen:
-            read = [(x, y > x) for x, y in zip(ells, ells[1:])]
-            return None, (max((x for x, up in read if up), default=hi / 2 ** 30),
+            read = [(x, y > x) for x, y in zip(ells, ells[1:]) if lo < x < hi]
+            return None, (max((x for x, up in read if up), default=lo),
                           min((x for x, up in read if not up), default=hi))
 
 
@@ -218,7 +258,7 @@ class TestChooseEll:
         # returns it (the last size probed): rhs at it is it, or it is
         # |V_H| and rhs is not below.  Otherwise it bisects the tightest
         # bracket of the iterates, whose ends read above and not above:
-        # the result lies inside it and is the reference bisection's.
+        # the result lies inside it.
         kinds = Counter()
         for inst, cfg in generated_universes():
             probes = {}
@@ -241,9 +281,24 @@ class TestChooseEll:
                 a, b = bracket
                 assert rhs(a) > a and not rhs(b) > b
                 assert a < ell < b
-                assert ell == reference_threshold_search(
-                    factor, len(inst.backbone.terminals), hi, v_prime, bracket)
         assert kinds == {"iterate": 9, "bracket": 4}
+
+    def test_bisecting_cases_return_the_reference_bisection(self):
+        # On the cases whose sample sizes repeat, ell is the plain
+        # bisection's over the bracket the iteration found.
+        bisected = 0
+        for inst, cfg in generated_universes():
+            probes = {}
+            ell = choose_ell(inst, cfg, backbones=probes)
+            factor, v_prime = probe_search(inst, cfg, probes)
+            s_count = len(inst.backbone.terminals)
+            _, bracket = iteration(inst, cfg, lambda x: math.sqrt(
+                factor * v_prime(x)) / s_count)
+            if bracket is not None:
+                bisected += 1
+                assert ell == reference_threshold_search(
+                    factor, s_count, float(inst.v_h), v_prime, bracket)
+        assert bisected == 4
 
     def test_builds_no_more_probe_backbones_than_the_bounded_search(self, monkeypatch):
         built = []
